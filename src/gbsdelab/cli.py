@@ -431,15 +431,7 @@ def run(cfg: RunConfig, experiment: str, out_dir: str = ".") -> int:
     return 0 if passed else 1
 
 
-def _apply_thread_cap():
-    cap = os.environ.get("GBSDE_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = argparse.ArgumentParser(
         prog="gbsde",
         description="Numerical laboratory for scalar backward equations "

@@ -10,7 +10,7 @@ sup) and exactly through the degenerate parabolic solve.
 
 Randomness is counter-based: each batch of paths draws from a Philox
 stream keyed by (seed, batch start), so ensembles are byte-identical
-across runs and across batch-parallel execution.
+across runs.
 """
 
 from __future__ import annotations

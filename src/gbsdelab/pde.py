@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,6 +77,11 @@ class CoefficientSet:
 
     def eval_phi(self, x):
         return evaluate(self.Phi, {"x": x})
+
+    @property
+    def time_free(self) -> bool:
+        """True when none of b, h, sigma depends on t."""
+        return not any("t" in free_vars(e) for e in (self.b, self.h, self.sigma))
 
     def check_lipschitz(self, rng, n_samples=256, span=8.0, horizon=1.0):
         """Sampled consistency check of lip_const / growth_q declarations."""
@@ -175,9 +181,12 @@ class SpaceTimeGrid:
     def dx(self) -> float:
         return (self.x_max - self.x_min) / (self.nx - 1)
 
-    @property
+    @cached_property
     def xs(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.nx)
+        """The nodes; computed once per grid and read-only."""
+        xs = np.linspace(self.x_min, self.x_max, self.nx)
+        xs.flags.writeable = False
+        return xs
 
     def core_mask(self) -> np.ndarray:
         """Boolean mask of the central core_fraction of the x-interval."""
@@ -220,6 +229,12 @@ def _dissipation(problem: PdeProblem, sigma, h, dx):
     return theta
 
 
+def _step_fields(problem: PdeProblem, t, grid: SpaceTimeGrid):
+    """b, h, sigma and the dissipation theta on the nodes at time t."""
+    b, h, sigma = _coef_fields(problem, t, grid.xs)
+    return b, h, sigma, _dissipation(problem, sigma, h, grid.dx)
+
+
 def max_stable_dt(problem: PdeProblem, x_min, x_max, nx) -> float:
     """Largest dt satisfying the recorded monotonicity bound
       dt * [ shs*sig_max^2/dx^2
@@ -231,7 +246,8 @@ def max_stable_dt(problem: PdeProblem, x_min, x_max, nx) -> float:
         raise ValueError(f"nx must be at least 3, got {nx}")
     dx = (x_max - x_min) / (nx - 1)
     xs = np.linspace(x_min, x_max, nx)
-    ts = np.linspace(0.0, problem.T, _T_SAMPLES)
+    # every time sample is the same when the coefficients are free of t
+    ts = np.linspace(0.0, problem.T, 1 if problem.coeffs.time_free else _T_SAMPLES)
     b_max = h_max = s_max = th_max = 0.0
     for t in ts:
         b, h, s = _coef_fields(problem, t, xs)
@@ -264,15 +280,18 @@ def build_grid(
     )
 
 
-def step_backward(u_next, t, problem: PdeProblem, grid: SpaceTimeGrid):
+def step_backward(u_next, t, problem: PdeProblem, grid: SpaceTimeGrid, fields=None):
     """One explicit Euler step from the layer at t+dt down to t.
 
     Coefficients and generators are evaluated at the layer being
-    produced.  Interior nodes use central differences; boundary nodes use
-    zero second difference and one-sided first differences.  Monotonicity
-    (every subgradient of the update nonnegative in each neighbor value)
-    holds at the interior nodes; the two boundary nodes are sacrificial
-    and excluded from every certified region.
+    produced.  fields, when given, is (b, h, sigma, theta) on the nodes as
+    _step_fields returns it and stands in for the coefficients at t;
+    solve passes it when they are free of t.  Interior nodes use central
+    differences; boundary nodes use zero second difference and one-sided
+    first differences.  Monotonicity (every subgradient of the update
+    nonnegative in each neighbor value) holds at the interior nodes; the
+    two boundary nodes are sacrificial and excluded from every certified
+    region.
     """
     u = np.asarray(u_next, dtype=float)
     if not np.all(np.isfinite(u)):
@@ -280,33 +299,26 @@ def step_backward(u_next, t, problem: PdeProblem, grid: SpaceTimeGrid):
         raise SchemeError(f"non-finite input at node {bad} (x={grid.xs[bad]:g})")
     xs = grid.xs
     dx = grid.dx
-    b, h, sigma = _coef_fields(problem, t, xs)
-    theta = _dissipation(problem, sigma, h, dx)
+    if fields is None:
+        fields = _step_fields(problem, t, grid)
+    b, h, sigma, theta = fields
 
-    d2 = np.zeros_like(u)
-    d2[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
+    lap = np.zeros_like(u)
+    lap[1:-1] = u[2:] - 2.0 * u[1:-1] + u[:-2]
+    d2 = lap / dx**2
+    delta = lap / (2.0 * dx)
+    du = (u[1:] - u[:-1]) / dx
     p_c = np.empty_like(u)
     p_c[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx)
-    p_c[0] = (u[1] - u[0]) / dx
-    p_c[-1] = (u[-1] - u[-2]) / dx
-    delta = np.zeros_like(u)
-    delta[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (2.0 * dx)
-
-    p_fwd = np.empty_like(u)
-    p_fwd[:-1] = (u[1:] - u[:-1]) / dx
-    p_fwd[-1] = p_c[-1]
-    p_bwd = np.empty_like(u)
-    p_bwd[1:] = (u[1:] - u[:-1]) / dx
-    p_bwd[0] = p_c[0]
+    p_c[0] = du[0]
+    p_c[-1] = du[-1]
+    p_fwd = np.concatenate((du, du[-1:]))
+    p_bwd = np.concatenate((du[:1], du))
     p_up = np.where(b >= 0.0, p_fwd, p_bwd)
 
     z = sigma * p_c
-    fval = np.broadcast_to(
-        np.asarray(problem.f.eval_grid(t, xs, u, z), dtype=float), u.shape
-    ) + theta * delta
-    gval = np.broadcast_to(
-        np.asarray(problem.g.eval_grid(t, xs, u, z), dtype=float), u.shape
-    )
+    fval = np.asarray(problem.f.eval_grid(t, xs, u, z), dtype=float) + theta * delta
+    gval = np.asarray(problem.g.eval_grid(t, xs, u, z), dtype=float)
     ham = sigma**2 * d2 + 2.0 * h * p_c + 2.0 * gval
     out = u + grid.dt * (g_value(problem.gparams, ham) + b * p_up + fval)
     if not np.all(np.isfinite(out)):
@@ -356,10 +368,11 @@ def solve(problem: PdeProblem, grid: SpaceTimeGrid) -> PdeSolution:
         bad = int(np.argmin(np.isfinite(u)))
         raise SchemeError(f"non-finite terminal value at node {bad} (x={xs[bad]:g})")
     stride = max(1, int(np.ceil((grid.nt + 1) / _MAX_STORED_LAYERS)))
+    fields = _step_fields(problem, 0.0, grid) if problem.coeffs.time_free else None
     kept_idx = [grid.nt]
     kept = [u.copy()]
     for k in range(grid.nt - 1, -1, -1):
-        u = step_backward(u, k * grid.dt, problem, grid)
+        u = step_backward(u, k * grid.dt, problem, grid, fields=fields)
         if k % stride == 0 or k == 0:
             kept_idx.append(k)
             kept.append(u.copy())

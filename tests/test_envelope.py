@@ -283,6 +283,45 @@ class TestEnvelopeGenerator:
             EnvelopeGenerator(POWER, 8.0, "middle")
 
 
+def _brute_lattice(eg):
+    """The O(N^2) lattice envelope min_j f_j + n|z_i - z_j| (max for upper)."""
+    lat = eg._lattice
+    sign = 1.0 if eg.side == "lower" else -1.0
+    f = sign * np.asarray(eg.gen.eval_grid(0.0, 0.0, 0.0, lat), dtype=float)
+    out = np.empty_like(lat)
+    for lo in range(0, lat.size, 256):
+        zc = lat[lo : lo + 256, None]
+        out[lo : lo + 256] = np.min(f[None, :] + eg.n * np.abs(zc - lat[None, :]), axis=1)
+    return sign * out
+
+
+class TestLatticeTransform:
+    """The two-sweep build equals the brute-force inf/sup-convolution."""
+
+    CASES = [pytest.param(gen, n, id=f"{name}-{n:g}")
+             for name, gen, levels in (("POWER", POWER, (4.0, 8.0, 32.0)),
+                                       ("SQRT", SQRT, (1.0, 4.0)))
+             for n in levels]
+
+    @pytest.mark.parametrize("z_max", [16.0, 16384.0])
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("gen, n", CASES)
+    def test_matches_brute_force(self, gen, n, side, z_max):
+        eg = EnvelopeGenerator(gen, n, side, z_max=z_max)
+        eg.eval_grid(0.0, 0.0, 0.0, 0.0)
+        lat, got = eg._lattice, eg._values
+        assert lat[-1] >= z_max and np.all(np.diff(lat) > 0)
+        want = _brute_lattice(eg)
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+        # the envelope stays on its side of f at every lattice point
+        f = gen.eval_grid(0.0, 0.0, 0.0, lat)
+        slack = 1e-12 * (1.0 + np.abs(f))
+        if side == "lower":
+            assert np.all(got <= f + slack)
+        else:
+            assert np.all(got >= f - slack)
+
+
 class TestScalarGenerator:
     def test_unknown_variable_rejected(self):
         # "w" cannot even be parsed; build the tree directly

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gbsdelab import pde as pde_module
 from gbsdelab.envelope import Modulus, ScalarGenerator
 from gbsdelab.gfunction import GParams
 from gbsdelab.pde import (
@@ -79,6 +80,15 @@ class TestSpaceTimeGrid:
             SpaceTimeGrid(-1.0, 1.0, 11, 1e-4, 100, core_fraction=1.5)
         with pytest.raises(ValueError):
             SpaceTimeGrid(1.0, -1.0, 11, 1e-4, 100)
+
+    def test_xs_cached_read_only(self):
+        grid = SpaceTimeGrid(-4.0, 4.0, 801, 1e-4, 10000)
+        xs = grid.xs
+        assert grid.xs is xs
+        assert np.array_equal(xs, np.linspace(-4.0, 4.0, 801))
+        assert not xs.flags.writeable
+        with pytest.raises(ValueError):
+            xs[0] = 0.0
 
 
 class TestStepBackward:
@@ -176,6 +186,48 @@ class TestSolve:
         sol = solve(prob, grid)
         assert len(sol.times) <= 2001
         assert sol.times[0] == 0.0 and sol.times[-1] == pytest.approx(prob.T)
+
+
+class TestSolveFields:
+    """solve evaluates t-free coefficient fields once; the layers it
+    returns equal a plain loop of public step_backward calls."""
+
+    F = ScalarGenerator.from_text(
+        "-0.5*pow(abs(z),0.8)+0.2*y", 0.2,
+        Modulus("power", c=0.5, alpha=0.8, growth_L=0.5),
+    )
+
+    def _plain_loop(self, prob, grid):
+        u = np.asarray(prob.coeffs.eval_phi(grid.xs), dtype=float)
+        layers = [u]
+        for k in range(grid.nt - 1, -1, -1):
+            u = step_backward(u, k * grid.dt, prob, grid)
+            layers.append(u)
+        return np.asarray(layers[::-1])
+
+    @pytest.mark.parametrize("sigma, time_free", [
+        ("1+0.2*x*x/(1+x*x)", True),
+        ("1+0.5*t", False),
+    ])
+    def test_solve_equals_step_loop(self, sigma, time_free, monkeypatch):
+        # lip_z large enough that the dissipation theta is on at every node
+        prob = heat_problem(phi="x*x*x/3", sigma=sigma, b="0.3*x", h="0.1",
+                            f=self.F, lip_z=8.0)
+        assert prob.coeffs.time_free is time_free
+        grid = build_grid(prob, -2.0, 2.0, 41)
+        assert grid.nt + 1 <= 2001  # every layer is kept
+        want = self._plain_loop(prob, grid)
+        calls = []
+        real = pde_module._step_fields
+
+        def counting(problem, t, grid):
+            calls.append(t)
+            return real(problem, t, grid)
+
+        monkeypatch.setattr(pde_module, "_step_fields", counting)
+        sol = solve(prob, grid)
+        assert np.array_equal(sol.values, want)
+        assert len(calls) == (1 if time_free else grid.nt)
 
 
 class TestEvalAndGrad:
