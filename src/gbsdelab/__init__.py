@@ -23,7 +23,7 @@ from .gbsde import (
     solve_exact,
     worst_case_control,
 )
-from .gfunction import GammaSet, GParams, g_value, g_value_matrix, worst_case_q
+from .gfunction import GParams, g_value, worst_case_q
 from .gsim import (
     ConstantPolicy,
     FeedbackPolicy,

@@ -132,7 +132,15 @@ def search_radius(L: float, n: float, y, z):
     return 2.0 * L * (1.0 + np.abs(y) + np.abs(z)) / (n - L)
 
 
-def _search_grid(z, radius, step):
+def _grid_search(gen: ScalarGenerator, n, t, x, y, z, step, sign):
+    """sign * grid minimum of q -> sign*f(t,x,y,q) + n|z-q| over the
+    certified interval; sign -1 gives the upper envelope exactly, since
+    negation is exact."""
+    radius = search_radius(gen.growth_L, n, y, z)
+    if step is None:
+        step = min(1e-3, radius / 1000.0)
+    if step <= 0:
+        raise ValueError("step must be positive")
     npts = int(np.ceil(2.0 * radius / step)) + 1
     if npts % 2 == 0:
         npts += 1
@@ -141,7 +149,8 @@ def _search_grid(z, radius, step):
     # the kink of |z|-type generators, add it when in range
     if abs(z) <= radius:
         qs = np.append(qs, 0.0)
-    return qs
+    vals = sign * gen.eval_grid(t, x, y, qs) + n * np.abs(z - qs)
+    return sign * float(np.min(vals))
 
 
 def lower_envelope(gen: ScalarGenerator, n, t, x, y, z, step=None):
@@ -149,26 +158,12 @@ def lower_envelope(gen: ScalarGenerator, n, t, x, y, z, step=None):
 
     Overestimates the true infimum by at most phi(step) + n*step.
     """
-    radius = search_radius(gen.growth_L, n, y, z)
-    if step is None:
-        step = min(1e-3, radius / 1000.0)
-    if step <= 0:
-        raise ValueError("step must be positive")
-    qs = _search_grid(z, radius, step)
-    vals = gen.eval_grid(t, x, y, qs) + n * np.abs(z - qs)
-    return float(np.min(vals))
+    return _grid_search(gen, n, t, x, y, z, step, 1.0)
 
 
 def upper_envelope(gen: ScalarGenerator, n, t, x, y, z, step=None):
     """Grid maximum of q -> f(t,x,y,q) - n|z-q|; mirror of lower_envelope."""
-    radius = search_radius(gen.growth_L, n, y, z)
-    if step is None:
-        step = min(1e-3, radius / 1000.0)
-    if step <= 0:
-        raise ValueError("step must be positive")
-    qs = _search_grid(z, radius, step)
-    vals = gen.eval_grid(t, x, y, qs) - n * np.abs(z - qs)
-    return float(np.max(vals))
+    return _grid_search(gen, n, t, x, y, z, step, -1.0)
 
 
 def envelope_grid_error(gen: ScalarGenerator, n, step) -> float:

@@ -111,6 +111,20 @@ def _refine_time(grid: "pde.SpaceTimeGrid", *problems) -> "pde.SpaceTimeGrid":
     )
 
 
+def _level_grid(problem, n: float, grid: "pde.SpaceTimeGrid") -> "pde.SpaceTimeGrid":
+    """grid with dt refined for both level-n envelope problems."""
+    sides = (envelope_problem(problem, n, side) for side in ("lower", "upper"))
+    return _refine_time(grid, *sides)
+
+
+def _solve_level(problem, L: float, n: float, grid: "pde.SpaceTimeGrid"):
+    """Lower and upper level-n solutions on grid, their core gap and the
+    modulus bound on it."""
+    lo = pde.solve(envelope_problem(problem, n, "lower"), grid)
+    up = pde.solve(envelope_problem(problem, n, "upper"), grid)
+    return lo, up, _core_gap(lo, up), _level_bound(problem, L, n)
+
+
 def approximation_ladder(problem, levels, grid) -> Ladder:
     """Solve lower/upper envelope problems for each level on one grid.
 
@@ -121,26 +135,15 @@ def approximation_ladder(problem, levels, grid) -> Ladder:
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
     L = problem_growth_L(problem)
-    if levels and levels[0] <= L:
+    if not levels:
+        return Ladder((), (), (), (), (), 0.0)
+    if levels[0] <= L:
         raise ValueError(f"every level must exceed L={L}")
-    env = {
-        (n, side): envelope_problem(problem, n, side)
-        for n in levels
-        for side in ("lower", "upper")
-    }
-    if levels:
-        top = levels[-1]
-        grid = _refine_time(grid, env[(top, "lower")], env[(top, "upper")])
-    lowers, uppers, gaps, bounds = [], [], [], []
-    for n in levels:
-        lo = pde.solve(env[(n, "lower")], grid)
-        up = pde.solve(env[(n, "upper")], grid)
-        lowers.append(lo)
-        uppers.append(up)
-        gaps.append(_core_gap(lo, up))
-        bounds.append(_level_bound(problem, L, n))
-    tol = solver_tolerance(grid, lowers[-1]) if lowers else 0.0
-    return Ladder(levels, tuple(lowers), tuple(uppers), tuple(gaps), tuple(bounds), tol)
+    grid = _level_grid(problem, levels[-1], grid)
+    rows = [_solve_level(problem, L, n, grid) for n in levels]
+    lowers, uppers, gaps, bounds = zip(*rows)
+    tol = solver_tolerance(grid, lowers[-1])
+    return Ladder(levels, lowers, uppers, gaps, bounds, tol)
 
 
 @dataclass(frozen=True)
@@ -167,14 +170,9 @@ def solve_exact(problem, grid, target_gap, max_doublings: int = 8) -> ExactSolve
     last_gap = None
     for k in range(max_doublings + 1):
         n = base * 2.0**k
-        p_lo = envelope_problem(problem, n, "lower")
-        p_up = envelope_problem(problem, n, "upper")
-        grid_n = _refine_time(grid, p_lo, p_up)
-        lo = pde.solve(p_lo, grid_n)
-        up = pde.solve(p_up, grid_n)
-        gap = _core_gap(lo, up)
+        grid_n = _level_grid(problem, n, grid)
+        lo, up, gap, bound = _solve_level(problem, L, n, grid_n)
         tol = solver_tolerance(grid_n, lo)
-        bound = _level_bound(problem, L, n)
         if gap > bound + 2.0 * tol:
             raise RuntimeError(
                 f"certification failed at level n={n}: measured gap {gap:g} "
@@ -262,21 +260,11 @@ def barrier_problems(problem: "pde.PdeProblem"):
             body = Bin("+", w, body)
         return ScalarGenerator(body, lip_y=L, modulus_z=mod, growth_L=max(L, 1.0))
 
-    lo = pde.PdeProblem(
-        problem.coeffs,
-        barrier(_inner(problem.f), -1),
-        barrier(_inner(problem.g), -1),
-        problem.gparams,
-        problem.T,
-        L,
-    )
-    hi = pde.PdeProblem(
-        problem.coeffs,
-        barrier(_inner(problem.f), +1),
-        barrier(_inner(problem.g), +1),
-        problem.gparams,
-        problem.T,
-        L,
+    f, g = _inner(problem.f), _inner(problem.g)
+    lo, hi = (
+        pde.PdeProblem(problem.coeffs, barrier(f, sign), barrier(g, sign),
+                       problem.gparams, problem.T, L)
+        for sign in (-1, +1)
     )
     return lo, hi
 
@@ -336,13 +324,20 @@ def compare(problem1, problem2, grid, target_gap: float = 0.05) -> CompareReport
     s2 = solve_exact(problem2, grid, target_gap)
     # lower envelopes at a common level are ordered whenever the
     # generators are; re-solve the laggard if the searches stopped at
-    # different levels
+    # different levels or on different grids
     n = max(s1.level, s2.level)
     p1 = envelope_problem(problem1, n, "lower")
     p2 = envelope_problem(problem2, n, "lower")
     grid_n = _refine_time(grid, p1, p2)
-    u1 = pde.solve(p1, grid_n)
-    u2 = pde.solve(p2, grid_n)
+
+    def at_common_level(s, p):
+        sol = s.solution
+        if sol.fingerprint == p.fingerprint() and sol.grid == grid_n:
+            return sol
+        return pde.solve(p, grid_n)
+
+    u1 = at_common_level(s1, p1)
+    u2 = at_common_level(s2, p2)
     core = grid_n.core_mask()
     diff = u2.values[:, core] - u1.values[:, core]
     min_diff = float(np.min(diff))

@@ -2,17 +2,14 @@
 
 Scalar case: G(a) = (1/2)(sigma_high_sq * a+ - sigma_low_sq * a-), the
 worst case over instantaneous variances in [sigma_low_sq, sigma_high_sq].
-Matrix case: G(A) = (1/2) max_{Q in Gamma} tr[A Q] over a finite set of
-symmetric PSD matrices.  All functions are pure.
+All functions are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-_PSD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -30,31 +27,6 @@ class GParams:
             )
 
 
-@dataclass(frozen=True)
-class GammaSet:
-    """Finite list of symmetric PSD matrices representing G in dimension d."""
-
-    members: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        members = tuple(np.asarray(m, dtype=float) for m in self.members)
-        if not members:
-            raise ValueError("GammaSet must be non-empty")
-        d = members[0].shape[0]
-        for m in members:
-            if m.shape != (d, d):
-                raise ValueError("GammaSet members must share a square shape")
-            if np.max(np.abs(m - m.T)) > _PSD_TOL:
-                raise ValueError("GammaSet member is not symmetric")
-            if np.min(np.linalg.eigvalsh(m)) < -_PSD_TOL:
-                raise ValueError("GammaSet member is not positive semidefinite")
-        object.__setattr__(self, "members", members)
-
-    @property
-    def dim(self) -> int:
-        return self.members[0].shape[0]
-
-
 def g_value(params: GParams, a):
     """G(a) for scalar (or array) second-order arguments a."""
     a = np.asarray(a, dtype=float)
@@ -70,15 +42,3 @@ def worst_case_q(params: GParams, a):
     a = np.asarray(a, dtype=float)
     out = np.where(a >= 0.0, params.sigma_high_sq, params.sigma_low_sq)
     return float(out) if out.ndim == 0 else out
-
-
-def g_value_matrix(gamma: GammaSet, a_matrix) -> float:
-    """G(A) = (1/2) max over Gamma members of tr[A Q]."""
-    a_matrix = np.asarray(a_matrix, dtype=float)
-    if a_matrix.shape != (gamma.dim, gamma.dim):
-        raise ValueError(
-            f"matrix shape {a_matrix.shape} does not match Gamma dimension {gamma.dim}"
-        )
-    if np.max(np.abs(a_matrix - a_matrix.T)) > _PSD_TOL:
-        raise ValueError("argument matrix must be symmetric")
-    return 0.5 * max(float(np.trace(a_matrix @ q)) for q in gamma.members)

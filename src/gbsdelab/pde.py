@@ -385,26 +385,6 @@ def solve(problem: PdeProblem, grid: SpaceTimeGrid) -> PdeSolution:
 _HULL_TOL = 1e-9
 
 
-def eval_u(sol: PdeSolution, t, x) -> float:
-    """Bilinear interpolation of the stored layers at (t, x)."""
-    grid = sol.grid
-    t_end = sol.times[-1]
-    if not (-_HULL_TOL <= t <= t_end + _HULL_TOL):
-        raise ValueError(f"t={t} outside [0, {t_end}]")
-    if not (grid.x_min - _HULL_TOL <= x <= grid.x_max + _HULL_TOL):
-        raise ValueError(f"x={x} outside [{grid.x_min}, {grid.x_max}]")
-    t = min(max(t, 0.0), t_end)
-    x = min(max(x, grid.x_min), grid.x_max)
-    j = int(np.searchsorted(sol.times, t, side="right")) - 1
-    j = min(max(j, 0), len(sol.times) - 2)
-    t0, t1 = sol.times[j], sol.times[j + 1]
-    w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-    xs = grid.xs
-    v0 = float(np.interp(x, xs, sol.values[j]))
-    v1 = float(np.interp(x, xs, sol.values[j + 1]))
-    return (1.0 - w) * v0 + w * v1
-
-
 def _blend_layer(sol: PdeSolution, t) -> np.ndarray:
     """Nodal values at time t, linearly interpolated between stored layers."""
     t_end = sol.times[-1]
@@ -449,6 +429,16 @@ def grad_x_batch(sol: PdeSolution, t, x, clamp: bool = False) -> np.ndarray:
     return (np.interp(x + dx, xs, layer) - np.interp(x - dx, xs, layer)) / (2.0 * dx)
 
 
+def eval_u(sol: PdeSolution, t, x) -> float:
+    """Bilinear interpolation of the stored layers at (t, x)."""
+    return float(eval_u_batch(sol, t, x))
+
+
+def grad_x(sol: PdeSolution, t, x) -> float:
+    """Central difference of eval_u with stencil dx; needs one-cell margin."""
+    return float(grad_x_batch(sol, t, x))
+
+
 def second_diff_batch(sol: PdeSolution, t, x) -> np.ndarray:
     """Vectorized second difference with stencil dx; x clamped one cell in."""
     grid = sol.grid
@@ -460,17 +450,6 @@ def second_diff_batch(sol: PdeSolution, t, x) -> np.ndarray:
     return (
         np.interp(x + dx, xs, layer) - 2.0 * mid + np.interp(x - dx, xs, layer)
     ) / dx**2
-
-
-def grad_x(sol: PdeSolution, t, x) -> float:
-    """Central difference of eval_u with stencil dx; needs one-cell margin."""
-    dx = sol.grid.dx
-    if not (sol.grid.x_min + dx - _HULL_TOL <= x <= sol.grid.x_max - dx + _HULL_TOL):
-        raise ValueError(
-            f"x={x} too close to the boundary for a central gradient "
-            f"(need at least {dx:g} of margin); pad the domain"
-        )
-    return (eval_u(sol, t, x + dx) - eval_u(sol, t, x - dx)) / (2.0 * dx)
 
 
 def solution_to_csv(sol: PdeSolution, path) -> None:

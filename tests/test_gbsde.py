@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gbsdelab import gbsde, pde
 from gbsdelab.envelope import Modulus, ScalarGenerator
 from gbsdelab.gfunction import GParams
 from gbsdelab.gbsde import (
@@ -297,3 +298,70 @@ class TestCompare:
         grid = build_grid(p1, -2.0, 2.0, 101)
         with pytest.raises(ValueError, match="f ordering"):
             compare(p1, p2, grid)
+
+
+def _count_solves(monkeypatch):
+    """Record (fingerprint, grid) of every pde.solve call from now on."""
+    calls = []
+    real = pde.solve
+
+    def counting(problem, grid):
+        calls.append((problem.fingerprint(), grid))
+        return real(problem, grid)
+
+    monkeypatch.setattr(pde, "solve", counting)
+    return calls
+
+
+def _resolved_min_diff(p1, p2, n, grid):
+    """compare's min core difference from a fresh solve of both lower
+    envelope problems at level n on their joint grid."""
+    lo1 = gbsde.envelope_problem(p1, n, "lower")
+    lo2 = gbsde.envelope_problem(p2, n, "lower")
+    grid_n = gbsde._refine_time(grid, lo1, lo2)
+    core = grid_n.core_mask()
+    diff = solve(lo2, grid_n).values[:, core] - solve(lo1, grid_n).values[:, core]
+    return float(np.min(diff)), (lo2.fingerprint(), grid_n)
+
+
+class TestCompareLevelWalk:
+    def test_same_level_pair_reuses_both(self, monkeypatch):
+        one = ScalarGenerator.from_text("1", 0.0, Modulus("linear", c=1.0))
+        p1, p2 = problem(), problem(f=one)
+        grid = build_grid(p1, -4.0, 4.0, 201)
+        calls = _count_solves(monkeypatch)
+        rep = compare(p1, p2, grid)
+        monkeypatch.undo()
+        assert rep.level1 == rep.level2
+        assert len(calls) == 4  # lower and upper of each side, once
+        want, _ = _resolved_min_diff(p1, p2, rep.level1, grid)
+        assert rep.min_core_diff == want
+
+    def test_only_the_laggard_is_resolved(self, monkeypatch):
+        p1, p2 = problem(f=SQRT_F, lip_z=1.0), problem()
+        grid = build_grid(p1, -4.0, 4.0, 101)
+        calls = _count_solves(monkeypatch)
+        rep = compare(p1, p2, grid)
+        monkeypatch.undo()
+        assert rep.level1 > rep.level2
+        want, laggard = _resolved_min_diff(p1, p2, rep.level1, grid)
+        # both searches start at level 1 and solve two problems per level
+        tried = round(np.log2(rep.level1)) + 1 + round(np.log2(rep.level2)) + 1
+        assert len(calls) == 2 * tried + 1
+        assert calls[-1] == laggard
+        assert len(set(calls)) == len(calls)
+        assert rep.min_core_diff == want
+
+    def test_solve_exact_through_module_attribute(self, monkeypatch):
+        calls = []
+        real = gbsde.solve_exact
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gbsde, "solve_exact", counting)
+        p1 = problem()
+        p2 = problem(phi="x*x+1")
+        compare(p1, p2, build_grid(p1, -4.0, 4.0, 101))
+        assert calls == [p1, p2]

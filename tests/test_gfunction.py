@@ -3,13 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbsdelab.gfunction import (
-    GammaSet,
-    GParams,
-    g_value,
-    g_value_matrix,
-    worst_case_q,
-)
+from gbsdelab.gfunction import GParams, g_value, worst_case_q
 
 GP = GParams(0.5, 1.0)
 
@@ -79,53 +73,3 @@ class TestWorstCaseQ:
             0.5 * worst_case_q(GP, a) * a, rel=1e-12, abs=1e-12
         )
 
-
-class TestGammaSet:
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            GammaSet(())
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            GammaSet(([[1.0, 0.5], [0.0, 1.0]],))
-
-    def test_not_psd_rejected(self):
-        with pytest.raises(ValueError):
-            GammaSet(([[1.0, 0.0], [0.0, -1.0]],))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            GammaSet((np.eye(2), np.eye(3)))
-
-    def test_dim(self):
-        assert GammaSet((np.eye(3),)).dim == 3
-
-
-class TestGValueMatrix:
-    def test_single_member(self):
-        gamma = GammaSet((np.eye(2),))
-        assert g_value_matrix(gamma, np.diag([2.0, 2.0])) == 2.0
-
-    def test_two_members_max(self):
-        gamma = GammaSet((np.diag([1.0, 0.5]), np.diag([0.5, 1.0])))
-        assert g_value_matrix(gamma, np.diag([1.0, -1.0])) == 0.25
-
-    def test_tie_at_zero(self):
-        gamma = GammaSet((np.diag([1.0, 1.0]), np.diag([0.5, 0.5])))
-        assert g_value_matrix(gamma, np.diag([1.0, -1.0])) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            g_value_matrix(GammaSet((np.eye(2),)), np.eye(3))
-
-    def test_asymmetric_argument(self):
-        with pytest.raises(ValueError):
-            g_value_matrix(GammaSet((np.eye(2),)), [[0.0, 1.0], [0.0, 0.0]])
-
-    @given(finite)
-    @settings(max_examples=100, deadline=None)
-    def test_scalar_consistency(self, a):
-        gamma = GammaSet(([[GP.sigma_low_sq]], [[GP.sigma_high_sq]]))
-        assert g_value_matrix(gamma, [[a]]) == pytest.approx(
-            g_value(GP, a), rel=1e-12, abs=1e-12
-        )

@@ -273,13 +273,27 @@ class TestEvalAndGrad:
             grad_x(self.sol, 0.0, 6.0)
 
     def test_batch_matches_scalar(self):
-        xs = np.array([-1.5, 0.0, 2.25])
-        got = eval_u_batch(self.sol, 0.25, xs)
-        want = [eval_u(self.sol, 0.25, float(x)) for x in xs]
-        assert np.allclose(got, want, atol=1e-12)
-        got_g = grad_x_batch(self.sol, 0.25, xs)
-        want_g = [grad_x(self.sol, 0.25, float(x)) for x in xs]
-        assert np.allclose(got_g, want_g, atol=1e-12)
+        # both against the bilinear formula over the four stored values
+        # around (t, x), written out here
+        t, sol, grid = 0.25, self.sol, self.grid
+        j = int(np.flatnonzero(sol.times <= t)[-1])
+        w = (t - sol.times[j]) / (sol.times[j + 1] - sol.times[j])
+
+        def bilinear(x):
+            i = int((x - grid.x_min) // grid.dx)
+            s = (x - grid.xs[i]) / grid.dx
+            rows = sol.values[j : j + 2, i : i + 2]
+            return ((1 - w) * ((1 - s) * rows[0, 0] + s * rows[0, 1])
+                    + w * ((1 - s) * rows[1, 0] + s * rows[1, 1]))
+
+        xs = np.array([-1.5, 0.0, 0.1234, 2.25])
+        want = [bilinear(x) for x in xs]
+        want_g = [(bilinear(x + grid.dx) - bilinear(x - grid.dx)) / (2 * grid.dx)
+                  for x in xs]
+        assert np.allclose(eval_u_batch(sol, t, xs), want, rtol=0, atol=1e-12)
+        assert np.allclose([eval_u(sol, t, x) for x in xs], want, rtol=0, atol=1e-12)
+        assert np.allclose(grad_x_batch(sol, t, xs), want_g, rtol=0, atol=1e-10)
+        assert np.allclose([grad_x(sol, t, x) for x in xs], want_g, rtol=0, atol=1e-10)
 
 
 class TestConvergence:
