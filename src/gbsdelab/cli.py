@@ -226,10 +226,7 @@ def _make_policy(name, cfg, feedback_ctx):
     if name == "high":
         return gsim.ConstantPolicy(gp.sigma_high_sq, gp)
     if name == "feedback":
-        if feedback_ctx is None:
-            raise ConfigError("/mc/policies", "feedback policy needs a solved PDE")
-        sol, problem = feedback_ctx
-        return gsim.FeedbackPolicy(sol, problem)
+        return gsim.FeedbackPolicy(*feedback_ctx)
     try:
         return gsim.ConstantPolicy(float(name), gp)
     except (TypeError, ValueError):
@@ -241,21 +238,13 @@ def _make_policy(name, cfg, feedback_ctx):
 
 def _exp_upper_expectation(cfg: RunConfig, out_dir):
     payoff = cfg.problem.coeffs.Phi
-    pde_val = gsim.upper_expectation_pde(
+    # one solve gives the PDE value and the feedback control
+    feedback_ctx = gsim.heat_solution(
         payoff, cfg.gparams, cfg.problem.T, cfg.x_min, cfg.x_max, cfg.nx
     )
+    pde_val = pde.eval_u(feedback_ctx[0], 0.0, 0.0)
     rows = []
     checks = []
-    feedback_ctx = None
-    if "feedback" in cfg.policies:
-        zero = _generator(_ZERO_GEN, "/")
-        fb_problem = pde.PdeProblem(
-            pde.CoefficientSet(parse("0"), parse("0"), parse("1"), payoff),
-            zero, zero, cfg.gparams, cfg.problem.T, 0.0,
-        )
-        fb_grid = pde.build_grid(fb_problem, cfg.x_min, cfg.x_max, cfg.nx,
-                                 cfg.core_fraction)
-        feedback_ctx = (pde.solve(fb_problem, fb_grid), fb_problem)
     for name in cfg.policies:
         pol = _make_policy(name, cfg, feedback_ctx)
         ens = gsim.simulate_paths(

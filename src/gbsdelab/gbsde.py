@@ -189,7 +189,8 @@ def solve_exact(problem, grid, target_gap, max_doublings: int = 8) -> ExactSolve
 
 @dataclass
 class SolutionTriple:
-    """(Y, Z, K) along an ensemble; K[:,0] = 0 by construction."""
+    """(Y, Z, K) along an ensemble; K[:,0] = 0 by construction.  Each has
+    shape (n_paths, n_steps+1), a transposed view of time-major storage."""
 
     Y: np.ndarray
     Z: np.ndarray
@@ -203,38 +204,36 @@ def extract_triple(
     """Read Y and Z off the value function along the paths and rebuild K as
     the defect K_t = Y_t - Y_0 + sum f dt + sum g dQV - sum Z dB
     (left-point sums)."""
-    X = ensemble.X if ensemble.X is not None else ensemble.B
+    # time-major, as simulate_paths and euler_forward store the paths
+    X = (ensemble.X if ensemble.X is not None else ensemble.B).T
+    B, QV = ensemble.B.T, ensemble.QV.T
     times = ensemble.times
-    n, m = X.shape[0], ensemble.n_steps
-    Y = np.empty((n, m + 1))
-    Z = np.empty((n, m + 1))
+    m, n = ensemble.n_steps, X.shape[1]
+    Y = np.empty((m + 1, n))
+    Z = np.empty((m + 1, n))
     for k in range(m + 1):
         t = min(times[k], float(sol.times[-1]))
-        Y[:, k] = pde.eval_u_batch(sol, t, X[:, k])
-        _, _, sigma = pde._coef_fields(problem, t, X[:, k])
-        Z[:, k] = sigma * pde.grad_x_batch(sol, t, X[:, k])
-    K = np.zeros((n, m + 1))
+        Y[k] = pde.eval_u_batch(sol, t, X[k])
+        _, _, sigma = pde._coef_fields(problem, t, X[k])
+        Z[k] = sigma * pde.grad_x_batch(sol, t, X[k])
+    K = np.zeros((m + 1, n))
     dt = ensemble.dt
     acc = np.zeros(n)
     for k in range(m):
         t = times[k]
         fk = np.broadcast_to(
-            np.asarray(
-                problem.f.eval_grid(t, X[:, k], Y[:, k], Z[:, k]), dtype=float
-            ),
+            np.asarray(problem.f.eval_grid(t, X[k], Y[k], Z[k]), dtype=float),
             acc.shape,
         )
         gk = np.broadcast_to(
-            np.asarray(
-                problem.g.eval_grid(t, X[:, k], Y[:, k], Z[:, k]), dtype=float
-            ),
+            np.asarray(problem.g.eval_grid(t, X[k], Y[k], Z[k]), dtype=float),
             acc.shape,
         )
-        dqv = ensemble.QV[:, k + 1] - ensemble.QV[:, k]
-        db = ensemble.B[:, k + 1] - ensemble.B[:, k]
-        acc = acc + fk * dt + gk * dqv - Z[:, k] * db
-        K[:, k + 1] = Y[:, k + 1] - Y[:, 0] + acc
-    return SolutionTriple(Y, Z, K, times)
+        dqv = QV[k + 1] - QV[k]
+        db = B[k + 1] - B[k]
+        acc = acc + fk * dt + gk * dqv - Z[k] * db
+        K[k + 1] = Y[k + 1] - Y[0] + acc
+    return SolutionTriple(Y.T, Z.T, K.T, times)
 
 
 def worst_case_control(sol: "pde.PdeSolution", problem: "pde.PdeProblem") -> FeedbackPolicy:

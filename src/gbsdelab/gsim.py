@@ -50,9 +50,11 @@ class FeedbackPolicy:
     """Worst-case feedback law read off a solved value function.
 
     At (t, x) the instantaneous variance is the maximizer of G applied to
-    the Hamiltonian assembled from finite differences of u.  States
-    outside the solver domain are clamped to it; the emitted variance is
-    always admissible.
+    the Hamiltonian assembled from finite differences of u: u, its
+    central gradient and its second difference come from one time blend
+    of the stored layers and one three-point stencil on it
+    (pde.stencil_batch).  States outside the solver domain are clamped
+    one cell inside it; the emitted variance is always admissible.
     """
 
     def __init__(self, sol: "pde.PdeSolution", problem: "pde.PdeProblem"):
@@ -65,9 +67,7 @@ class FeedbackPolicy:
         sol, problem = self.sol, self.problem
         t = min(t, float(sol.times[-1]))
         xc = np.clip(x, sol.grid.x_min + sol.grid.dx, sol.grid.x_max - sol.grid.dx)
-        u = pde.eval_u_batch(sol, t, xc)
-        p = pde.grad_x_batch(sol, t, xc)
-        d2 = pde.second_diff_batch(sol, t, xc)
+        u, p, d2 = pde.stencil_batch(sol, t, xc)
         b, h, sigma = pde._coef_fields(problem, t, xc)
         gval = np.asarray(
             problem.g.eval_grid(t, xc, u, sigma * p), dtype=float
@@ -88,7 +88,10 @@ class PathEnsemble:
 
     B and QV have shape (n_paths, n_steps+1) with B[:,0]=0, QV[:,0]=0;
     control has shape (n_paths, n_steps) and records the variance used on
-    each step.  X is None until euler_forward runs.
+    each step.  X is None until euler_forward runs.  simulate_paths and
+    euler_forward store time-major, (n_steps+1, n_paths), so that each
+    step writes one contiguous row; the arrays here are transposed views
+    of that storage, and B.T gives it back without a copy.
     """
 
     n_paths: int
@@ -119,32 +122,33 @@ def simulate_paths(policy, gparams: GParams, t0, T, dt, n_paths, seed) -> PathEn
         raise ValueError(f"dt={dt} does not divide the horizon {span}")
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
-    B = np.empty((n_paths, n_steps + 1))
-    QV = np.empty((n_paths, n_steps + 1))
-    control = np.empty((n_paths, n_steps))
+    # time-major storage; the ensemble holds transposed views
+    B = np.empty((n_steps + 1, n_paths))
+    QV = np.empty((n_steps + 1, n_paths))
+    control = np.empty((n_steps, n_paths))
     lo, hi = gparams.sigma_low_sq, gparams.sigma_high_sq
     for start in range(0, n_paths, _BATCH):
         nb = min(_BATCH, n_paths - start)
+        cols = slice(start, start + nb)
         rng = np.random.Generator(np.random.Philox(key=[seed, start]))
         xi = rng.standard_normal((nb, n_steps))
-        b = np.zeros(nb)
-        qv = np.zeros(nb)
-        B[start : start + nb, 0] = 0.0
-        QV[start : start + nb, 0] = 0.0
+        B[0, cols] = 0.0
+        QV[0, cols] = 0.0
         for k in range(n_steps):
-            var = np.asarray(policy.variance(t0 + k * dt, b), dtype=float)
-            var = np.broadcast_to(var, b.shape)
+            state = B[k, cols]
+            state.flags.writeable = False  # the policy reads, never writes
+            var = np.asarray(policy.variance(t0 + k * dt, state), dtype=float)
+            var = np.broadcast_to(var, state.shape)
             if np.any(var < lo - 1e-12) or np.any(var > hi + 1e-12):
                 raise ValueError("policy emitted an inadmissible variance")
-            b = b + np.sqrt(var * dt) * xi[:, k]
-            qv = qv + var * dt
-            B[start : start + nb, k + 1] = b
-            QV[start : start + nb, k + 1] = qv
-            control[start : start + nb, k] = var
+            vdt = var * dt
+            np.add(state, np.sqrt(vdt) * xi[:, k], out=B[k + 1, cols])
+            np.add(QV[k, cols], vdt, out=QV[k + 1, cols])
+            control[k, cols] = var
     return PathEnsemble(
         n_paths, n_steps, float(dt), float(t0), int(seed),
         policy.describe() if hasattr(policy, "describe") else "custom",
-        B, QV, control,
+        B.T, QV.T, control.T,
     )
 
 
@@ -153,19 +157,20 @@ def euler_forward(coeffs: "pde.CoefficientSet", ensemble: PathEnsemble, x0, t0=N
     if t0 is None:
         t0 = ensemble.t0
     n, m = ensemble.n_paths, ensemble.n_steps
-    X = np.empty((n, m + 1))
-    X[:, 0] = x0
+    B, QV = ensemble.B.T, ensemble.QV.T  # time-major
+    X = np.empty((m + 1, n))
+    X[0] = x0
     dt = ensemble.dt
     for k in range(m):
         t = t0 + k * dt
-        xk = X[:, k]
+        xk = X[k]
         b = np.broadcast_to(np.asarray(coeffs.eval_b(t, xk), dtype=float), xk.shape)
         h = np.broadcast_to(np.asarray(coeffs.eval_h(t, xk), dtype=float), xk.shape)
         s = np.broadcast_to(np.asarray(coeffs.eval_sigma(t, xk), dtype=float), xk.shape)
-        dqv = ensemble.QV[:, k + 1] - ensemble.QV[:, k]
-        db = ensemble.B[:, k + 1] - ensemble.B[:, k]
-        X[:, k + 1] = xk + b * dt + h * dqv + s * db
-    ensemble.X = X
+        dqv = QV[k + 1] - QV[k]
+        db = B[k + 1] - B[k]
+        X[k + 1] = xk + b * dt + h * dqv + s * db
+    ensemble.X = X.T
     return ensemble
 
 
@@ -200,16 +205,22 @@ def upper_expectation_mc(payoff: Expr, ensembles) -> McEstimate:
     return McEstimate(rows[best][1], rows[best][2], tuple(rows))
 
 
-def upper_expectation_pde(
-    payoff: Expr, gparams: GParams, T, x_min=-8.0, x_max=8.0, nx=1601
-) -> float:
-    """Worst-case expectation of payoff(B_T) via the degenerate parabolic
-    solve with b=h=0, sigma=1 and no generators; value read at (0, 0)."""
+def heat_solution(payoff: Expr, gparams: GParams, T, x_min=-8.0, x_max=8.0, nx=1601):
+    """The degenerate parabolic solve behind the worst-case expectation of
+    payoff(B_T): b=h=0, sigma=1 and no generators.  Returns (sol, problem),
+    which is also the context FeedbackPolicy reads its control from."""
     zero = ScalarGenerator.from_text("0", 0.0, Modulus("linear", c=1.0, growth_L=1.0))
     coeffs = pde.CoefficientSet(b=Num(0.0), h=Num(0.0), sigma=Num(1.0), Phi=payoff)
     problem = pde.PdeProblem(coeffs, zero, zero, gparams, float(T), 0.0)
     grid = pde.build_grid(problem, x_min, x_max, nx)
-    sol = pde.solve(problem, grid)
+    return pde.solve(problem, grid), problem
+
+
+def upper_expectation_pde(
+    payoff: Expr, gparams: GParams, T, x_min=-8.0, x_max=8.0, nx=1601
+) -> float:
+    """Worst-case expectation of payoff(B_T): heat_solution read at (0, 0)."""
+    sol, _ = heat_solution(payoff, gparams, T, x_min, x_max, nx)
     return pde.eval_u(sol, 0.0, 0.0)
 
 

@@ -398,6 +398,36 @@ def _blend_layer(sol: PdeSolution, t) -> np.ndarray:
     return (1.0 - w) * sol.values[j] + w * sol.values[j + 1]
 
 
+def _slopes(grid: SpaceTimeGrid, layer) -> np.ndarray:
+    """np.interp's per-cell slopes of a layer, with a zero slope appended
+    at the last node."""
+    xs = grid.xs
+    slope = np.zeros_like(layer)
+    np.divide(layer[1:] - layer[:-1], xs[1:] - xs[:-1], out=slope[:-1])
+    return slope
+
+
+def _interp_uniform(grid: SpaceTimeGrid, layer, x, slope) -> np.ndarray:
+    """np.interp(x, grid.xs, layer), bit for bit, without a binary search.
+
+    The cell comes from (x - x_min)/dx, moved by at most one node where
+    rounding put x on the wrong side of a node; the value is np.interp's
+    own formula slope[j]*(x - xs[j]) + layer[j], and layer[j] on a node.
+    x is clamped to the hull first and slope is _slopes(grid, layer), so
+    both endpoints come out as np.interp gives them.  NaN gives NaN.
+    """
+    xs = grid.xs
+    x = np.minimum(np.maximum(x, grid.x_min), grid.x_max)
+    # fmin sends NaN to a valid cell; the value still comes out NaN
+    j = np.fmin((x - grid.x_min) / grid.dx, grid.nx - 2).astype(np.intp)
+    j = j - (xs[j] > x)
+    j = j + (xs[j + 1] <= x)
+    d = x - xs[j]
+    y = layer[j]
+    # on a node np.interp returns layer[j] itself, which keeps a -0.0
+    return np.where(d == 0.0, y, slope[j] * d + y)
+
+
 def eval_u_batch(sol: PdeSolution, t, x, clamp: bool = False) -> np.ndarray:
     """Vectorized eval_u at one time over an array of x positions."""
     x = np.asarray(x, dtype=float)
@@ -407,7 +437,8 @@ def eval_u_batch(sol: PdeSolution, t, x, clamp: bool = False) -> np.ndarray:
     elif np.any(x < grid.x_min - _HULL_TOL) or np.any(x > grid.x_max + _HULL_TOL):
         bad = float(x.flat[np.argmax((x < grid.x_min) | (x > grid.x_max))])
         raise ValueError(f"x={bad} outside [{grid.x_min}, {grid.x_max}]")
-    return np.interp(x, grid.xs, _blend_layer(sol, t))
+    layer = _blend_layer(sol, t)
+    return _interp_uniform(grid, layer, x, _slopes(grid, layer))
 
 
 def grad_x_batch(sol: PdeSolution, t, x, clamp: bool = False) -> np.ndarray:
@@ -425,8 +456,11 @@ def grad_x_batch(sol: PdeSolution, t, x, clamp: bool = False) -> np.ndarray:
             "pad the domain"
         )
     layer = _blend_layer(sol, t)
-    xs = grid.xs
-    return (np.interp(x + dx, xs, layer) - np.interp(x - dx, xs, layer)) / (2.0 * dx)
+    slope = _slopes(grid, layer)
+    return (
+        _interp_uniform(grid, layer, x + dx, slope)
+        - _interp_uniform(grid, layer, x - dx, slope)
+    ) / (2.0 * dx)
 
 
 def eval_u(sol: PdeSolution, t, x) -> float:
@@ -439,17 +473,23 @@ def grad_x(sol: PdeSolution, t, x) -> float:
     return float(grad_x_batch(sol, t, x))
 
 
-def second_diff_batch(sol: PdeSolution, t, x) -> np.ndarray:
-    """Vectorized second difference with stencil dx; x clamped one cell in."""
+def stencil_batch(sol: PdeSolution, t, x):
+    """u, the central gradient and the second difference (stencil dx) at x,
+    clamped one cell in, all read off one blended layer."""
     grid = sol.grid
     dx = grid.dx
     x = np.clip(np.asarray(x, dtype=float), grid.x_min + dx, grid.x_max - dx)
     layer = _blend_layer(sol, t)
-    xs = grid.xs
-    mid = np.interp(x, xs, layer)
-    return (
-        np.interp(x + dx, xs, layer) - 2.0 * mid + np.interp(x - dx, xs, layer)
-    ) / dx**2
+    slope = _slopes(grid, layer)
+    mid = _interp_uniform(grid, layer, x, slope)
+    up = _interp_uniform(grid, layer, x + dx, slope)
+    down = _interp_uniform(grid, layer, x - dx, slope)
+    return mid, (up - down) / (2.0 * dx), (up - 2.0 * mid + down) / dx**2
+
+
+def second_diff_batch(sol: PdeSolution, t, x) -> np.ndarray:
+    """Vectorized second difference with stencil dx; x clamped one cell in."""
+    return stencil_batch(sol, t, x)[2]
 
 
 def solution_to_csv(sol: PdeSolution, path) -> None:

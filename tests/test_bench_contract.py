@@ -5,7 +5,8 @@ captures gbsde.approximation_ladder and gbsde.solve_exact.  These tests
 load bench/tracing.py (read only, no bytecode written), build the `lib`
 namespace the way bench/run.py's setup does, and fail when a wrapped
 name has been renamed or deleted, when a wrapper misses calls made from
-inside the program, or when uninstall leaves a wrapper behind.
+inside the program (a solve_exact, and a feedback path loop), or when
+uninstall leaves a wrapper behind.
 """
 
 import importlib.util
@@ -17,6 +18,7 @@ import pytest
 
 from gbsdelab import cli, envelope, gbsde, gsim, pde
 from gbsdelab.envelope import Modulus, ScalarGenerator
+from gbsdelab.expr import parse
 from gbsdelab.gfunction import GParams
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -91,3 +93,27 @@ def test_install_sees_inner_calls_and_uninstall_restores(tracing, lib):
     assert m["envelope.lattice_builds"] >= 2
     assert m["pde.interp_calls"] >= 1
     assert m["gbsde.repeat_solves"] == 0
+
+
+def test_path_loop_hooks(tracing, lib):
+    # a feedback run: simulate_paths -> euler_forward -> extract_triple
+    targets = tracing._targets(lib)
+    originals = [getattr(owner, attr) for _, owner, attr in targets]
+    sol, problem = gsim.heat_solution(parse("x*x*x"), GP, 0.25, -4.0, 4.0, 41)
+    n_paths, n_steps = 30, 5
+    tracer = tracing.Tracer(lib)
+    tracer.install()
+    try:
+        ens = gsim.simulate_paths(gsim.FeedbackPolicy(sol, problem), GP,
+                                  0.0, 0.25, 0.05, n_paths, 3)
+        gsim.euler_forward(problem.coeffs, ens, 0.5)
+        gbsde.extract_triple(sol, ens, problem)
+        m = tracer.round_metrics(0)
+    finally:
+        tracer.uninstall()
+    for (_, owner, attr), fn in zip(targets, originals):
+        assert getattr(owner, attr) is fn, attr
+    assert m["gsim.feedback_calls"] == n_steps
+    assert m["gsim.path_steps"] == n_paths * n_steps
+    assert m["gsim.euler_s"] > 0.0
+    assert m["gbsde.triple_s"] > 0.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gbsdelab import gbsde, pde
+from gbsdelab import gbsde, gsim, pde
 from gbsdelab.envelope import Modulus, ScalarGenerator
 from gbsdelab.gfunction import GParams
 from gbsdelab.gbsde import (
@@ -186,6 +186,52 @@ class TestExtractTriple:
         euler_forward(prob.coeffs, ens, 0.0)
         tri = extract_triple(sol, ens, prob)
         assert np.max(np.abs(tri.Y[:, -1] - ens.X[:, -1] ** 2)) <= 1e-3
+
+
+def oracle_triple(sol, ens, prob):
+    """extract_triple as first written: path-major columns, np.interp reads."""
+    X, xs, dx = ens.X, sol.grid.xs, sol.grid.dx
+    n, m = X.shape[0], ens.n_steps
+    Y, Z = np.empty((n, m + 1)), np.empty((n, m + 1))
+    for k in range(m + 1):
+        t = min(ens.times[k], float(sol.times[-1]))
+        layer = pde._blend_layer(sol, t)
+        x = X[:, k]
+        Y[:, k] = np.interp(x, xs, layer)
+        _, _, sigma = pde._coef_fields(prob, t, x)
+        Z[:, k] = sigma * (
+            (np.interp(x + dx, xs, layer) - np.interp(x - dx, xs, layer)) / (2.0 * dx))
+    K = np.zeros((n, m + 1))
+    acc = np.zeros(n)
+    for k in range(m):
+        t = ens.times[k]
+        args = (t, X[:, k], Y[:, k], Z[:, k])
+        fk = np.broadcast_to(np.asarray(prob.f.eval_grid(*args), dtype=float), (n,))
+        gk = np.broadcast_to(np.asarray(prob.g.eval_grid(*args), dtype=float), (n,))
+        acc = (acc + fk * ens.dt + gk * (ens.QV[:, k + 1] - ens.QV[:, k])
+               - Z[:, k] * (ens.B[:, k + 1] - ens.B[:, k]))
+        K[:, k + 1] = Y[:, k + 1] - Y[:, 0] + acc
+    return Y, Z, K
+
+
+class TestTripleOracle:
+    def test_matches_path_major_loop(self):
+        # generators in y and z, so f and g enter K; the run crosses the
+        # batch boundary of simulate_paths
+        f = ScalarGenerator.from_text(
+            "-0.5*abs(z)+0.1*y", 0.1, Modulus("linear", c=0.5, growth_L=0.5))
+        g = ScalarGenerator.from_text(
+            "0.2*z", 0.0, Modulus("linear", c=0.2, growth_L=0.2))
+        prob = problem(phi="x*x*x", f=f, g=g, lip_z=0.5)
+        sol = solve(prob, build_grid(prob, -6.0, 6.0, 121))
+        ens = simulate_paths(gsim.FeedbackPolicy(sol, prob), GP, 0.0, 0.04, 0.01,
+                             gsim._BATCH + 3, 21)
+        euler_forward(prob.coeffs, ens, 0.4)
+        tri = extract_triple(sol, ens, prob)
+        for got, want in zip((tri.Y, tri.Z, tri.K), oracle_triple(sol, ens, prob)):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.any(tri.K[:, -1] != 0.0)
 
 
 class TestWorstCaseControl:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from gbsdelab import gsim, pde
 from gbsdelab.envelope import Modulus, ScalarGenerator
 from gbsdelab.expr import parse
-from gbsdelab.gfunction import GParams
+from gbsdelab.gfunction import GParams, worst_case_q
 from gbsdelab.gsim import (
     ConstantPolicy,
     FeedbackPolicy,
@@ -167,6 +168,117 @@ class TestFeedbackPolicy:
         pol = FeedbackPolicy(sol, prob)
         var = pol.variance(0.5, np.linspace(-20, 20, 101))  # off-grid clamped
         assert np.all((var >= GP.sigma_low_sq) & (var <= GP.sigma_high_sq))
+
+
+class OracleFeedback:
+    """FeedbackPolicy as it was first written: six np.interp calls on three
+    time blends per step."""
+
+    def __init__(self, sol, problem):
+        self.sol, self.problem = sol, problem
+
+    def variance(self, t, state):
+        sol, problem = self.sol, self.problem
+        grid, xs, dx = sol.grid, sol.grid.xs, sol.grid.dx
+        t = min(t, float(sol.times[-1]))
+        xc = np.clip(np.asarray(state, dtype=float), grid.x_min + dx, grid.x_max - dx)
+
+        def interp(z):
+            return np.interp(z, xs, pde._blend_layer(sol, t))
+
+        u = interp(xc)
+        p = (interp(xc + dx) - interp(xc - dx)) / (2.0 * dx)
+        d2 = (interp(xc + dx) - 2.0 * interp(xc) + interp(xc - dx)) / dx**2
+        b, h, sigma = pde._coef_fields(problem, t, xc)
+        gval = np.asarray(problem.g.eval_grid(t, xc, u, sigma * p), dtype=float)
+        ham = np.broadcast_to(sigma**2 * d2 + 2.0 * h * p + 2.0 * gval, xc.shape)
+        ham = np.where(np.abs(ham) < 1e-9, 0.0, ham)
+        return worst_case_q(problem.gparams, ham)
+
+
+def oracle_paths(policy, t0, dt, n_steps, n_paths, seed):
+    """The path-major loop: column k of (n_paths, n_steps+1) arrays."""
+    B = np.empty((n_paths, n_steps + 1))
+    QV = np.empty((n_paths, n_steps + 1))
+    control = np.empty((n_paths, n_steps))
+    for start in range(0, n_paths, gsim._BATCH):
+        nb = min(gsim._BATCH, n_paths - start)
+        rng = np.random.Generator(np.random.Philox(key=[seed, start]))
+        xi = rng.standard_normal((nb, n_steps))
+        b, qv = np.zeros(nb), np.zeros(nb)
+        B[start : start + nb, 0] = 0.0
+        QV[start : start + nb, 0] = 0.0
+        for k in range(n_steps):
+            var = np.broadcast_to(
+                np.asarray(policy.variance(t0 + k * dt, b), dtype=float), b.shape)
+            b = b + np.sqrt(var * dt) * xi[:, k]
+            qv = qv + var * dt
+            B[start : start + nb, k + 1] = b
+            QV[start : start + nb, k + 1] = qv
+            control[start : start + nb, k] = var
+    return B, QV, control
+
+
+def oracle_euler(coeffs, B, QV, x0, t0, dt):
+    n, m1 = B.shape
+    X = np.empty((n, m1))
+    X[:, 0] = x0
+    for k in range(m1 - 1):
+        t, xk = t0 + k * dt, X[:, k]
+        b = np.broadcast_to(np.asarray(coeffs.eval_b(t, xk), dtype=float), xk.shape)
+        h = np.broadcast_to(np.asarray(coeffs.eval_h(t, xk), dtype=float), xk.shape)
+        s = np.broadcast_to(np.asarray(coeffs.eval_sigma(t, xk), dtype=float), xk.shape)
+        X[:, k + 1] = (xk + b * dt + h * (QV[:, k + 1] - QV[:, k])
+                       + s * (B[:, k + 1] - B[:, k]))
+    return X
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestPathLoopOracle:
+    """Time-major storage changes no bit; the run crosses the batch boundary."""
+
+    N_PATHS = gsim._BATCH + 3
+    DT, N_STEPS = 0.01, 4
+
+    def _check(self, policy, oracle_policy, seed):
+        T = self.DT * self.N_STEPS
+        ens = simulate_paths(policy, GP, 0.0, T, self.DT, self.N_PATHS, seed)
+        B, QV, control = oracle_paths(oracle_policy, 0.0, self.DT, self.N_STEPS,
+                                      self.N_PATHS, seed)
+        assert _same_bits(ens.B, B)
+        assert _same_bits(ens.QV, QV)
+        assert _same_bits(ens.control, control)
+        return ens
+
+    def test_feedback(self):
+        sol, prob = heat_solution("x*x*x")
+        ens = self._check(FeedbackPolicy(sol, prob), OracleFeedback(sol, prob), 11)
+        # both variances occur, so the control really reads the state
+        assert set(np.unique(ens.control)) == {GP.sigma_low_sq, GP.sigma_high_sq}
+
+    def test_constant(self):
+        pol = ConstantPolicy(0.7, GP)
+        self._check(pol, pol, 12)
+
+    def test_euler_forward(self):
+        coeffs = CoefficientSet.from_text("0.3*x", "0.2*abs(x)", "1+0.1*exp(-x*x)", "x")
+        ens = simulate_paths(ConstantPolicy(0.7, GP), GP, 0.0, self.DT * self.N_STEPS,
+                             self.DT, self.N_PATHS, 13)
+        euler_forward(coeffs, ens, 0.4)
+        want = oracle_euler(coeffs, ens.B, ens.QV, 0.4, 0.0, self.DT)
+        assert _same_bits(ens.X, want)
+
+    def test_policy_cannot_write_state(self):
+        class Writer:
+            def variance(self, t, state):
+                state[:] = 5.0
+                return np.full(state.shape, 1.0)
+
+        with pytest.raises(ValueError, match="read-only"):
+            simulate_paths(Writer(), GP, 0.0, 0.02, 0.01, 3, 1)
 
 
 def test_ensemble_csv(tmp_path):

@@ -296,6 +296,89 @@ class TestEvalAndGrad:
         assert np.allclose([grad_x(sol, t, x) for x in xs], want_g, rtol=0, atol=1e-10)
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestUniformInterp:
+    """The uniform-grid kernel against np.interp, bit for bit."""
+
+    # dx of the last two is not a binary fraction
+    GRIDS = [(-8.0, 8.0, 201), (-6.3, 5.9, 1201), (0.1, 0.7, 7)]
+
+    @staticmethod
+    def _case(x_min, x_max, nx, seed=0):
+        grid = SpaceTimeGrid(x_min, x_max, nx, 0.1, 1)
+        rng = np.random.default_rng(seed)
+        layer = rng.standard_normal(nx)
+        # signed zeros and repeated values must come back as np.interp gives them
+        layer[nx // 2] = -0.0
+        layer[1] = 0.0
+        layer[-2] = layer[-3]
+        return grid, layer
+
+    @staticmethod
+    def _inputs(grid, seed=1):
+        rng = np.random.default_rng(seed)
+        xs, dx = grid.xs, grid.dx
+        span = grid.x_max - grid.x_min
+        return {
+            "inside": rng.uniform(grid.x_min, grid.x_max, 4000),
+            "just outside": np.concatenate((
+                rng.uniform(grid.x_min - dx, grid.x_min, 200),
+                rng.uniform(grid.x_max, grid.x_max + dx, 200),
+                [grid.x_min - span, grid.x_max + span, -np.inf, np.inf],
+            )),
+            "nodes": xs,
+            "above nodes": np.nextafter(xs, np.inf),
+            "below nodes": np.nextafter(xs, -np.inf),
+            "xs + dx": xs + dx,
+            "xs - dx": xs - dx,
+            "nan": np.array([np.nan, 0.5 * (grid.x_min + grid.x_max), np.nan]),
+        }
+
+    @pytest.mark.parametrize("x_min, x_max, nx", GRIDS)
+    def test_bits_equal_np_interp(self, x_min, x_max, nx):
+        grid, layer = self._case(x_min, x_max, nx)
+        slope = pde_module._slopes(grid, layer)
+        for name, x in self._inputs(grid).items():
+            want = np.interp(x, grid.xs, layer)
+            with np.errstate(invalid="raise"):  # NaN must not reach the int cast
+                got = pde_module._interp_uniform(grid, layer, x, slope)
+            assert np.array_equal(_bits(got), _bits(want)), name
+
+    @pytest.mark.parametrize("x_min, x_max, nx", GRIDS)
+    def test_scalar_bits_equal_np_interp(self, x_min, x_max, nx):
+        grid, layer = self._case(x_min, x_max, nx)
+        slope = pde_module._slopes(grid, layer)
+        for x in (grid.x_min, grid.x_max, grid.xs[nx // 2], 0.3 * x_min + 0.7 * x_max):
+            got = pde_module._interp_uniform(grid, layer, np.asarray(x), slope)
+            assert _bits(got) == _bits(np.interp(x, grid.xs, layer))
+
+    @pytest.mark.parametrize("x_min, x_max, nx", GRIDS)
+    def test_batch_evaluators_match_np_interp(self, x_min, x_max, nx):
+        grid, layer = self._case(x_min, x_max, nx)
+        rng = np.random.default_rng(2)
+        sol = pde_module.PdeSolution(
+            grid, np.array([0.0, 1.0]), np.stack((layer, rng.standard_normal(nx))))
+        dx, xs = grid.dx, grid.xs
+        x = np.concatenate((rng.uniform(x_min + dx, x_max - dx, 500), xs[1:-1]))
+        t = 0.3
+        blend = pde_module._blend_layer(sol, t)
+
+        def interp(z):
+            return np.interp(z, xs, blend)
+
+        u = interp(x)
+        grad = (interp(x + dx) - interp(x - dx)) / (2.0 * dx)
+        d2 = (interp(x + dx) - 2.0 * u + interp(x - dx)) / dx**2
+        assert np.array_equal(_bits(eval_u_batch(sol, t, x)), _bits(u))
+        assert np.array_equal(_bits(grad_x_batch(sol, t, x)), _bits(grad))
+        assert np.array_equal(_bits(pde_module.second_diff_batch(sol, t, x)), _bits(d2))
+        for got, want in zip(pde_module.stencil_batch(sol, t, x), (u, grad, d2)):
+            assert np.array_equal(_bits(got), _bits(want))
+
+
 class TestConvergence:
     def test_halving_dx_reduces_core_error(self):
         # quartic closed form u = x^4 + 6 shs x^2 tau + 3 shs^2 tau^2 on a
