@@ -21,7 +21,6 @@ from .gbsde import (
     extract_triple,
     gap_constant,
     solve_exact,
-    worst_case_control,
 )
 from .gfunction import GParams, g_value, worst_case_q
 from .gsim import (

@@ -196,6 +196,11 @@ def _write_csv(path, header_cols, rows):
             ) + "\n")
 
 
+def _write_records(path, keys, records):
+    """CSV of the given keys of each summary record, in that order."""
+    _write_csv(path, keys, ([r[k] for k in keys] for r in records))
+
+
 def _fmt(v):
     if isinstance(v, (np.floating,)):
         return float(v)
@@ -269,7 +274,7 @@ def _exp_envelope_report(cfg: RunConfig, out_dir):
     f = cfg.problem.f
     L = gbsde.problem_growth_L(cfg.problem)
     zs = np.linspace(-4.0, 4.0, 401)
-    rows, level_reports = [], []
+    level_reports = []
     ok_all = True
     for n in cfg.levels:
         lo = EnvelopeGenerator(f, n, "lower")
@@ -288,10 +293,9 @@ def _exp_envelope_report(cfg: RunConfig, out_dir):
         slack = lo.interp_error_bound(zs) + 1e-9
         ok = gap <= bound + slack
         ok_all = ok_all and ok
-        rows.append((n, gap, bound, ok))
         level_reports.append({"level": n, "max_gap": gap, "bound": bound, "pass": ok})
-    _write_csv(os.path.join(out_dir, "envelope_report.csv"),
-               ["level", "max_gap", "bound", "pass"], rows)
+    _write_records(os.path.join(out_dir, "envelope_report.csv"),
+                   ["level", "max_gap", "bound", "pass"], level_reports)
     return {"experiment": "envelope-report", "levels": level_reports,
             "passed": ok_all}, ok_all
 
@@ -299,18 +303,17 @@ def _exp_envelope_report(cfg: RunConfig, out_dir):
 def _exp_ladder(cfg: RunConfig, out_dir):
     grid = cfg.build_grid()
     lad = gbsde.approximation_ladder(cfg.problem, cfg.levels, grid)
-    rows, reports = [], []
+    reports = []
     ok_all = True
     for i, n in enumerate(lad.levels):
         ok = lad.gap_report[i] <= lad.bound_report[i] + 2.0 * lad.tolerance
         if i > 0:
             ok = ok and lad.gap_report[i] <= lad.gap_report[i - 1]
         ok_all = ok_all and ok
-        rows.append((n, lad.gap_report[i], lad.bound_report[i], ok))
         reports.append({"level": n, "gap": lad.gap_report[i],
                         "bound": lad.bound_report[i], "pass": ok})
-    _write_csv(os.path.join(out_dir, "ladder.csv"),
-               ["level", "gap", "bound", "pass"], rows)
+    _write_records(os.path.join(out_dir, "ladder.csv"),
+                   ["level", "gap", "bound", "pass"], reports)
     return {"experiment": "ladder", "tolerance": lad.tolerance,
             "levels": reports, "passed": ok_all}, ok_all
 
@@ -375,7 +378,7 @@ def _exp_kcheck(cfg: RunConfig, out_dir):
     ex = gbsde.solve_exact(cfg.problem, grid, cfg.target_gap)
     sol = ex.solution
     scale_tol = 5.0 * (grid.dx + np.sqrt(cfg.mc_dt))
-    rows, reports = [], []
+    reports = []
     ok_all = True
     feedback_ctx = (sol, cfg.problem)
     for name in cfg.policies:
@@ -390,11 +393,10 @@ def _exp_kcheck(cfg: RunConfig, out_dir):
         uptick = float(np.max(tri.K - np.minimum.accumulate(tri.K, axis=1)))
         ok = uptick <= tol
         ok_all = ok_all and ok
-        rows.append((str(name), uptick, tol, ok))
         reports.append({"policy": str(name), "max_K_uptick": uptick,
                         "tolerance": tol, "pass": ok})
-    _write_csv(os.path.join(out_dir, "kcheck.csv"),
-               ["policy", "max_K_uptick", "tolerance", "pass"], rows)
+    _write_records(os.path.join(out_dir, "kcheck.csv"),
+                   ["policy", "max_K_uptick", "tolerance", "pass"], reports)
     return {"experiment": "kcheck", "policies": reports, "passed": ok_all}, ok_all
 
 

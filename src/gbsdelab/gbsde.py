@@ -19,7 +19,7 @@ from . import pde
 from .envelope import EnvelopeGenerator, Modulus, ScalarGenerator, envelope_gap_bound
 from .expr import Bin, Num, free_vars, parse, substitute, to_str
 from .gfunction import GParams
-from .gsim import FeedbackPolicy, PathEnsemble
+from .gsim import PathEnsemble
 
 
 def gap_constant(L: float, gparams: GParams, T: float) -> float:
@@ -203,42 +203,28 @@ def extract_triple(
 ) -> SolutionTriple:
     """Read Y and Z off the value function along the paths and rebuild K as
     the defect K_t = Y_t - Y_0 + sum f dt + sum g dQV - sum Z dB
-    (left-point sums)."""
+    (left-point sums), one time point at a time."""
     # time-major, as simulate_paths and euler_forward store the paths
-    X = (ensemble.X if ensemble.X is not None else ensemble.B).T
-    B, QV = ensemble.B.T, ensemble.QV.T
-    times = ensemble.times
+    X, B, QV = ensemble.X.T, ensemble.B.T, ensemble.QV.T
+    times, dt = ensemble.times, ensemble.dt
     m, n = ensemble.n_steps, X.shape[1]
     Y = np.empty((m + 1, n))
     Z = np.empty((m + 1, n))
-    for k in range(m + 1):
-        t = min(times[k], float(sol.times[-1]))
-        Y[k] = pde.eval_u_batch(sol, t, X[k])
-        _, _, sigma = pde._coef_fields(problem, t, X[k])
-        Z[k] = sigma * pde.grad_x_batch(sol, t, X[k])
-    K = np.zeros((m + 1, n))
-    dt = ensemble.dt
+    K = np.empty((m + 1, n))
     acc = np.zeros(n)
-    for k in range(m):
-        t = times[k]
-        fk = np.broadcast_to(
-            np.asarray(problem.f.eval_grid(t, X[k], Y[k], Z[k]), dtype=float),
-            acc.shape,
-        )
-        gk = np.broadcast_to(
-            np.asarray(problem.g.eval_grid(t, X[k], Y[k], Z[k]), dtype=float),
-            acc.shape,
-        )
-        dqv = QV[k + 1] - QV[k]
-        db = B[k + 1] - B[k]
-        acc = acc + fk * dt + gk * dqv - Z[k] * db
-        K[k + 1] = Y[k + 1] - Y[0] + acc
+    for k in range(m + 1):
+        t, xk = times[k], X[k]
+        t_sol = min(t, float(sol.times[-1]))
+        Y[k], p, _ = pde.stencil_batch(sol, t_sol, xk)
+        _, _, sigma = pde._coef_fields(problem, t_sol, xk)
+        Z[k] = sigma * p
+        K[k] = Y[k] - Y[0] + acc if k else 0.0
+        if k == m:
+            break
+        fk = np.asarray(problem.f.eval_grid(t, xk, Y[k], Z[k]), dtype=float)
+        gk = np.asarray(problem.g.eval_grid(t, xk, Y[k], Z[k]), dtype=float)
+        acc = acc + fk * dt + gk * (QV[k + 1] - QV[k]) - Z[k] * (B[k + 1] - B[k])
     return SolutionTriple(Y.T, Z.T, K.T, times)
-
-
-def worst_case_control(sol: "pde.PdeSolution", problem: "pde.PdeProblem") -> FeedbackPolicy:
-    """Feedback law selecting the variance that attains G of the Hamiltonian."""
-    return FeedbackPolicy(sol, problem)
 
 
 def barrier_problems(problem: "pde.PdeProblem"):

@@ -50,11 +50,12 @@ class FeedbackPolicy:
     """Worst-case feedback law read off a solved value function.
 
     At (t, x) the instantaneous variance is the maximizer of G applied to
-    the Hamiltonian assembled from finite differences of u: u, its
-    central gradient and its second difference come from one time blend
-    of the stored layers and one three-point stencil on it
-    (pde.stencil_batch).  States outside the solver domain are clamped
-    one cell inside it; the emitted variance is always admissible.
+    pde._hamiltonian, the argument the scheme steps G with, assembled
+    from u, its central gradient and its second difference as
+    pde.stencil_batch reads them off one time blend of the stored layers.
+    States less than one cell inside the solver domain are clamped one
+    cell in before that read (stencil_batch itself raises for them); the
+    emitted variance is always admissible.
     """
 
     def __init__(self, sol: "pde.PdeSolution", problem: "pde.PdeProblem"):
@@ -63,17 +64,15 @@ class FeedbackPolicy:
         self.gparams = problem.gparams
 
     def variance(self, t, state):
-        x = np.asarray(state, dtype=float)
         sol, problem = self.sol, self.problem
+        grid = sol.grid
         t = min(t, float(sol.times[-1]))
-        xc = np.clip(x, sol.grid.x_min + sol.grid.dx, sol.grid.x_max - sol.grid.dx)
-        u, p, d2 = pde.stencil_batch(sol, t, xc)
-        b, h, sigma = pde._coef_fields(problem, t, xc)
-        gval = np.asarray(
-            problem.g.eval_grid(t, xc, u, sigma * p), dtype=float
-        )
-        ham = sigma**2 * d2 + 2.0 * h * p + 2.0 * gval
-        ham = np.broadcast_to(ham, xc.shape)
+        lo, hi = grid.x_min + grid.dx, grid.x_max - grid.dx
+        x = np.clip(np.asarray(state, dtype=float), lo, hi)
+        u, p, d2 = pde.stencil_batch(sol, t, x)
+        _, h, sigma = pde._coef_fields(problem, t, x)
+        ham = pde._hamiltonian(problem, t, x, u, p, d2, h, sigma)
+        ham = np.broadcast_to(ham, x.shape)
         # sub-rounding curvature is a tie, resolved like the exact tie at 0
         ham = np.where(np.abs(ham) < 1e-9, 0.0, ham)
         return worst_case_q(self.gparams, ham)
@@ -84,14 +83,17 @@ class FeedbackPolicy:
 
 @dataclass
 class PathEnsemble:
-    """Simulated driving paths and, once filled, the forward state.
+    """Simulated driving paths and the forward state.
 
     B and QV have shape (n_paths, n_steps+1) with B[:,0]=0, QV[:,0]=0;
     control has shape (n_paths, n_steps) and records the variance used on
-    each step.  X is None until euler_forward runs.  simulate_paths and
-    euler_forward store time-major, (n_steps+1, n_paths), so that each
-    step writes one contiguous row; the arrays here are transposed views
-    of that storage, and B.T gives it back without a copy.
+    each step.  X, of B's shape, is the forward state: simulate_paths sets
+    it to B itself (dX = dB from 0, the state the policy read), and
+    euler_forward replaces it with the Euler state of given coefficients.
+    simulate_paths and euler_forward store time-major, (n_steps+1,
+    n_paths), so that each step writes one contiguous row; the arrays here
+    are transposed views of that storage, and B.T gives it back without a
+    copy.
     """
 
     n_paths: int
@@ -103,7 +105,7 @@ class PathEnsemble:
     B: np.ndarray
     QV: np.ndarray
     control: np.ndarray
-    X: np.ndarray | None = None
+    X: np.ndarray
 
     @property
     def times(self) -> np.ndarray:
@@ -145,10 +147,11 @@ def simulate_paths(policy, gparams: GParams, t0, T, dt, n_paths, seed) -> PathEn
             np.add(state, np.sqrt(vdt) * xi[:, k], out=B[k + 1, cols])
             np.add(QV[k, cols], vdt, out=QV[k + 1, cols])
             control[k, cols] = var
+    B = B.T  # one view, shared by B and X
     return PathEnsemble(
         n_paths, n_steps, float(dt), float(t0), int(seed),
         policy.describe() if hasattr(policy, "describe") else "custom",
-        B.T, QV.T, control.T,
+        B, QV.T, control.T, B,
     )
 
 
@@ -185,15 +188,15 @@ class McEstimate:
 
 def upper_expectation_mc(payoff: Expr, ensembles) -> McEstimate:
     """Max over policies of the Monte-Carlo mean of payoff at the final
-    state (X if filled, else B).  A lower bound on the worst-case
-    expectation up to sampling error."""
+    state X.  A lower bound on the worst-case expectation up to sampling
+    error."""
     if not ensembles:
         raise ValueError("need at least one ensemble")
     if free_vars(payoff) - {"x"}:
         raise ValueError("payoff must be an expression in x only")
     rows = []
     for ens in ensembles:
-        terminal = (ens.X if ens.X is not None else ens.B)[:, -1]
+        terminal = ens.X[:, -1]
         vals = np.broadcast_to(
             np.asarray(evaluate(payoff, {"x": terminal}), dtype=float),
             terminal.shape,
@@ -222,18 +225,3 @@ def upper_expectation_pde(
     """Worst-case expectation of payoff(B_T): heat_solution read at (0, 0)."""
     sol, _ = heat_solution(payoff, gparams, T, x_min, x_max, nx)
     return pde.eval_u(sol, 0.0, 0.0)
-
-
-def ensemble_to_csv(ensemble: PathEnsemble, path, max_paths: int = 100) -> None:
-    """CSV dump of the first paths (one row per path per recorded time)."""
-    n = min(ensemble.n_paths, max_paths)
-    times = ensemble.times
-    with open(path, "w") as fh:
-        fh.write("# g-bsde-lab schema v1\n")
-        fh.write("path,t,B,QV" + (",X" if ensemble.X is not None else "") + "\n")
-        for i in range(n):
-            for k, t in enumerate(times):
-                row = f"{i},{t:.17g},{ensemble.B[i, k]:.17g},{ensemble.QV[i, k]:.17g}"
-                if ensemble.X is not None:
-                    row += f",{ensemble.X[i, k]:.17g}"
-                fh.write(row + "\n")

@@ -280,6 +280,13 @@ def build_grid(
     )
 
 
+def _hamiltonian(problem: PdeProblem, t, x, u, p, d2, h, sigma):
+    """G's argument sigma^2 u_xx + 2 h u_x + 2 g(t, x, u, sigma u_x), with
+    p and d2 standing for u_x and u_xx at the points x."""
+    gval = np.asarray(problem.g.eval_grid(t, x, u, sigma * p), dtype=float)
+    return sigma**2 * d2 + 2.0 * h * p + 2.0 * gval
+
+
 def step_backward(u_next, t, problem: PdeProblem, grid: SpaceTimeGrid, fields=None):
     """One explicit Euler step from the layer at t+dt down to t.
 
@@ -318,8 +325,7 @@ def step_backward(u_next, t, problem: PdeProblem, grid: SpaceTimeGrid, fields=No
 
     z = sigma * p_c
     fval = np.asarray(problem.f.eval_grid(t, xs, u, z), dtype=float) + theta * delta
-    gval = np.asarray(problem.g.eval_grid(t, xs, u, z), dtype=float)
-    ham = sigma**2 * d2 + 2.0 * h * p_c + 2.0 * gval
+    ham = _hamiltonian(problem, t, xs, u, p_c, d2, h, sigma)
     out = u + grid.dt * (g_value(problem.gparams, ham) + b * p_up + fval)
     if not np.all(np.isfinite(out)):
         bad = int(np.argmin(np.isfinite(out)))
@@ -428,39 +434,47 @@ def _interp_uniform(grid: SpaceTimeGrid, layer, x, slope) -> np.ndarray:
     return np.where(d == 0.0, y, slope[j] * d + y)
 
 
-def eval_u_batch(sol: PdeSolution, t, x, clamp: bool = False) -> np.ndarray:
+def _check_range(x, lo, hi, what):
+    """Raise unless every x lies in [lo, hi] up to _HULL_TOL; NaN passes."""
+    out = (x < lo - _HULL_TOL) | (x > hi + _HULL_TOL)
+    if np.any(out):
+        raise ValueError(f"x={float(x.flat[np.argmax(out)])} {what}")
+
+
+def eval_u_batch(sol: PdeSolution, t, x) -> np.ndarray:
     """Vectorized eval_u at one time over an array of x positions."""
     x = np.asarray(x, dtype=float)
     grid = sol.grid
-    if clamp:
-        x = np.clip(x, grid.x_min, grid.x_max)
-    elif np.any(x < grid.x_min - _HULL_TOL) or np.any(x > grid.x_max + _HULL_TOL):
-        bad = float(x.flat[np.argmax((x < grid.x_min) | (x > grid.x_max))])
-        raise ValueError(f"x={bad} outside [{grid.x_min}, {grid.x_max}]")
+    _check_range(x, grid.x_min, grid.x_max, f"outside [{grid.x_min}, {grid.x_max}]")
     layer = _blend_layer(sol, t)
     return _interp_uniform(grid, layer, x, _slopes(grid, layer))
 
 
-def grad_x_batch(sol: PdeSolution, t, x, clamp: bool = False) -> np.ndarray:
-    """Vectorized central-difference gradient with stencil dx."""
+def stencil_batch(sol: PdeSolution, t, x):
+    """u, the central gradient and the second difference (stencil dx) at x,
+    all read off one blended layer.  Every x must lie at least one cell
+    inside the grid (up to rounding); otherwise this raises."""
     x = np.asarray(x, dtype=float)
     grid = sol.grid
     dx = grid.dx
-    lo, hi = grid.x_min + dx, grid.x_max - dx
-    if clamp:
-        x = np.clip(x, lo, hi)
-    elif np.any(x < lo - _HULL_TOL) or np.any(x > hi + _HULL_TOL):
-        bad = float(x.flat[np.argmax((x < lo) | (x > hi))])
-        raise ValueError(
-            f"x={bad} too close to the boundary for a central gradient; "
-            "pad the domain"
-        )
+    _check_range(x, grid.x_min + dx, grid.x_max - dx,
+                 "too close to the boundary for a central stencil; pad the domain")
     layer = _blend_layer(sol, t)
     slope = _slopes(grid, layer)
-    return (
-        _interp_uniform(grid, layer, x + dx, slope)
-        - _interp_uniform(grid, layer, x - dx, slope)
-    ) / (2.0 * dx)
+    mid = _interp_uniform(grid, layer, x, slope)
+    up = _interp_uniform(grid, layer, x + dx, slope)
+    down = _interp_uniform(grid, layer, x - dx, slope)
+    return mid, (up - down) / (2.0 * dx), (up - 2.0 * mid + down) / dx**2
+
+
+def grad_x_batch(sol: PdeSolution, t, x) -> np.ndarray:
+    """Vectorized central-difference gradient with stencil dx."""
+    return stencil_batch(sol, t, x)[1]
+
+
+def second_diff_batch(sol: PdeSolution, t, x) -> np.ndarray:
+    """Vectorized second difference with stencil dx."""
+    return stencil_batch(sol, t, x)[2]
 
 
 def eval_u(sol: PdeSolution, t, x) -> float:
@@ -471,25 +485,6 @@ def eval_u(sol: PdeSolution, t, x) -> float:
 def grad_x(sol: PdeSolution, t, x) -> float:
     """Central difference of eval_u with stencil dx; needs one-cell margin."""
     return float(grad_x_batch(sol, t, x))
-
-
-def stencil_batch(sol: PdeSolution, t, x):
-    """u, the central gradient and the second difference (stencil dx) at x,
-    clamped one cell in, all read off one blended layer."""
-    grid = sol.grid
-    dx = grid.dx
-    x = np.clip(np.asarray(x, dtype=float), grid.x_min + dx, grid.x_max - dx)
-    layer = _blend_layer(sol, t)
-    slope = _slopes(grid, layer)
-    mid = _interp_uniform(grid, layer, x, slope)
-    up = _interp_uniform(grid, layer, x + dx, slope)
-    down = _interp_uniform(grid, layer, x - dx, slope)
-    return mid, (up - down) / (2.0 * dx), (up - 2.0 * mid + down) / dx**2
-
-
-def second_diff_batch(sol: PdeSolution, t, x) -> np.ndarray:
-    """Vectorized second difference with stencil dx; x clamped one cell in."""
-    return stencil_batch(sol, t, x)[2]
 
 
 def solution_to_csv(sol: PdeSolution, path) -> None:

@@ -286,7 +286,7 @@ def test_08_martingale_defect_residual():
     ref = ens.QV - GP.sigma_high_sq * tri.times[None, :]
     law_err = float(np.max(np.abs(tri.K - ref)))
 
-    pol = gbsde.worst_case_control(sol, prob)
+    pol = gsim.FeedbackPolicy(sol, prob)
     ens2 = gsim.simulate_paths(pol, GP, 0.0, 1.0, dt, 1000, 78)
     gsim.euler_forward(prob.coeffs, ens2, 0.0)
     tri2 = gbsde.extract_triple(sol, ens2, prob)

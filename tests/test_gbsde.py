@@ -12,7 +12,6 @@ from gbsdelab.gbsde import (
     gap_constant,
     problem_growth_L,
     solve_exact,
-    worst_case_control,
 )
 from gbsdelab.gsim import ConstantPolicy, euler_forward, simulate_paths
 from gbsdelab.pde import (
@@ -234,30 +233,42 @@ class TestTripleOracle:
         assert np.any(tri.K[:, -1] != 0.0)
 
 
+def test_triple_blends_once_per_time_point(monkeypatch):
+    prob = problem(phi="x*x*x")
+    sol = solve(prob, build_grid(prob, -8.0, 8.0, 161))
+    ens = simulate_paths(ConstantPolicy(0.7, GP), GP, 0.0, 0.05, 0.01, 20, 8)
+    euler_forward(prob.coeffs, ens, 0.5)
+    calls = []
+    blend = pde._blend_layer
+    monkeypatch.setattr(pde, "_blend_layer", lambda *a: calls.append(a[1]) or blend(*a))
+    extract_triple(sol, ens, prob)
+    assert len(calls) == ens.n_steps + 1
+
+
 class TestWorstCaseControl:
     def test_convex(self):
         prob = problem()
         grid = build_grid(prob, -8.0, 8.0, 401)
-        pol = worst_case_control(solve(prob, grid), prob)
+        pol = gsim.FeedbackPolicy(solve(prob, grid), prob)
         assert np.all(pol.variance(0.3, np.linspace(-3, 3, 7)) == GP.sigma_high_sq)
 
     def test_concave(self):
         prob = problem(phi="-x*x")
         grid = build_grid(prob, -8.0, 8.0, 401)
-        pol = worst_case_control(solve(prob, grid), prob)
+        pol = gsim.FeedbackPolicy(solve(prob, grid), prob)
         assert np.all(pol.variance(0.3, np.linspace(-3, 3, 7)) == GP.sigma_low_sq)
 
     def test_linear_tie_break(self):
         prob = problem(phi="x")
         grid = build_grid(prob, -8.0, 8.0, 401)
-        pol = worst_case_control(solve(prob, grid), prob)
+        pol = gsim.FeedbackPolicy(solve(prob, grid), prob)
         assert np.all(pol.variance(0.3, np.zeros(3)) == GP.sigma_high_sq)
 
     def test_flat_k_under_worst_case(self):
         prob = problem()
         grid = build_grid(prob, -8.0, 8.0, 801)
         sol = solve(prob, grid)
-        pol = worst_case_control(sol, prob)
+        pol = gsim.FeedbackPolicy(sol, prob)
         ens = simulate_paths(pol, GP, 0.0, 1.0, 1e-3, 100, 6)
         euler_forward(prob.coeffs, ens, 0.0)
         tri = extract_triple(sol, ens, prob)

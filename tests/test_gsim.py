@@ -8,7 +8,6 @@ from gbsdelab.gfunction import GParams, worst_case_q
 from gbsdelab.gsim import (
     ConstantPolicy,
     FeedbackPolicy,
-    ensemble_to_csv,
     euler_forward,
     simulate_paths,
     upper_expectation_mc,
@@ -66,6 +65,15 @@ class TestSimulatePaths:
         big = simulate_paths(ConstantPolicy(1.0, GP), GP, 0.0, 0.1, 0.01, 6000, 9)
         small = simulate_paths(ConstantPolicy(1.0, GP), GP, 0.0, 0.1, 0.01, 5000, 9)
         assert np.array_equal(big.B[:5000], small.B)
+
+    def test_state_is_b_until_euler(self):
+        # dX = dB from 0 is the state the policy reads; euler_forward
+        # replaces it and leaves B alone
+        ens = simulate_paths(ConstantPolicy(1.0, GP), GP, 0.0, 0.05, 0.01, 3, 1)
+        assert ens.X is ens.B
+        euler_forward(CoefficientSet.from_text("0", "0", "1", "x"), ens, 1.0)
+        assert ens.X is not ens.B
+        assert np.all(ens.X[:, 0] == 1.0) and np.all(ens.B[:, 0] == 0.0)
 
     def test_dt_must_divide_horizon(self):
         with pytest.raises(ValueError):
@@ -279,15 +287,3 @@ class TestPathLoopOracle:
 
         with pytest.raises(ValueError, match="read-only"):
             simulate_paths(Writer(), GP, 0.0, 0.02, 0.01, 3, 1)
-
-
-def test_ensemble_csv(tmp_path):
-    coeffs = CoefficientSet.from_text("0", "0", "1", "x")
-    ens = simulate_paths(ConstantPolicy(1.0, GP), GP, 0.0, 0.05, 0.01, 3, 1)
-    euler_forward(coeffs, ens, 0.0)
-    path = tmp_path / "paths.csv"
-    ensemble_to_csv(ens, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# g-bsde-lab schema v1"
-    assert lines[1] == "path,t,B,QV,X"
-    assert len(lines) == 2 + 3 * 6

@@ -272,6 +272,16 @@ class TestEvalAndGrad:
         with pytest.raises(ValueError):
             grad_x(self.sol, 0.0, 6.0)
 
+    def test_stencil_needs_one_cell_margin(self):
+        dx = self.grid.dx
+        pde_module.stencil_batch(self.sol, 0.0, np.array([-6.0 + dx, 0.0, 6.0 - dx]))
+        # on the boundary, half a cell in, and far outside: no clamping
+        for x in (-6.0, 6.0 - 0.5 * dx, 100.0):
+            with pytest.raises(ValueError, match="too close to the boundary"):
+                pde_module.stencil_batch(self.sol, 0.0, np.array([0.0, x]))
+            with pytest.raises(ValueError, match="too close to the boundary"):
+                pde_module.second_diff_batch(self.sol, 0.0, np.array([x]))
+
     def test_batch_matches_scalar(self):
         # both against the bilinear formula over the four stored values
         # around (t, x), written out here
