@@ -201,26 +201,10 @@ def _write_records(path, keys, records):
     _write_csv(path, keys, ([r[k] for k in keys] for r in records))
 
 
-def _fmt(v):
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.bool_,)):
-        return bool(v)
-    return v
-
-
 def _write_summary(out_dir, summary):
-    def clean(obj):
-        if isinstance(obj, dict):
-            return {k: clean(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [clean(v) for v in obj]
-        return _fmt(obj)
-
+    # numpy floats are floats to json; other numpy scalars go through item()
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(clean(summary), fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, default=lambda v: v.item())
         fh.write("\n")
 
 

@@ -10,6 +10,7 @@ rigorous overestimate of the infimum with explicit error accounting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +106,17 @@ class ScalarGenerator:
     def eval_grid(self, t, x, y, z):
         return evaluate(self.body, {"t": t, "x": x, "y": y, "z": z})
 
+    @property
+    def lip_z(self):
+        """z-Lipschitz constant known by construction: 0 for a body free of
+        z, c for a linear modulus, None otherwise (the modulus alone gives
+        no Lipschitz constant)."""
+        if "z" not in free_vars(self.body):
+            return 0.0
+        if self.modulus_z.kind == "linear":
+            return float(self.modulus_z.c)
+        return None
+
     def phi0(self, t, x):
         """f(t,x,0,0), the baseline value at the origin of the (y, z) plane."""
         return self.eval_grid(t, x, 0.0, 0.0)
@@ -182,8 +194,8 @@ class EnvelopeGenerator:
     """Lipschitz envelope of a generator at level n, usable by the PDE solver.
 
     Three evaluation modes, chosen automatically:
-      * passthrough - the generator is already n-Lipschitz in z (linear
-        modulus with c <= n, or z-free body); envelope equals generator.
+      * passthrough - the generator is already n-Lipschitz in z (its
+        lip_z is known and at most n); envelope equals generator.
       * lattice - the body depends on z only; values are precomputed on a
         symmetric log-spaced z-lattice as the exact inf-convolution over the
         lattice points and linearly interpolated (error <= n * local
@@ -212,14 +224,10 @@ class EnvelopeGenerator:
         self.n = float(n)
         self.side = side
         self.lip_y = gen.lip_y
-        fv = free_vars(gen.body)
-        if "z" not in fv:
+        if gen.lip_z is not None and gen.lip_z <= n:
             self.mode = "passthrough"
-            self.lip_z = 0.0
-        elif gen.modulus_z.kind == "linear" and gen.modulus_z.c <= n:
-            self.mode = "passthrough"
-            self.lip_z = gen.modulus_z.c
-        elif fv <= {"z"}:
+            self.lip_z = gen.lip_z
+        elif free_vars(gen.body) <= {"z"}:
             self.mode = "lattice"
             self.lip_z = self.n
             self._lattice = None
@@ -253,6 +261,8 @@ class EnvelopeGenerator:
 
     def _ensure_range(self, z):
         zabs = float(np.max(np.abs(z))) if np.size(z) else 0.0
+        if not math.isfinite(zabs):
+            raise ValueError(f"envelope evaluated at non-finite z ({zabs})")
         if self._lattice is None or zabs > self._z_max:
             while zabs > self._z_max:
                 self._z_max *= 2.0

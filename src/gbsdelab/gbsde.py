@@ -92,29 +92,10 @@ def _level_bound(problem: "pde.PdeProblem", L: float, n: float) -> float:
     return gap_constant(L, problem.gparams, problem.T) * bound
 
 
-def _refine_time(grid: "pde.SpaceTimeGrid", *problems) -> "pde.SpaceTimeGrid":
-    """Shrink the time step if any of the given problems needs a smaller one.
-
-    Envelope problems at high levels carry extra numerical dissipation, so
-    a grid built for the base problem can violate their monotonicity
-    bound; the spatial nodes are kept and only dt is refined.
-    """
-    dt = min(
-        pde.max_stable_dt(p, grid.x_min, grid.x_max, grid.nx) for p in problems
-    )
-    if grid.dt <= dt * (1.0 + 1e-12):
-        return grid
-    T = problems[0].T
-    nt = int(np.ceil(T / dt))
-    return pde.SpaceTimeGrid(
-        grid.x_min, grid.x_max, grid.nx, T / nt, nt, grid.core_fraction
-    )
-
-
 def _level_grid(problem, n: float, grid: "pde.SpaceTimeGrid") -> "pde.SpaceTimeGrid":
     """grid with dt refined for both level-n envelope problems."""
     sides = (envelope_problem(problem, n, side) for side in ("lower", "upper"))
-    return _refine_time(grid, *sides)
+    return pde.refine_grid(grid, *sides)
 
 
 def _solve_level(problem, L: float, n: float, grid: "pde.SpaceTimeGrid"):
@@ -216,7 +197,7 @@ def extract_triple(
         t, xk = times[k], X[k]
         t_sol = min(t, float(sol.times[-1]))
         Y[k], p, _ = pde.stencil_batch(sol, t_sol, xk)
-        _, _, sigma = pde._coef_fields(problem, t_sol, xk)
+        _, _, sigma = problem.coeffs.fields(t_sol, xk)
         Z[k] = sigma * p
         K[k] = Y[k] - Y[0] + acc if k else 0.0
         if k == m:
@@ -295,8 +276,7 @@ def compare(problem1, problem2, grid, target_gap: float = 0.05) -> CompareReport
         if to_str(getattr(c1, name)) != to_str(getattr(c2, name)):
             raise ValueError(f"problems must share coefficient {name}")
     xs = grid.xs
-    phi1 = np.broadcast_to(np.asarray(c1.eval_phi(xs), dtype=float), xs.shape)
-    phi2 = np.broadcast_to(np.asarray(c2.eval_phi(xs), dtype=float), xs.shape)
+    phi1, phi2 = c1.eval_phi(xs), c2.eval_phi(xs)
     if np.any(phi1 > phi2 + _ORDER_TOL):
         bad = int(np.argmax(phi1 - phi2))
         raise ValueError(
@@ -313,7 +293,7 @@ def compare(problem1, problem2, grid, target_gap: float = 0.05) -> CompareReport
     n = max(s1.level, s2.level)
     p1 = envelope_problem(problem1, n, "lower")
     p2 = envelope_problem(problem2, n, "lower")
-    grid_n = _refine_time(grid, p1, p2)
+    grid_n = pde.refine_grid(grid, p1, p2)
 
     def at_common_level(s, p):
         sol = s.solution

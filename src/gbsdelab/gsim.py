@@ -70,9 +70,8 @@ class FeedbackPolicy:
         lo, hi = grid.x_min + grid.dx, grid.x_max - grid.dx
         x = np.clip(np.asarray(state, dtype=float), lo, hi)
         u, p, d2 = pde.stencil_batch(sol, t, x)
-        _, h, sigma = pde._coef_fields(problem, t, x)
+        _, h, sigma = problem.coeffs.fields(t, x)
         ham = pde._hamiltonian(problem, t, x, u, p, d2, h, sigma)
-        ham = np.broadcast_to(ham, x.shape)
         # sub-rounding curvature is a tie, resolved like the exact tie at 0
         ham = np.where(np.abs(ham) < 1e-9, 0.0, ham)
         return worst_case_q(self.gparams, ham)
@@ -155,21 +154,17 @@ def simulate_paths(policy, gparams: GParams, t0, T, dt, n_paths, seed) -> PathEn
     )
 
 
-def euler_forward(coeffs: "pde.CoefficientSet", ensemble: PathEnsemble, x0, t0=None):
+def euler_forward(coeffs: "pde.CoefficientSet", ensemble: PathEnsemble, x0):
     """Fill the forward state: dX = b dt + h dQV + sigma dB, X[:,0]=x0."""
-    if t0 is None:
-        t0 = ensemble.t0
     n, m = ensemble.n_paths, ensemble.n_steps
     B, QV = ensemble.B.T, ensemble.QV.T  # time-major
     X = np.empty((m + 1, n))
     X[0] = x0
-    dt = ensemble.dt
+    t0, dt = ensemble.t0, ensemble.dt
     for k in range(m):
         t = t0 + k * dt
         xk = X[k]
-        b = np.broadcast_to(np.asarray(coeffs.eval_b(t, xk), dtype=float), xk.shape)
-        h = np.broadcast_to(np.asarray(coeffs.eval_h(t, xk), dtype=float), xk.shape)
-        s = np.broadcast_to(np.asarray(coeffs.eval_sigma(t, xk), dtype=float), xk.shape)
+        b, h, s = coeffs.fields(t, xk)
         dqv = QV[k + 1] - QV[k]
         db = B[k + 1] - B[k]
         X[k + 1] = xk + b * dt + h * dqv + s * db

@@ -34,10 +34,17 @@ class SchemeError(RuntimeError):
     """Non-finite value produced by a time step; usually a CFL violation."""
 
 
+def _as_field(value, shape) -> np.ndarray:
+    """An evaluated expression as a float array of the given shape."""
+    return np.broadcast_to(np.asarray(value, dtype=float), shape)
+
+
 @dataclass(frozen=True)
 class CoefficientSet:
     """Forward coefficients b, h, sigma (in t,x) and terminal Phi (in x).
 
+    fields and eval_phi are the one place they are evaluated: each returns
+    float arrays of x's shape, whether or not the expression reads x.
     lip_const and growth_q are declared metadata for the Lipschitz and
     polynomial-growth bounds; check_lipschitz samples them.
     """
@@ -66,17 +73,15 @@ class CoefficientSet:
             parse(b), parse(h), parse(sigma), parse(Phi), lip_const, growth_q
         )
 
-    def eval_b(self, t, x):
-        return evaluate(self.b, {"t": t, "x": x})
-
-    def eval_h(self, t, x):
-        return evaluate(self.h, {"t": t, "x": x})
-
-    def eval_sigma(self, t, x):
-        return evaluate(self.sigma, {"t": t, "x": x})
+    def fields(self, t, x):
+        """(b, h, sigma) at time t on the points x."""
+        env, shape = {"t": t, "x": x}, np.shape(x)
+        return tuple(_as_field(evaluate(e, env), shape)
+                     for e in (self.b, self.h, self.sigma))
 
     def eval_phi(self, x):
-        return evaluate(self.Phi, {"x": x})
+        """Phi on the points x."""
+        return _as_field(evaluate(self.Phi, {"x": x}), np.shape(x))
 
     @property
     def time_free(self) -> bool:
@@ -88,11 +93,11 @@ class CoefficientSet:
         t = rng.uniform(0.0, horizon, n_samples)
         x1 = rng.uniform(-span, span, n_samples)
         x2 = rng.uniform(-span, span, n_samples)
-        ok = True
-        for ev in (self.eval_b, self.eval_h, self.eval_sigma):
-            d = np.abs(np.asarray(ev(t, x1)) - np.asarray(ev(t, x2)))
-            ok = ok and bool(np.all(d <= self.lip_const * np.abs(x1 - x2) + 1e-9))
-        dphi = np.abs(np.asarray(self.eval_phi(x1)) - np.asarray(self.eval_phi(x2)))
+        ok = all(
+            bool(np.all(np.abs(c1 - c2) <= self.lip_const * np.abs(x1 - x2) + 1e-9))
+            for c1, c2 in zip(self.fields(t, x1), self.fields(t, x2))
+        )
+        dphi = np.abs(self.eval_phi(x1) - self.eval_phi(x2))
         q = self.growth_q
         bound = (
             self.lip_const
@@ -123,22 +128,16 @@ class PdeProblem:
             raise ValueError("lip_z_bound must be nonnegative")
 
     def lam_z(self, gen) -> float:
-        """z-Lipschitz constant the scheme assumes for a generator."""
-        if isinstance(gen, EnvelopeGenerator):
+        """z-Lipschitz constant the scheme assumes for a generator: the
+        generator's own lip_z, else the declared lip_z_bound."""
+        if gen.lip_z is not None:
             return gen.lip_z
-        if "z" not in free_vars(gen.body):
-            return 0.0
-        if gen.modulus_z.kind == "linear":
-            return float(gen.modulus_z.c)
         if self.lip_z_bound <= 0.0:
             raise ValueError(
                 "lip_z_bound must be positive when a generator is not "
                 "Lipschitz in z by construction"
             )
         return float(self.lip_z_bound)
-
-    def lip_y(self, gen) -> float:
-        return float(getattr(gen, "lip_y", 0.0))
 
     def fingerprint(self) -> str:
         parts = [
@@ -196,17 +195,6 @@ class SpaceTimeGrid:
         return (xs >= center - half - 1e-12) & (xs <= center + half + 1e-12)
 
 
-def _coef_fields(problem: PdeProblem, t, xs):
-    """b, h, sigma on the nodes at time t, broadcast to full arrays."""
-    shape = np.shape(xs)
-    b = np.broadcast_to(np.asarray(problem.coeffs.eval_b(t, xs), dtype=float), shape)
-    h = np.broadcast_to(np.asarray(problem.coeffs.eval_h(t, xs), dtype=float), shape)
-    s = np.broadcast_to(
-        np.asarray(problem.coeffs.eval_sigma(t, xs), dtype=float), shape
-    )
-    return b, h, s
-
-
 def _dissipation(problem: PdeProblem, sigma, h, dx):
     """Per-node Lax-Friedrichs coefficient theta.
 
@@ -231,7 +219,7 @@ def _dissipation(problem: PdeProblem, sigma, h, dx):
 
 def _step_fields(problem: PdeProblem, t, grid: SpaceTimeGrid):
     """b, h, sigma and the dissipation theta on the nodes at time t."""
-    b, h, sigma = _coef_fields(problem, t, grid.xs)
+    b, h, sigma = problem.coeffs.fields(t, grid.xs)
     return b, h, sigma, _dissipation(problem, sigma, h, grid.dx)
 
 
@@ -250,7 +238,7 @@ def max_stable_dt(problem: PdeProblem, x_min, x_max, nx) -> float:
     ts = np.linspace(0.0, problem.T, 1 if problem.coeffs.time_free else _T_SAMPLES)
     b_max = h_max = s_max = th_max = 0.0
     for t in ts:
-        b, h, s = _coef_fields(problem, t, xs)
+        b, h, s = problem.coeffs.fields(t, xs)
         if not (np.all(np.isfinite(b)) and np.all(np.isfinite(h)) and np.all(np.isfinite(s))):
             raise ValueError(f"non-finite coefficient sample at t={t}")
         b_max = max(b_max, float(np.max(np.abs(b))))
@@ -261,23 +249,40 @@ def max_stable_dt(problem: PdeProblem, x_min, x_max, nx) -> float:
     denom = (
         shs * s_max**2 / dx**2
         + (b_max + shs * (2.0 * h_max + th_max * s_max) + th_max) / dx
-        + problem.lip_y(problem.f)
-        + shs * problem.lip_y(problem.g)
+        + problem.f.lip_y
+        + shs * problem.g.lip_y
     )
     if denom <= 0.0:
         raise ValueError("degenerate problem: all coefficients vanish")
     return _CFL_SAFETY / denom
 
 
+def refine_grid(grid: SpaceTimeGrid, *problems) -> SpaceTimeGrid:
+    """grid itself when its dt keeps the update monotone for every given
+    problem (see max_stable_dt); otherwise the same nodes with the fewest
+    steps over the horizon of the first problem that do.
+
+    Envelope problems at high levels carry extra numerical dissipation, so
+    a grid built for the base problem can violate their monotonicity
+    bound; the spatial nodes are kept and only dt is refined.
+    """
+    dt = min(max_stable_dt(p, grid.x_min, grid.x_max, grid.nx) for p in problems)
+    if grid.dt <= dt * (1.0 + 1e-12):
+        return grid
+    T = problems[0].T
+    nt = int(np.ceil(T / dt))
+    return SpaceTimeGrid(grid.x_min, grid.x_max, grid.nx, T / nt, nt, grid.core_fraction)
+
+
 def build_grid(
     problem: PdeProblem, x_min, x_max, nx, core_fraction: float = 0.5
 ) -> SpaceTimeGrid:
-    """Choose dt so the explicit update is monotone (see max_stable_dt)."""
-    dt_max = max_stable_dt(problem, x_min, x_max, nx)
-    nt = int(np.ceil(problem.T / dt_max))
-    return SpaceTimeGrid(
-        float(x_min), float(x_max), int(nx), problem.T / nt, nt, core_fraction
+    """Choose dt so the explicit update is monotone: refine_grid of the
+    one-step grid on these nodes."""
+    one_step = SpaceTimeGrid(
+        float(x_min), float(x_max), int(nx), float(problem.T), 1, core_fraction
     )
+    return refine_grid(one_step, problem)
 
 
 def _hamiltonian(problem: PdeProblem, t, x, u, p, d2, h, sigma):
@@ -368,8 +373,7 @@ def solve(problem: PdeProblem, grid: SpaceTimeGrid) -> PdeSolution:
             f"{dt_max:g} for this problem; rebuild the grid with build_grid"
         )
     xs = grid.xs
-    u = np.asarray(problem.coeffs.eval_phi(xs), dtype=float)
-    u = np.broadcast_to(u, xs.shape).copy()
+    u = problem.coeffs.eval_phi(xs).copy()
     if not np.all(np.isfinite(u)):
         bad = int(np.argmin(np.isfinite(u)))
         raise SchemeError(f"non-finite terminal value at node {bad} (x={xs[bad]:g})")

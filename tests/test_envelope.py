@@ -264,6 +264,16 @@ class TestEnvelopeGenerator:
         assert np.isfinite(v)
         assert eg._z_max >= 50.0
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_z_leaves_lattice_intact(self, bad):
+        eg = EnvelopeGenerator(POWER, 8.0, "lower")
+        zs = np.array([0.5, 1.0])
+        before = eg.eval_grid(0, 0, 0, zs)
+        with pytest.raises(ValueError, match="non-finite z"):
+            eg.eval_grid(0, 0, 0, bad)
+        after = eg.eval_grid(0, 0, 0, zs)
+        assert np.array_equal(after.view(np.int64), before.view(np.int64))
+
     def test_mode_direct(self):
         gen = ScalarGenerator.from_text(
             "x+sqrt(abs(z))", 0.0, Modulus("power", c=1.0, alpha=0.5, growth_L=1.0)

@@ -3,6 +3,7 @@ import pytest
 
 from gbsdelab import gbsde, gsim, pde
 from gbsdelab.envelope import Modulus, ScalarGenerator
+from gbsdelab.expr import evaluate
 from gbsdelab.gfunction import GParams
 from gbsdelab.gbsde import (
     approximation_ladder,
@@ -35,6 +36,31 @@ def problem(phi="x*x", f=ZERO, g=ZERO, lip_z=0.0, T=1.0, growth_q=2):
 SQRT_F = ScalarGenerator.from_text(
     "-sqrt(abs(z))", 0.0, Modulus("power", c=1.0, alpha=0.5, growth_L=0.5)
 )
+
+
+# (body, modulus, lip_z): z-free, linear c <= 2, linear 2 < c <= 8, power in z,
+# x and z
+LIP_Z_CASES = [
+    ("x+y", Modulus("linear", c=1.0), 0.0),
+    ("-0.5*abs(z)", Modulus("linear", c=0.5, growth_L=0.5), 0.5),
+    ("min(4*abs(z),1)", Modulus("linear", c=4.0, growth_L=1.0), 4.0),
+    ("-sqrt(abs(z))", Modulus("power", c=1.0, alpha=0.5, growth_L=0.5), None),
+    ("0.5*x-sqrt(abs(z))", Modulus("power", c=1.0, alpha=0.5, growth_L=0.5), None),
+]
+
+
+@pytest.mark.parametrize("n", [2.0, 8.0])
+@pytest.mark.parametrize("body, modulus, lip_z", LIP_Z_CASES)
+def test_lip_z_rule(body, modulus, lip_z, n):
+    gen = ScalarGenerator.from_text(body, 0.0, modulus)
+    assert gen.lip_z == lip_z
+    prob = problem(f=gen, lip_z=0.75)
+    assert prob.lam_z(gen) == (0.75 if lip_z is None else lip_z)
+    want = n if lip_z is None else min(lip_z, n)
+    for side in ("lower", "upper"):
+        level = gbsde.envelope_problem(prob, n, side)
+        assert (level.f.mode == "passthrough") == (lip_z is not None and lip_z <= n)
+        assert level.lam_z(level.f) == level.f.lip_z == want
 
 
 class TestGapConstant:
@@ -197,7 +223,7 @@ def oracle_triple(sol, ens, prob):
         layer = pde._blend_layer(sol, t)
         x = X[:, k]
         Y[:, k] = np.interp(x, xs, layer)
-        _, _, sigma = pde._coef_fields(prob, t, x)
+        sigma = evaluate(prob.coeffs.sigma, {"t": t, "x": x})
         Z[:, k] = sigma * (
             (np.interp(x + dx, xs, layer) - np.interp(x - dx, xs, layer)) / (2.0 * dx))
     K = np.zeros((n, m + 1))
@@ -375,7 +401,7 @@ def _resolved_min_diff(p1, p2, n, grid):
     envelope problems at level n on their joint grid."""
     lo1 = gbsde.envelope_problem(p1, n, "lower")
     lo2 = gbsde.envelope_problem(p2, n, "lower")
-    grid_n = gbsde._refine_time(grid, lo1, lo2)
+    grid_n = pde.refine_grid(grid, lo1, lo2)
     core = grid_n.core_mask()
     diff = solve(lo2, grid_n).values[:, core] - solve(lo1, grid_n).values[:, core]
     return float(np.min(diff)), (lo2.fingerprint(), grid_n)

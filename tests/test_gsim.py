@@ -3,7 +3,7 @@ import pytest
 
 from gbsdelab import gsim, pde
 from gbsdelab.envelope import Modulus, ScalarGenerator
-from gbsdelab.expr import parse
+from gbsdelab.expr import evaluate, parse
 from gbsdelab.gfunction import GParams, worst_case_q
 from gbsdelab.gsim import (
     ConstantPolicy,
@@ -197,7 +197,8 @@ class OracleFeedback:
         u = interp(xc)
         p = (interp(xc + dx) - interp(xc - dx)) / (2.0 * dx)
         d2 = (interp(xc + dx) - 2.0 * interp(xc) + interp(xc - dx)) / dx**2
-        b, h, sigma = pde._coef_fields(problem, t, xc)
+        coeffs, env = problem.coeffs, {"t": t, "x": xc}
+        h, sigma = evaluate(coeffs.h, env), evaluate(coeffs.sigma, env)
         gval = np.asarray(problem.g.eval_grid(t, xc, u, sigma * p), dtype=float)
         ham = np.broadcast_to(sigma**2 * d2 + 2.0 * h * p + 2.0 * gval, xc.shape)
         ham = np.where(np.abs(ham) < 1e-9, 0.0, ham)
@@ -233,9 +234,8 @@ def oracle_euler(coeffs, B, QV, x0, t0, dt):
     X[:, 0] = x0
     for k in range(m1 - 1):
         t, xk = t0 + k * dt, X[:, k]
-        b = np.broadcast_to(np.asarray(coeffs.eval_b(t, xk), dtype=float), xk.shape)
-        h = np.broadcast_to(np.asarray(coeffs.eval_h(t, xk), dtype=float), xk.shape)
-        s = np.broadcast_to(np.asarray(coeffs.eval_sigma(t, xk), dtype=float), xk.shape)
+        b, h, s = (np.broadcast_to(np.asarray(evaluate(e, {"t": t, "x": xk}), dtype=float),
+                                   xk.shape) for e in (coeffs.b, coeffs.h, coeffs.sigma))
         X[:, k + 1] = (xk + b * dt + h * (QV[:, k + 1] - QV[:, k])
                        + s * (B[:, k + 1] - B[:, k]))
     return X

@@ -14,6 +14,8 @@ from gbsdelab.pde import (
     eval_u_batch,
     grad_x,
     grad_x_batch,
+    max_stable_dt,
+    refine_grid,
     solution_to_csv,
     solve,
     step_backward,
@@ -37,6 +39,15 @@ class TestCoefficientSet:
     def test_rejects_t_in_phi(self):
         with pytest.raises(ValueError):
             CoefficientSet.from_text("0", "0", "1", "t+x")
+
+    @pytest.mark.parametrize("text", ["0", "1"])
+    def test_fields_are_float_arrays_of_x_shape(self, text):
+        coeffs = CoefficientSet.from_text(text, text, text, text)
+        x = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+        for v in (*coeffs.fields(0.5, x), coeffs.eval_phi(x)):
+            assert isinstance(v, np.ndarray)
+            assert v.dtype == np.float64 and v.shape == x.shape
+            assert np.all(v == float(text))
 
     def test_check_lipschitz(self):
         rng = np.random.default_rng(0)
@@ -67,6 +78,32 @@ class TestBuildGrid:
         prob = heat_problem(sigma="1/x")
         with pytest.raises(ValueError):
             build_grid(prob, -1.0, 1.0, 11)  # hits x=0
+
+
+class TestRefineGrid:
+    ARGS = (-4.0, 4.0, 201)
+
+    def test_stable_grid_is_kept(self):
+        prob = heat_problem()
+        grid = build_grid(prob, *self.ARGS)
+        assert refine_grid(grid, prob) is grid
+
+    def test_fewest_stable_steps(self):
+        slow, fast = heat_problem(), heat_problem(sigma="2", b="0.5*x")
+        grid = build_grid(slow, *self.ARGS, core_fraction=0.25)
+        out = refine_grid(grid, slow, fast)
+        dt = min(max_stable_dt(p, *self.ARGS) for p in (slow, fast))
+        assert out.nt > grid.nt
+        assert out.dt == slow.T / out.nt
+        assert slow.T / out.nt <= dt * (1.0 + 1e-12) < slow.T / (out.nt - 1)
+        kept = ("x_min", "x_max", "nx", "core_fraction")
+        assert all(getattr(out, k) == getattr(grid, k) for k in kept)
+
+    @pytest.mark.parametrize("kw", [{}, {"sigma": "0", "b": "1"}, {"T": 1e-6}])
+    def test_build_grid_refines_one_step(self, kw):
+        prob = heat_problem(**kw)
+        one_step = SpaceTimeGrid(*self.ARGS, prob.T, 1, 0.25)
+        assert build_grid(prob, *self.ARGS, 0.25) == refine_grid(one_step, prob)
 
 
 class TestSpaceTimeGrid:
