@@ -287,12 +287,21 @@ def _exp_envelope_report(cfg: RunConfig, out_dir):
 def _exp_ladder(cfg: RunConfig, out_dir):
     grid = cfg.build_grid()
     lad = gbsde.approximation_ladder(cfg.problem, cfg.levels, grid)
+    tol = lad.tolerance
+    core = grid.core_mask()
     reports = []
     ok_all = True
     for i, n in enumerate(lad.levels):
-        ok = lad.gap_report[i] <= lad.bound_report[i] + 2.0 * lad.tolerance
+        ok = lad.gap_report[i] <= lad.bound_report[i] + 2.0 * tol
         if i > 0:
-            ok = ok and lad.gap_report[i] <= lad.gap_report[i - 1]
+            # each side moves toward the solution: lower up, upper down,
+            # within tol on the core over every stored layer
+            lo = lad.lower_solutions[i].values[:, core]
+            plo = lad.lower_solutions[i - 1].values[:, core]
+            up = lad.upper_solutions[i].values[:, core]
+            pup = lad.upper_solutions[i - 1].values[:, core]
+            ok = (ok and lad.gap_report[i] <= lad.gap_report[i - 1]
+                  and bool(np.all(plo <= lo + tol)) and bool(np.all(up <= pup + tol)))
         ok_all = ok_all and ok
         reports.append({"level": n, "gap": lad.gap_report[i],
                         "bound": lad.bound_report[i], "pass": ok})

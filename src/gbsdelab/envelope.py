@@ -190,6 +190,15 @@ def envelope_gap_bound(m: Modulus, L: float, n: float) -> float:
     return float(modulus_eval(m, 2.0 * L / (n - L)))
 
 
+def _finite_abs_max(z) -> float:
+    """max |z| over the points (0 for none); raises ValueError when a z is
+    not finite, before any lattice or search is built from it."""
+    zabs = float(np.max(np.abs(z))) if np.size(z) else 0.0
+    if not math.isfinite(zabs):
+        raise ValueError(f"envelope evaluated at non-finite z ({zabs})")
+    return zabs
+
+
 class EnvelopeGenerator:
     """Lipschitz envelope of a generator at level n, usable by the PDE solver.
 
@@ -260,9 +269,7 @@ class EnvelopeGenerator:
         self._values = values
 
     def _ensure_range(self, z):
-        zabs = float(np.max(np.abs(z))) if np.size(z) else 0.0
-        if not math.isfinite(zabs):
-            raise ValueError(f"envelope evaluated at non-finite z ({zabs})")
+        zabs = _finite_abs_max(z)
         if self._lattice is None or zabs > self._z_max:
             while zabs > self._z_max:
                 self._z_max *= 2.0
@@ -287,6 +294,7 @@ class EnvelopeGenerator:
             np.asarray(y, dtype=float),
             np.asarray(z, dtype=float),
         )
+        _finite_abs_max(z_b)
         out = np.empty(t_b.shape)
         it = np.nditer(z_b, flags=["multi_index"])
         env = lower_envelope if self.side == "lower" else upper_envelope

@@ -111,6 +111,9 @@ def approximation_ladder(problem, levels, grid) -> Ladder:
 
     All levels share the spatial nodes of the given grid; the time step is
     refined once, for the top level, so every level's update is monotone.
+    The 2K envelope problems differ only in f and g, so they advance
+    together as one pde.solve_stack; each solution equals what pde.solve
+    gives for its problem alone, bit for bit.
     """
     levels = tuple(float(n) for n in levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
@@ -120,9 +123,13 @@ def approximation_ladder(problem, levels, grid) -> Ladder:
         return Ladder((), (), (), (), (), 0.0)
     if levels[0] <= L:
         raise ValueError(f"every level must exceed L={L}")
-    grid = _level_grid(problem, levels[-1], grid)
-    rows = [_solve_level(problem, L, n, grid) for n in levels]
-    lowers, uppers, gaps, bounds = zip(*rows)
+    problems = [envelope_problem(problem, n, side)
+                for n in levels for side in ("lower", "upper")]
+    grid = pde.refine_grid(grid, *problems[-2:])
+    sols = pde.solve_stack(problems, grid)
+    lowers, uppers = sols[0::2], sols[1::2]
+    gaps = tuple(_core_gap(lo, up) for lo, up in zip(lowers, uppers))
+    bounds = tuple(_level_bound(problem, L, n) for n in levels)
     tol = solver_tolerance(grid, lowers[-1])
     return Ladder(levels, lowers, uppers, gaps, bounds, tol)
 

@@ -71,7 +71,8 @@ class FeedbackPolicy:
         x = np.clip(np.asarray(state, dtype=float), lo, hi)
         u, p, d2 = pde.stencil_batch(sol, t, x)
         _, h, sigma = problem.coeffs.fields(t, x)
-        ham = pde._hamiltonian(problem, t, x, u, p, d2, h, sigma)
+        gval = np.asarray(problem.g.eval_grid(t, x, u, sigma * p), dtype=float)
+        ham = pde._hamiltonian(sigma**2, 2.0 * h, p, d2, gval)
         # sub-rounding curvature is a tie, resolved like the exact tie at 0
         ham = np.where(np.abs(ham) < 1e-9, 0.0, ham)
         return worst_case_q(self.gparams, ham)

@@ -217,10 +217,18 @@ def _dissipation(problem: PdeProblem, sigma, h, dx):
     return theta
 
 
-def _step_fields(problem: PdeProblem, t, grid: SpaceTimeGrid):
-    """b, h, sigma and the dissipation theta on the nodes at time t."""
-    b, h, sigma = problem.coeffs.fields(t, grid.xs)
-    return b, h, sigma, _dissipation(problem, sigma, h, grid.dx)
+def _step_fields(problems, t, grid: SpaceTimeGrid):
+    """The coefficient fields one step of a stack of problems reads, at t.
+
+    problems is a sequence of P problems that share coeffs and gparams.
+    Returns (b, b >= 0, 2*h, sigma, sigma**2, theta): b, h and sigma are
+    evaluated once, on the nodes, from the shared coefficients; theta is
+    the (P, nx) dissipation, one row per problem, since each row has its
+    own z-Lipschitz constants.  step_backward takes this tuple as fields.
+    """
+    b, h, sigma = problems[0].coeffs.fields(t, grid.xs)
+    theta = np.stack([_dissipation(p, sigma, h, grid.dx) for p in problems])
+    return b, b >= 0.0, 2.0 * h, sigma, sigma**2, theta
 
 
 def max_stable_dt(problem: PdeProblem, x_min, x_max, nx) -> float:
@@ -285,60 +293,86 @@ def build_grid(
     return refine_grid(one_step, problem)
 
 
-def _hamiltonian(problem: PdeProblem, t, x, u, p, d2, h, sigma):
-    """G's argument sigma^2 u_xx + 2 h u_x + 2 g(t, x, u, sigma u_x), with
-    p and d2 standing for u_x and u_xx at the points x."""
-    gval = np.asarray(problem.g.eval_grid(t, x, u, sigma * p), dtype=float)
-    return sigma**2 * d2 + 2.0 * h * p + 2.0 * gval
+def _hamiltonian(s2, h2, p, d2, gval):
+    """G's argument sigma^2 u_xx + 2 h u_x + 2 g, from s2 = sigma^2,
+    h2 = 2 h, p and d2 standing for u_x and u_xx, and gval the value of g
+    at (t, x, u, sigma u_x)."""
+    return s2 * d2 + h2 * p + 2.0 * gval
 
 
-def step_backward(u_next, t, problem: PdeProblem, grid: SpaceTimeGrid, fields=None):
+def _non_finite(a, grid: SpaceTimeGrid) -> str:
+    """Where the first non-finite entry of a (P, nx) array sits."""
+    r, j = divmod(int(np.argmin(np.isfinite(a))), grid.nx)
+    where = f"node {j} (x={grid.xs[j]:g}"
+    return where if len(a) == 1 else f"row {r}, {where}"
+
+
+def step_backward(u_next, t, problem, grid: SpaceTimeGrid, fields=None):
     """One explicit Euler step from the layer at t+dt down to t.
 
-    Coefficients and generators are evaluated at the layer being
-    produced.  fields, when given, is (b, h, sigma, theta) on the nodes as
-    _step_fields returns it and stands in for the coefficients at t;
-    solve passes it when they are free of t.  Interior nodes use central
-    differences; boundary nodes use zero second difference and one-sided
-    first differences.  Monotonicity (every subgradient of the update
+    u_next is either one layer, shape (nx,), with problem a PdeProblem, or
+    a stack of P layers, shape (P, nx), with problem a sequence of P
+    problems that share coeffs and gparams (solve_stack checks this); row
+    r of the stack is stepped under problem[r], and the result has the
+    shape of u_next.  Coefficients and generators are evaluated at the
+    layer being produced; f and g are evaluated row by row, since each
+    row has its own envelope.  fields, when given, is _step_fields of the
+    problems and stands in for the coefficients at t; solve_stack passes
+    it when they are free of t.  Interior nodes use central differences;
+    boundary nodes use zero second difference and one-sided first
+    differences.  Monotonicity (every subgradient of the update
     nonnegative in each neighbor value) holds at the interior nodes; the
     two boundary nodes are sacrificial and excluded from every certified
     region.
+
+    Only the output is checked for non-finite values: it is non-finite
+    wherever the input is, so the input is searched only on that failure
+    path and a non-finite input node is still named as such.  An envelope
+    evaluated at a non-finite z raises its own ValueError first.
     """
     u = np.asarray(u_next, dtype=float)
-    if not np.all(np.isfinite(u)):
-        bad = int(np.argmin(np.isfinite(u)))
-        raise SchemeError(f"non-finite input at node {bad} (x={grid.xs[bad]:g})")
+    problems = (problem,) if u.ndim == 1 else tuple(problem)
+    shape = u.shape
+    u = u.reshape(len(problems), grid.nx)
     xs = grid.xs
     dx = grid.dx
     if fields is None:
-        fields = _step_fields(problem, t, grid)
-    b, h, sigma, theta = fields
+        fields = _step_fields(problems, t, grid)
+    b, b_up, h2, sigma, s2, theta = fields
 
     lap = np.zeros_like(u)
-    lap[1:-1] = u[2:] - 2.0 * u[1:-1] + u[:-2]
+    lap[:, 1:-1] = u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]
     d2 = lap / dx**2
     delta = lap / (2.0 * dx)
-    du = (u[1:] - u[:-1]) / dx
+    # one-sided differences padded by their end values: node j's forward
+    # difference is column j+1, its backward one column j
+    du = np.empty((len(problems), grid.nx + 1))
+    du[:, 1:-1] = (u[:, 1:] - u[:, :-1]) / dx
+    du[:, 0] = du[:, 1]
+    du[:, -1] = du[:, -2]
     p_c = np.empty_like(u)
-    p_c[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx)
-    p_c[0] = du[0]
-    p_c[-1] = du[-1]
-    p_fwd = np.concatenate((du, du[-1:]))
-    p_bwd = np.concatenate((du[:1], du))
-    p_up = np.where(b >= 0.0, p_fwd, p_bwd)
+    p_c[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2.0 * dx)
+    p_c[:, 0] = du[:, 1]
+    p_c[:, -1] = du[:, -2]
+    p_up = np.where(b_up, du[:, 1:], du[:, :-1])
 
     z = sigma * p_c
-    fval = np.asarray(problem.f.eval_grid(t, xs, u, z), dtype=float) + theta * delta
-    ham = _hamiltonian(problem, t, xs, u, p_c, d2, h, sigma)
-    out = u + grid.dt * (g_value(problem.gparams, ham) + b * p_up + fval)
-    if not np.all(np.isfinite(out)):
-        bad = int(np.argmin(np.isfinite(out)))
+    fval = np.empty_like(u)
+    gval = np.empty_like(u)
+    for r, prob in enumerate(problems):
+        fval[r] = prob.f.eval_grid(t, xs, u[r], z[r])
+        gval[r] = prob.g.eval_grid(t, xs, u[r], z[r])
+    fval += theta * delta
+    ham = _hamiltonian(s2, h2, p_c, d2, gval)
+    out = u + grid.dt * (g_value(problems[0].gparams, ham) + b * p_up + fval)
+    if not np.isfinite(out).all():
+        if not np.isfinite(u).all():
+            raise SchemeError(f"non-finite input at {_non_finite(u, grid)})")
         raise SchemeError(
-            f"non-finite update at node {bad} (x={xs[bad]:g}, t={t:g}); "
+            f"non-finite update at {_non_finite(out, grid)}, t={t:g}); "
             "the time step likely violates the monotonicity bound"
         )
-    return out
+    return out.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -363,33 +397,57 @@ class PdeSolution:
         return self.values[0]
 
 
-def solve(problem: PdeProblem, grid: SpaceTimeGrid) -> PdeSolution:
-    """Backward sweep from Phi over nt steps; stores at most ~2000 layers
-    (stride-decimated, endpoints always kept)."""
-    dt_max = max_stable_dt(problem, grid.x_min, grid.x_max, grid.nx)
-    if grid.dt > dt_max * (1.0 + 1e-9):
-        raise SchemeError(
-            f"time step {grid.dt:g} violates the monotonicity bound "
-            f"{dt_max:g} for this problem; rebuild the grid with build_grid"
-        )
+def solve_stack(problems, grid: SpaceTimeGrid) -> tuple:
+    """Backward sweeps from Phi over nt steps for P problems at once, one
+    PdeSolution per problem, in order.
+
+    The problems must share coeffs, gparams and T, so that one Phi, one
+    set of coefficient fields and one G serve every row; each must keep
+    the update monotone at grid.dt (see max_stable_dt).  All P layers
+    advance together as one (P, nx) stack through step_backward.  Each
+    solution stores at most ~2000 layers (stride-decimated, endpoints
+    always kept), written in place into its own preallocated array.
+    """
+    problems = tuple(problems)
+    first = problems[0]
+    for name in ("coeffs", "gparams", "T"):
+        if any(getattr(p, name) != getattr(first, name) for p in problems[1:]):
+            raise ValueError(f"stacked problems must share {name}")
+    for p in problems:
+        dt_max = max_stable_dt(p, grid.x_min, grid.x_max, grid.nx)
+        if grid.dt > dt_max * (1.0 + 1e-9):
+            raise SchemeError(
+                f"time step {grid.dt:g} violates the monotonicity bound "
+                f"{dt_max:g} for this problem; rebuild the grid with build_grid"
+            )
     xs = grid.xs
-    u = problem.coeffs.eval_phi(xs).copy()
-    if not np.all(np.isfinite(u)):
-        bad = int(np.argmin(np.isfinite(u)))
+    phi = first.coeffs.eval_phi(xs)
+    if not np.all(np.isfinite(phi)):
+        bad = int(np.argmin(np.isfinite(phi)))
         raise SchemeError(f"non-finite terminal value at node {bad} (x={xs[bad]:g})")
     stride = max(1, int(np.ceil((grid.nt + 1) / _MAX_STORED_LAYERS)))
-    fields = _step_fields(problem, 0.0, grid) if problem.coeffs.time_free else None
-    kept_idx = [grid.nt]
-    kept = [u.copy()]
+    # the kept steps: every stride-th one below nt, then nt itself
+    kept_idx = list(range(0, grid.nt, stride)) + [grid.nt]
+    # one array per problem: P blocks of one solve's size reuse freed
+    # heap memory where one (P, n_kept, nx) block would be mapped afresh
+    kept = [np.empty((len(kept_idx), grid.nx)) for _ in problems]
+    u = np.repeat(phi[None, :], len(problems), axis=0)
+    for values, row in zip(kept, u):
+        values[-1] = row
+    fields = _step_fields(problems, 0.0, grid) if first.coeffs.time_free else None
     for k in range(grid.nt - 1, -1, -1):
-        u = step_backward(u, k * grid.dt, problem, grid, fields=fields)
-        if k % stride == 0 or k == 0:
-            kept_idx.append(k)
-            kept.append(u.copy())
-    kept_idx.reverse()
-    kept.reverse()
+        u = step_backward(u, k * grid.dt, problems, grid, fields)
+        if k % stride == 0:
+            for values, row in zip(kept, u):
+                values[k // stride] = row
     times = np.asarray(kept_idx, dtype=float) * grid.dt
-    return PdeSolution(grid, times, np.asarray(kept), problem.fingerprint())
+    return tuple(PdeSolution(grid, times, values, p.fingerprint())
+                 for p, values in zip(problems, kept))
+
+
+def solve(problem: PdeProblem, grid: SpaceTimeGrid) -> PdeSolution:
+    """Backward sweep of one problem: solve_stack of a stack of one."""
+    return solve_stack((problem,), grid)[0]
 
 
 _HULL_TOL = 1e-9

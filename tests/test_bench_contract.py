@@ -95,6 +95,25 @@ def test_install_sees_inner_calls_and_uninstall_restores(tracing, lib):
     assert m["gbsde.repeat_solves"] == 0
 
 
+def test_traced_ladder_steps_the_stack_once_per_time_step(tracing, lib):
+    # approximation_ladder steps its 2K envelope problems together through
+    # pde.solve_stack, never through the wrapped pde.solve
+    f = ScalarGenerator.from_text(
+        "-sqrt(abs(z))", 0.0, Modulus("power", c=1.0, alpha=0.5, growth_L=0.5))
+    coeffs = pde.CoefficientSet.from_text("0", "0", "1", "x*x")
+    problem = pde.PdeProblem(coeffs, f, f, GP, 0.25, 1.0)
+    grid = pde.build_grid(problem, -2.0, 2.0, 21)
+    tracer = tracing.Tracer(lib)
+    tracer.install()
+    try:
+        lad = gbsde.approximation_ladder(problem, [1.0, 2.0], grid)
+        m = tracer.round_metrics(0)
+    finally:
+        tracer.uninstall()
+    assert m["pde.steps"] == lad.lower_solutions[0].grid.nt
+    assert m["envelope.lattice_builds"] >= 4
+
+
 def test_path_loop_hooks(tracing, lib):
     # a feedback run: simulate_paths -> euler_forward -> extract_triple
     targets = tracing._targets(lib)

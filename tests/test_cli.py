@@ -151,6 +151,29 @@ class TestExperiments:
         assert [lv["level"] for lv in s["levels"]] == [1.0, 2.0]
         assert all(lv["pass"] for lv in s["levels"])
 
+    @pytest.mark.parametrize("nx, code", [(601, 1), (801, 0)])
+    def test_ladder_fails_when_a_side_moves_the_wrong_way(self, tmp_path, nx, code):
+        # x^6/6 solves this problem exactly; at nx=601 the scheme's
+        # dissipation is on at level 32, whose upper solution rises above
+        # level 16's on the core by more than the tolerance
+        cfg = {
+            "gparams": {"sigma_low_sq": 0.5, "sigma_high_sq": 1.0},
+            "problem": {
+                "Phi": "x*x*x*x*x*x/6",
+                "f": {"body": "-2.5*pow(abs(z),0.8)",
+                      "modulus": {"kind": "power", "c": 2.5, "alpha": 0.8,
+                                  "growth_L": 2.5}},
+                "lip_z_bound": 2.5,
+            },
+            "grid": {"x_min": -6.0, "x_max": 6.0, "nx": nx, "core_fraction": 0.25},
+            "ladder": {"levels": [4.0, 8.0, 16.0, 32.0], "target_gap": 0.05},
+        }
+        out = str(tmp_path / "out")
+        assert main(["run", write_config(tmp_path, cfg), "ladder", "--out", out]) == code
+        s = read_summary(out)
+        assert [lv["pass"] for lv in s["levels"]] == [True, True, True, code == 0]
+        assert all(lv["gap"] <= lv["bound"] + 2 * s["tolerance"] for lv in s["levels"])
+
     def test_ladder_levels_override(self, tmp_path):
         path = write_config(tmp_path, base_config())
         out = str(tmp_path / "out")

@@ -284,6 +284,17 @@ class TestEnvelopeGenerator:
         want = lower_envelope(gen, 4.0, 0.0, 1.5, 0.0, 0.01)
         assert got == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, np.array([0.5, np.inf])],
+                             ids=["inf", "-inf", "nan", "array"])
+    def test_direct_names_non_finite_z(self, bad):
+        gen = ScalarGenerator.from_text(
+            "x+sqrt(abs(z))", 0.0, Modulus("power", c=1.0, alpha=0.5, growth_L=1.0)
+        )
+        eg = EnvelopeGenerator(gen, 4.0, "lower")
+        assert eg.mode == "direct"
+        with pytest.raises(ValueError, match="non-finite z"):
+            eg.eval_grid(0.0, 1.5, 0.0, bad)
+
     def test_level_must_exceed_growth(self):
         with pytest.raises(ValueError):
             EnvelopeGenerator(POWER, 2.0, "lower")

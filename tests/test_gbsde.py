@@ -117,6 +117,24 @@ class TestApproximationLadder:
         with pytest.raises(ValueError):
             approximation_ladder(prob, [0.25, 2.0], grid)
 
+    def test_stack_equals_level_solves(self):
+        prob = problem(f=SQRT_F, g=SQRT_F, lip_z=1.0)
+        grid = build_grid(prob, -4.0, 4.0, 101)
+        levels = [1.0, 2.0, 4.0]
+        lad = approximation_ladder(prob, levels, grid)
+        top = gbsde._level_grid(prob, levels[-1], grid)
+        L = problem_growth_L(prob)
+        for i, n in enumerate(levels):
+            lo, up, gap, bound = gbsde._solve_level(prob, L, n, top)
+            for got, want in ((lad.lower_solutions[i], lo), (lad.upper_solutions[i], up)):
+                assert got.grid == want.grid == top
+                assert np.array_equal(got.values, want.values)
+                assert np.array_equal(got.times, want.times)
+                assert got.fingerprint == want.fingerprint
+            assert lad.gap_report[i] == gap
+            assert lad.bound_report[i] == bound
+        assert lad.tolerance == gbsde.solver_tolerance(top, lo)
+
     def test_sandwich_across_levels(self):
         prob = problem(f=SQRT_F, lip_z=1.0)
         grid = build_grid(prob, -4.0, 4.0, 201)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gbsdelab import pde as pde_module
-from gbsdelab.envelope import Modulus, ScalarGenerator
+from gbsdelab.envelope import EnvelopeGenerator, Modulus, ScalarGenerator
 from gbsdelab.gfunction import GParams
 from gbsdelab.pde import (
     CoefficientSet,
@@ -18,6 +18,7 @@ from gbsdelab.pde import (
     refine_grid,
     solution_to_csv,
     solve,
+    solve_stack,
     step_backward,
 )
 
@@ -265,6 +266,80 @@ class TestSolveFields:
         sol = solve(prob, grid)
         assert np.array_equal(sol.values, want)
         assert len(calls) == (1 if time_free else grid.nt)
+
+
+ROUGH = ScalarGenerator.from_text(
+    "-0.5*pow(abs(z),0.8)", 0.0, Modulus("power", c=0.5, alpha=0.8, growth_L=0.5))
+DIRECT = ScalarGenerator.from_text(
+    "0.2*x+sqrt(abs(z))", 0.0, Modulus("power", c=1.0, alpha=0.5, growth_L=1.0))
+LINEAR = ScalarGenerator.from_text(
+    "-0.5*abs(z)+0.2*y", 0.2, Modulus("linear", c=0.5, growth_L=0.5))
+
+
+def _stack_problems(sigma="1+0.2*x*x/(1+x*x)"):
+    """Fresh problems sharing coefficients and differing in f and g: a
+    lattice, a passthrough and a direct envelope, and a plain generator.
+    At level 8 on dx=0.1 the dissipation theta is on at every node of the
+    lattice and direct rows and off on the plain row."""
+    coeffs = CoefficientSet.from_text("0.3*x", "0.1", sigma, "x*x*x/3")
+    gens = [
+        (EnvelopeGenerator(ROUGH, 8.0, "lower"), EnvelopeGenerator(ROUGH, 8.0, "upper")),
+        (EnvelopeGenerator(LINEAR, 8.0, "upper"), ZERO),
+        (EnvelopeGenerator(DIRECT, 8.0, "lower"), EnvelopeGenerator(ROUGH, 8.0, "upper")),
+        (LINEAR, LINEAR),
+    ]
+    return [PdeProblem(coeffs, f, g, GP, 0.05, 8.0) for f, g in gens]
+
+
+class TestSolveStack:
+    """A (P, nx) stack is P single problems side by side, bit for bit."""
+
+    def _grid(self, problems):
+        return refine_grid(build_grid(problems[0], -2.0, 2.0, 41), *problems)
+
+    @pytest.mark.parametrize("sigma", ["1+0.2*x*x/(1+x*x)", "1+0.5*t"])
+    def test_stack_equals_single_solves(self, sigma):
+        problems = _stack_problems(sigma)
+        grid = self._grid(problems)
+        theta = pde_module._step_fields(problems, 0.0, grid)[-1]
+        assert np.all(theta[[0, 2]] > 0.0) and np.all(theta[-1] == 0.0)
+        got = solve_stack(problems, grid)
+        for sol, fresh in zip(got, _stack_problems(sigma)):
+            want = solve(fresh, grid)
+            assert np.array_equal(sol.values, want.values)
+            assert np.array_equal(sol.times, want.times)
+            assert sol.fingerprint == want.fingerprint
+            assert sol.grid == grid
+
+    def test_stack_step_equals_single_steps(self):
+        problems = _stack_problems()
+        grid = self._grid(problems)
+        u = np.random.default_rng(3).uniform(-1, 1, (len(problems), grid.nx))
+        got = step_backward(u, 0.02, problems, grid)
+        want = [step_backward(u[r], 0.02, p, grid)
+                for r, p in enumerate(_stack_problems())]
+        assert got.shape == u.shape
+        assert np.array_equal(got, np.asarray(want))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_row_named(self):
+        prob = heat_problem()
+        grid = build_grid(prob, -4.0, 4.0, 101)
+        u = np.tile(grid.xs**2, (3, 1))
+        u[2, 7] = np.inf
+        with pytest.raises(SchemeError, match="input at row 2, node 7"):
+            step_backward(u, 0.5, (prob, prob, prob), grid)
+
+    @pytest.mark.parametrize("name, other", [
+        ("coeffs", heat_problem(phi="x*x*x")),
+        ("gparams", PdeProblem(heat_problem().coeffs, ZERO, ZERO, GParams(0.5, 2.0), 1.0, 0.0)),
+        ("T", heat_problem(T=0.5)),
+    ])
+    def test_problems_must_share(self, name, other):
+        prob = heat_problem()
+        grid = build_grid(prob, -2.0, 2.0, 21)
+        with pytest.raises(ValueError, match=f"share {name}"):
+            solve_stack((prob, other), grid)
 
 
 class TestEvalAndGrad:
