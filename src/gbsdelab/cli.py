@@ -26,7 +26,7 @@ from .envelope import (
     ScalarGenerator,
     envelope_gap_bound,
 )
-from .expr import ParseError, free_vars, parse
+from .expr import ParseError, evaluate, free_vars, parse
 from .gfunction import GParams
 
 _SCHEMA = "# g-bsde-lab schema v1\n"
@@ -263,15 +263,8 @@ def _exp_envelope_report(cfg: RunConfig, out_dir):
     for n in cfg.levels:
         lo = EnvelopeGenerator(f, n, "lower")
         up = EnvelopeGenerator(f, n, "upper")
-        fv = np.broadcast_to(
-            np.asarray(f.eval_grid(0.0, 0.0, 0.0, zs), dtype=float), zs.shape
-        )
-        lov = np.broadcast_to(
-            np.asarray(lo.eval_grid(0.0, 0.0, 0.0, zs), dtype=float), zs.shape
-        )
-        upv = np.broadcast_to(
-            np.asarray(up.eval_grid(0.0, 0.0, 0.0, zs), dtype=float), zs.shape
-        )
+        fv, lov, upv = (pde._as_field(gen.eval_grid(0.0, 0.0, 0.0, zs), zs.shape)
+                        for gen in (f, lo, up))
         gap = float(max(np.max(fv - lov), np.max(upv - fv)))
         bound = envelope_gap_bound(f.modulus_z, L, n) if "z" in free_vars(f.body) else 0.0
         slack = lo.interp_error_bound(zs) + 1e-9
@@ -337,15 +330,9 @@ def _exp_golden(cfg: RunConfig, out_dir):
                           "expression for the exact solution")
     grid, ex = _solve_exact_summary(cfg, out_dir)
     core = grid.core_mask()
-    xs = grid.xs[core]
-    err = 0.0
-    from .expr import evaluate
-    for i, t in enumerate(ex.solution.times):
-        ref = np.broadcast_to(
-            np.asarray(evaluate(cfg.reference, {"t": t, "x": xs}), dtype=float),
-            xs.shape,
-        )
-        err = max(err, float(np.max(np.abs(ex.solution.values[i][core] - ref))))
+    times, values = ex.solution.times, ex.solution.values[:, core]
+    ref = evaluate(cfg.reference, {"t": times[:, None], "x": grid.xs[None, core]})
+    err = float(np.max(np.abs(values - pde._as_field(ref, values.shape))))
     passed = err <= cfg.target_gap and ex.measured_gap <= ex.bound + 2 * ex.tolerance
     return {"experiment": "golden", "level": ex.level, "gap": ex.measured_gap,
             "bound": ex.bound, "tolerance": ex.tolerance,

@@ -475,25 +475,31 @@ def _slopes(grid: SpaceTimeGrid, layer) -> np.ndarray:
     return slope
 
 
-def _interp_uniform(grid: SpaceTimeGrid, layer, x, slope) -> np.ndarray:
-    """np.interp(x, grid.xs, layer), bit for bit, without a binary search.
+def _interp_cell(grid: SpaceTimeGrid, layer, x, slope, seed=None):
+    """np.interp(x, grid.xs, layer), bit for bit, without a binary search,
+    and the cell j read: xs[j] <= x < xs[j + 1], or nx - 1 at x_max.
 
-    The cell comes from (x - x_min)/dx, moved by at most one node where
-    rounding put x on the wrong side of a node; the value is np.interp's
-    own formula slope[j]*(x - xs[j]) + layer[j], and layer[j] on a node.
-    x is clamped to the hull first and slope is _slopes(grid, layer), so
-    both endpoints come out as np.interp gives them.  NaN gives NaN.
+    x is clamped to the hull and slope is _slopes(grid, layer), so both
+    endpoints come out as np.interp gives them; NaN gives NaN.  j starts
+    at seed (in [0, nx - 2] and within one of j; by default (x - x_min)/dx)
+    and moves a node where rounding put x on the wrong side of one.
     """
     xs = grid.xs
     x = np.minimum(np.maximum(x, grid.x_min), grid.x_max)
-    # fmin sends NaN to a valid cell; the value still comes out NaN
-    j = np.fmin((x - grid.x_min) / grid.dx, grid.nx - 2).astype(np.intp)
-    j = j - (xs[j] > x)
+    if seed is None:
+        # fmin sends NaN to a valid cell; the value still comes out NaN
+        seed = np.fmin((x - grid.x_min) / grid.dx, grid.nx - 2).astype(np.intp)
+    j = seed - (xs[seed] > x)
     j = j + (xs[j + 1] <= x)
     d = x - xs[j]
     y = layer[j]
     # on a node np.interp returns layer[j] itself, which keeps a -0.0
-    return np.where(d == 0.0, y, slope[j] * d + y)
+    return np.where(d == 0.0, y, slope[j] * d + y), j
+
+
+def _interp_uniform(grid: SpaceTimeGrid, layer, x, slope) -> np.ndarray:
+    """np.interp(x, grid.xs, layer), bit for bit: _interp_cell's value."""
+    return _interp_cell(grid, layer, x, slope)[0]
 
 
 def _check_range(x, lo, hi, what):
@@ -523,9 +529,10 @@ def stencil_batch(sol: PdeSolution, t, x):
                  "too close to the boundary for a central stencil; pad the domain")
     layer = _blend_layer(sol, t)
     slope = _slopes(grid, layer)
-    mid = _interp_uniform(grid, layer, x, slope)
-    up = _interp_uniform(grid, layer, x + dx, slope)
-    down = _interp_uniform(grid, layer, x - dx, slope)
+    mid, j = _interp_cell(grid, layer, x, slope)
+    # x +- dx lies one cell up or down from x, up to rounding
+    up = _interp_cell(grid, layer, x + dx, slope, np.minimum(j + 1, grid.nx - 2))[0]
+    down = _interp_cell(grid, layer, x - dx, slope, np.maximum(j - 1, 0))[0]
     return mid, (up - down) / (2.0 * dx), (up - 2.0 * mid + down) / dx**2
 
 
@@ -550,10 +557,13 @@ def grad_x(sol: PdeSolution, t, x) -> float:
 
 
 def solution_to_csv(sol: PdeSolution, path) -> None:
-    """CSV export: schema comment, x-node header, one row per stored layer."""
-    xs = sol.grid.xs
+    """CSV export: schema comment, x-node header, one row per stored layer.
+    Each line is one % of a %.17g row template; rows become Python floats one
+    at a time, since the whole table at once would hold its size again."""
+    cells = ",".join(["%.17g"] * sol.grid.nx) + "\n"
+    line = "%.17g," + cells
     with open(path, "w") as fh:
         fh.write("# g-bsde-lab schema v1\n")
-        fh.write("t," + ",".join(f"{x:.17g}" for x in xs) + "\n")
-        for t, row in zip(sol.times, sol.values):
-            fh.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write("t," + cells % tuple(sol.grid.xs.tolist()))
+        for t, row in zip(sol.times.tolist(), sol.values):
+            fh.write(line % (t, *row.tolist()))

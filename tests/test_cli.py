@@ -1,9 +1,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from gbsdelab.cli import ConfigError, RunConfig, load_config, main
+from gbsdelab.expr import evaluate
 
 
 def base_config(**overrides):
@@ -240,6 +242,19 @@ class TestExperiments:
         assert main(["run", path, "golden", "--out", out]) == 0
         s = read_summary(out)
         assert s["max_core_error"] <= s["threshold"]
+        # the reported error is the largest over a per-layer loop, bit for bit
+        cfg = load_config(path)
+        core = cfg.build_grid().core_mask()
+        with open(os.path.join(out, "solution_layers.csv")) as fh:
+            lines = fh.readlines()[1:]
+        xs = np.array([float(v) for v in lines[0].split(",")[1:]])[core]
+        err = 0.0
+        for line in lines[1:]:
+            t, *layer = map(float, line.split(","))
+            ref = evaluate(cfg.reference, {"t": t, "x": xs})
+            err = max(err, float(np.max(np.abs(np.array(layer)[core] - ref))))
+        assert len(lines) > 2
+        assert s["max_core_error"] == err
 
 
 class TestDeterminism:

@@ -501,6 +501,31 @@ class TestUniformInterp:
             assert np.array_equal(_bits(got), _bits(want))
 
 
+@pytest.mark.parametrize("x_min, x_max, nx", TestUniformInterp.GRIDS)
+def test_stencil_cells_at_the_edges(x_min, x_max, nx):
+    # x +- dx is read from x's cell +- 1: points where rounding moves
+    # x, x + dx or x - dx across a node, and the ends of the stencil range
+    grid, layer = TestUniformInterp._case(x_min, x_max, nx)
+    sol = pde_module.PdeSolution(grid, np.array([0.0, 1.0]), np.stack((layer, layer)))
+    dx, xs = grid.dx, grid.xs
+    inner = xs[1:-1]
+    x = np.concatenate((
+        inner, np.nextafter(inner, np.inf), np.nextafter(inner, -np.inf),
+        xs[1:-2] + 0.5 * dx, [xs[0] + dx, xs[-1] - dx],
+        [xs[0] + dx - 1e-10, xs[-1] - dx + 1e-10, np.nan],
+    ))
+
+    def interp(z):
+        return np.interp(z, xs, layer)
+
+    u, up, down = interp(x), interp(x + dx), interp(x - dx)
+    want = (u, (up - down) / (2.0 * dx), (up - 2.0 * u + down) / dx**2)
+    with np.errstate(invalid="raise"):  # NaN must not reach the int cast
+        got = pde_module.stencil_batch(sol, 0.0, x)
+    for g, w in zip(got, want):
+        assert np.array_equal(_bits(g), _bits(w))
+
+
 class TestConvergence:
     def test_halving_dx_reduces_core_error(self):
         # quartic closed form u = x^4 + 6 shs x^2 tau + 3 shs^2 tau^2 on a
@@ -528,3 +553,27 @@ def test_csv_export(tmp_path):
     assert lines[0] == "# g-bsde-lab schema v1"
     assert lines[1].startswith("t,-1,")
     assert len(lines) == 2 + len(sol.times)
+
+
+def _old_csv_bytes(sol):
+    """The writer as it was before row templates: one f-string per value."""
+    lines = ["# g-bsde-lab schema v1\n",
+             "t," + ",".join(f"{x:.17g}" for x in sol.grid.xs) + "\n"]
+    for t, row in zip(sol.times, sol.values):
+        lines.append(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+    return "".join(lines).encode()
+
+
+def test_csv_bytes_match_per_value_format(tmp_path):
+    grid = SpaceTimeGrid(-0.3, 1.7, 9, 0.1, 3)
+    special = [-0.0, 5e-324, 1e-5, 0.1, 1e16, -1e300, 3.0, -7.0, 0.0]
+    rng = np.random.default_rng(4)
+    values = np.stack((special, special[::-1], rng.standard_normal(9) * 1e3,
+                       np.arange(-4.0, 5.0)))
+    sol = pde_module.PdeSolution(grid, np.array([0.0, 0.1, 0.2, 0.30000000000000004]),
+                                 values)
+    path = tmp_path / "sol.csv"
+    solution_to_csv(sol, path)
+    assert path.read_bytes() == _old_csv_bytes(sol)
+    assert (b"\n0,-0,4.9406564584124654e-324,1.0000000000000001e-05,0.10000000000000001,"
+            b"10000000000000000,-1.0000000000000001e+300,3,-7,0\n") in path.read_bytes()
