@@ -232,18 +232,17 @@ def _exp_upper_expectation(cfg: RunConfig, out_dir):
         payoff, cfg.gparams, cfg.problem.T, cfg.x_min, cfg.x_max, cfg.nx
     )
     pde_val = pde.eval_u(feedback_ctx[0], 0.0, 0.0)
+    policies = [_make_policy(name, cfg, feedback_ctx) for name in cfg.policies]
+    terminals = gsim.terminal_states(
+        policies, cfg.gparams, 0.0, cfg.problem.T, cfg.mc_dt, cfg.n_paths, cfg.seed
+    )
+    est = gsim.estimate_terminal(payoff, list(zip(map(str, cfg.policies), terminals)))
     rows = []
     checks = []
-    for name in cfg.policies:
-        pol = _make_policy(name, cfg, feedback_ctx)
-        ens = gsim.simulate_paths(
-            pol, cfg.gparams, 0.0, cfg.problem.T, cfg.mc_dt, cfg.n_paths, cfg.seed
-        )
-        est = gsim.upper_expectation_mc(payoff, [ens])
-        ok = est.value <= pde_val + 3.0 * est.se + 5e-3
-        rows.append((str(name), est.value, est.se, ok))
-        checks.append({"policy": str(name), "mc": est.value, "se": est.se,
-                       "dominated": ok})
+    for name, mean, se in est.per_policy:
+        ok = mean <= pde_val + 3.0 * se + 5e-3
+        rows.append((name, mean, se, ok))
+        checks.append({"policy": name, "mc": mean, "se": se, "dominated": ok})
     _write_csv(
         os.path.join(out_dir, "upper_expectation.csv"),
         ["policy", "mc_mean", "mc_se", "dominated"],
@@ -353,28 +352,28 @@ def _exp_compare(cfg: RunConfig, out_dir):
             "passed": rep.passed}, rep.passed
 
 
+def _kcheck_policy(cfg: RunConfig, sol, name, scale_tol):
+    """One policy's kcheck report; its paths are freed before the next."""
+    pol = _make_policy(name, cfg, (sol, cfg.problem))
+    ens = gsim.simulate_paths(
+        pol, cfg.gparams, 0.0, cfg.problem.T, cfg.mc_dt, cfg.n_paths, cfg.seed
+    )
+    gsim.euler_forward(cfg.problem.coeffs, ens, cfg.x0)
+    tri = gbsde.extract_triple(sol, ens, cfg.problem)
+    path_scale = 1.0 + float(np.max(np.abs(tri.Y))) + float(np.max(np.abs(tri.Z)))
+    tol = scale_tol * path_scale
+    uptick = float(np.max(tri.K - np.minimum.accumulate(tri.K, axis=1)))
+    return {"policy": str(name), "max_K_uptick": uptick, "tolerance": tol,
+            "pass": uptick <= tol}
+
+
 def _exp_kcheck(cfg: RunConfig, out_dir):
     grid = cfg.build_grid()
     ex = gbsde.solve_exact(cfg.problem, grid, cfg.target_gap)
     sol = ex.solution
     scale_tol = 5.0 * (grid.dx + np.sqrt(cfg.mc_dt))
-    reports = []
-    ok_all = True
-    feedback_ctx = (sol, cfg.problem)
-    for name in cfg.policies:
-        pol = _make_policy(name, cfg, feedback_ctx)
-        ens = gsim.simulate_paths(
-            pol, cfg.gparams, 0.0, cfg.problem.T, cfg.mc_dt, cfg.n_paths, cfg.seed
-        )
-        gsim.euler_forward(cfg.problem.coeffs, ens, cfg.x0)
-        tri = gbsde.extract_triple(sol, ens, cfg.problem)
-        path_scale = 1.0 + float(np.max(np.abs(tri.Y))) + float(np.max(np.abs(tri.Z)))
-        tol = scale_tol * path_scale
-        uptick = float(np.max(tri.K - np.minimum.accumulate(tri.K, axis=1)))
-        ok = uptick <= tol
-        ok_all = ok_all and ok
-        reports.append({"policy": str(name), "max_K_uptick": uptick,
-                        "tolerance": tol, "pass": ok})
+    reports = [_kcheck_policy(cfg, sol, name, scale_tol) for name in cfg.policies]
+    ok_all = all(r["pass"] for r in reports)
     _write_records(os.path.join(out_dir, "kcheck.csv"),
                    ["policy", "max_K_uptick", "tolerance", "pass"], reports)
     return {"experiment": "kcheck", "policies": reports, "passed": ok_all}, ok_all

@@ -9,8 +9,8 @@ by Monte Carlo over a finite policy set (a certified lower bound on the
 sup) and exactly through the degenerate parabolic solve.
 
 Randomness is counter-based: each batch of paths draws from a Philox
-stream keyed by (seed, batch start), so ensembles are byte-identical
-across runs.
+stream keyed by (seed, batch start), so runs are byte-identical and
+every policy of one call sees the same noise (common random numbers).
 """
 
 from __future__ import annotations
@@ -112,47 +112,78 @@ class PathEnsemble:
         return self.t0 + self.dt * np.arange(self.n_steps + 1)
 
 
-def simulate_paths(policy, gparams: GParams, t0, T, dt, n_paths, seed) -> PathEnsemble:
-    """Sample (B, QV) on [t0, T] under one volatility control.
-
-    dt must divide T - t0 within rounding; increments are Gaussian
-    conditional on the control, dB = sqrt(var*dt)*xi, dQV = var*dt.
-    """
+def _batches(t0, T, dt, n_paths, seed):
+    """The step count of dt on [t0, T], which dt must divide, and each
+    batch's columns and normals xi (nb, n_steps) from its Philox stream."""
     span = T - t0
     n_steps = int(round(span / dt))
     if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(1.0, span):
         raise ValueError(f"dt={dt} does not divide the horizon {span}")
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
+
+    def draw(start):
+        nb = min(_BATCH, n_paths - start)
+        rng = np.random.Generator(np.random.Philox(key=[seed, start]))
+        return slice(start, start + nb), rng.standard_normal((nb, n_steps))
+
+    return n_steps, map(draw, range(0, n_paths, _BATCH))
+
+
+def _advance(policy, gparams, t0, dt, xi, B, QV, control):
+    """The path loop: step k reads row k % len(B) of B and QV, writes row
+    (k+1) % len(B) of both and row k % len(control) of control.  Full
+    time-major arrays keep the path; two-row rings keep the last state."""
+    lo, hi = gparams.sigma_low_sq, gparams.sigma_high_sq
+    B[0] = QV[0] = 0.0
+    for k in range(xi.shape[1]):
+        i, j = k % len(B), (k + 1) % len(B)
+        state = B[i]
+        state.flags.writeable = False  # the policy reads, never writes
+        var = pde._as_field(policy.variance(t0 + k * dt, state), state.shape)
+        if np.any(var < lo - 1e-12) or np.any(var > hi + 1e-12):
+            raise ValueError("policy emitted an inadmissible variance")
+        vdt = var * dt
+        np.add(state, np.sqrt(vdt) * xi[:, k], out=B[j])
+        np.add(QV[i], vdt, out=QV[j])
+        control[k % len(control)] = var
+
+
+def simulate_paths(policy, gparams: GParams, t0, T, dt, n_paths, seed) -> PathEnsemble:
+    """Sample (B, QV) on [t0, T] under one volatility control.
+
+    dt must divide T - t0 within rounding; increments are Gaussian
+    conditional on the control, dB = sqrt(var*dt)*xi, dQV = var*dt.
+    """
+    n_steps, batches = _batches(t0, T, dt, n_paths, seed)
     # time-major storage; the ensemble holds transposed views
     B = np.empty((n_steps + 1, n_paths))
     QV = np.empty((n_steps + 1, n_paths))
     control = np.empty((n_steps, n_paths))
-    lo, hi = gparams.sigma_low_sq, gparams.sigma_high_sq
-    for start in range(0, n_paths, _BATCH):
-        nb = min(_BATCH, n_paths - start)
-        cols = slice(start, start + nb)
-        rng = np.random.Generator(np.random.Philox(key=[seed, start]))
-        xi = rng.standard_normal((nb, n_steps))
-        B[0, cols] = 0.0
-        QV[0, cols] = 0.0
-        for k in range(n_steps):
-            state = B[k, cols]
-            state.flags.writeable = False  # the policy reads, never writes
-            var = np.asarray(policy.variance(t0 + k * dt, state), dtype=float)
-            var = np.broadcast_to(var, state.shape)
-            if np.any(var < lo - 1e-12) or np.any(var > hi + 1e-12):
-                raise ValueError("policy emitted an inadmissible variance")
-            vdt = var * dt
-            np.add(state, np.sqrt(vdt) * xi[:, k], out=B[k + 1, cols])
-            np.add(QV[k, cols], vdt, out=QV[k + 1, cols])
-            control[k, cols] = var
+    for cols, xi in batches:
+        _advance(policy, gparams, t0, dt, xi, B[:, cols], QV[:, cols], control[:, cols])
     B = B.T  # one view, shared by B and X
     return PathEnsemble(
         n_paths, n_steps, float(dt), float(t0), int(seed),
         policy.describe() if hasattr(policy, "describe") else "custom",
         B, QV.T, control.T, B,
     )
+
+
+def terminal_states(policies, gparams: GParams, t0, T, dt, n_paths, seed) -> np.ndarray:
+    """B_T under each policy, shape (len(policies), n_paths): each batch's
+    noise is drawn once and every policy steps it on two-row rings.  Row i
+    is simulate_paths(policies[i], ...).X[:, -1], bit for bit."""
+    if not policies:
+        raise ValueError("need at least one policy")
+    n_steps, batches = _batches(t0, T, dt, n_paths, seed)
+    out = np.empty((len(policies), n_paths))
+    for cols, xi in batches:
+        for row, policy in zip(out, policies):
+            B, QV, control = (np.empty((m, xi.shape[0])) for m in (2, 2, 1))
+            _advance(policy, gparams, t0, dt, xi, B, QV, control)
+            row[cols] = B[n_steps % 2]
+    return out
 
 
 def euler_forward(coeffs: "pde.CoefficientSet", ensemble: PathEnsemble, x0):
@@ -182,26 +213,26 @@ class McEstimate:
     per_policy: tuple  # of (name, mean, se)
 
 
-def upper_expectation_mc(payoff: Expr, ensembles) -> McEstimate:
-    """Max over policies of the Monte-Carlo mean of payoff at the final
-    state X.  A lower bound on the worst-case expectation up to sampling
-    error."""
-    if not ensembles:
-        raise ValueError("need at least one ensemble")
+def estimate_terminal(payoff: Expr, named_terminals) -> McEstimate:
+    """Max over (name, terminal states) pairs of the Monte-Carlo mean of
+    payoff: a lower bound on the worst-case expectation up to sampling error."""
+    if not named_terminals:
+        raise ValueError("need at least one policy")
     if free_vars(payoff) - {"x"}:
         raise ValueError("payoff must be an expression in x only")
     rows = []
-    for ens in ensembles:
-        terminal = ens.X[:, -1]
-        vals = np.broadcast_to(
-            np.asarray(evaluate(payoff, {"x": terminal}), dtype=float),
-            terminal.shape,
-        )
+    for name, terminal in named_terminals:
+        vals = pde._as_field(evaluate(payoff, {"x": terminal}), terminal.shape)
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
-        rows.append((ens.policy_name, mean, se))
+        rows.append((name, mean, se))
     best = max(range(len(rows)), key=lambda i: rows[i][1])
     return McEstimate(rows[best][1], rows[best][2], tuple(rows))
+
+
+def upper_expectation_mc(payoff: Expr, ensembles) -> McEstimate:
+    """estimate_terminal at the final state X of each ensemble."""
+    return estimate_terminal(payoff, [(e.policy_name, e.X[:, -1]) for e in ensembles])
 
 
 def heat_solution(payoff: Expr, gparams: GParams, T, x_min=-8.0, x_max=8.0, nx=1601):

@@ -254,18 +254,19 @@ def test_07_monte_carlo_consistency():
     sol = pde.solve(prob, grid)
     pde_val = pde.eval_u(sol, 0.0, 0.0)
     payoff = parse("x*x")
+    names = ["low", "high", "feedback"]
     policies = [
-        ("low", gsim.ConstantPolicy(GP.sigma_low_sq, GP)),
-        ("high", gsim.ConstantPolicy(GP.sigma_high_sq, GP)),
-        ("feedback", gsim.FeedbackPolicy(sol, prob)),
+        gsim.ConstantPolicy(GP.sigma_low_sq, GP),
+        gsim.ConstantPolicy(GP.sigma_high_sq, GP),
+        gsim.FeedbackPolicy(sol, prob),
     ]
+    terminals = gsim.terminal_states(policies, GP, 0.0, 1.0, 1e-3, 100_000, 2024)
+    est = gsim.estimate_terminal(payoff, list(zip(names, terminals)))
     ok = True
-    for name, pol in policies:
-        ens = gsim.simulate_paths(pol, GP, 0.0, 1.0, 1e-3, 100_000, 2024)
-        est = gsim.upper_expectation_mc(payoff, [ens])
-        ok = ok and est.value <= pde_val + 3.0 * est.se + 5e-3
+    for name, mean, se in est.per_policy:
+        ok = ok and mean <= pde_val + 3.0 * se + 5e-3
         if name == "feedback":
-            ok = ok and abs(est.value - pde_val) <= 3.0 * est.se + 1e-2
+            ok = ok and abs(mean - pde_val) <= 3.0 * se + 1e-2
     _report(7, "Monte Carlo consistency with the solve", ok)
 
 

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from gbsdelab import gsim
 from gbsdelab.cli import ConfigError, RunConfig, load_config, main
 from gbsdelab.expr import evaluate
 
@@ -199,6 +200,36 @@ class TestExperiments:
         # worst case of E[(B_T)^2] over the interval is sigma_high_sq * T
         assert s["pde_value"] == pytest.approx(1.0, abs=0.05)
         assert {p["policy"] for p in s["policies"]} == {"low", "high"}
+
+    def test_upper_expectation_matches_per_policy_ensembles(self, tmp_path):
+        # the estimates from shared-noise terminal states equal, bit for bit,
+        # one simulate_paths ensemble per policy read by upper_expectation_mc
+        raw = base_config()
+        raw["mc"]["policies"] = ["low", "high", "feedback"]
+        path = write_config(tmp_path, raw)
+        out = str(tmp_path / "out")
+        assert main(["run", path, "upper-expectation", "--out", out]) == 0
+        s = read_summary(out)
+        cfg = load_config(path)
+        payoff = cfg.problem.coeffs.Phi
+        ctx = gsim.heat_solution(payoff, cfg.gparams, cfg.problem.T,
+                                 cfg.x_min, cfg.x_max, cfg.nx)
+        gp = cfg.gparams
+        policies = [gsim.ConstantPolicy(gp.sigma_low_sq, gp),
+                    gsim.ConstantPolicy(gp.sigma_high_sq, gp), gsim.FeedbackPolicy(*ctx)]
+        assert [p["policy"] for p in s["policies"]] == raw["mc"]["policies"]
+        for got, policy in zip(s["policies"], policies):
+            ens = gsim.simulate_paths(policy, gp, 0.0, cfg.problem.T, cfg.mc_dt,
+                                      cfg.n_paths, cfg.seed)
+            est = gsim.upper_expectation_mc(payoff, [ens])
+            assert (got["mc"], got["se"]) == (est.value, est.se)
+
+    def test_upper_expectation_needs_a_policy(self, tmp_path, capsys):
+        raw = base_config()
+        raw["mc"]["policies"] = []
+        path = write_config(tmp_path, raw)
+        assert main(["run", path, "upper-expectation", "--out", str(tmp_path / "out")]) == 2
+        assert "at least one policy" in capsys.readouterr().err
 
     def test_compare(self, tmp_path):
         raw = base_config()

@@ -10,6 +10,7 @@ from gbsdelab.gsim import (
     FeedbackPolicy,
     euler_forward,
     simulate_paths,
+    terminal_states,
     upper_expectation_mc,
     upper_expectation_pde,
 )
@@ -287,3 +288,44 @@ class TestPathLoopOracle:
 
         with pytest.raises(ValueError, match="read-only"):
             simulate_paths(Writer(), GP, 0.0, 0.02, 0.01, 3, 1)
+
+
+class TestTerminalStates:
+    """One noise draw per batch, shared by every policy on two-row rings,
+    gives each policy's terminal state of simulate_paths bit for bit."""
+
+    def _check(self, n_steps, n_paths, dt=0.01, seed=21):
+        sol, prob = heat_solution("x*x*x")
+        policies = [ConstantPolicy(GP.sigma_low_sq, GP), ConstantPolicy(GP.sigma_high_sq, GP),
+                    FeedbackPolicy(sol, prob)]
+        T = dt * n_steps
+        got = terminal_states(policies, GP, 0.0, T, dt, n_paths, seed)
+        assert got.shape == (3, n_paths)
+        for row, policy in zip(got, policies):
+            want = simulate_paths(policy, GP, 0.0, T, dt, n_paths, seed).X[:, -1]
+            assert _same_bits(row, np.ascontiguousarray(want))
+        return got
+
+    @pytest.mark.parametrize("n_steps", [4, 7])
+    def test_rows_equal_simulate_paths(self, n_steps):
+        got = self._check(n_steps, 257)
+        # the feedback law is not a constant: its row differs from both
+        assert not np.array_equal(got[2], got[0]) and not np.array_equal(got[2], got[1])
+
+    def test_two_batches(self):
+        self._check(3, gsim._BATCH + 3)
+
+    def test_inadmissible_policy_raises(self):
+        class Bad:
+            def variance(self, t, state):
+                return np.full_like(state, 2.0)
+
+        bad = Bad()
+        with pytest.raises(ValueError, match="inadmissible"):
+            simulate_paths(bad, GP, 0.0, 0.05, 0.01, 4, 1)
+        with pytest.raises(ValueError, match="inadmissible"):
+            terminal_states([ConstantPolicy(1.0, GP), bad], GP, 0.0, 0.05, 0.01, 4, 1)
+
+    def test_empty_policy_list_raises(self):
+        with pytest.raises(ValueError, match="at least one policy"):
+            terminal_states([], GP, 0.0, 0.05, 0.01, 4, 1)
