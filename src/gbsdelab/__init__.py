@@ -39,7 +39,6 @@ from .pde import (
     SpaceTimeGrid,
     build_grid,
     eval_u,
-    grad_x,
     solve,
     step_backward,
 )

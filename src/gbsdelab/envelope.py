@@ -148,6 +148,8 @@ def _grid_search(gen: ScalarGenerator, n, t, x, y, z, step, sign):
     """sign * grid minimum of q -> sign*f(t,x,y,q) + n|z-q| over the
     certified interval; sign -1 gives the upper envelope exactly, since
     negation is exact."""
+    _check_finite(y, "y")
+    _check_finite(z, "z")
     radius = search_radius(gen.growth_L, n, y, z)
     if step is None:
         step = min(1e-3, radius / 1000.0)
@@ -156,13 +158,29 @@ def _grid_search(gen: ScalarGenerator, n, t, x, y, z, step, sign):
     npts = int(np.ceil(2.0 * radius / step)) + 1
     if npts % 2 == 0:
         npts += 1
-    qs = np.linspace(z - radius, z + radius, npts)
-    # cheap extra candidates: z is the grid midpoint already; 0 often hosts
-    # the kink of |z|-type generators, add it when in range
-    if abs(z) <= radius:
-        qs = np.append(qs, 0.0)
-    vals = sign * gen.eval_grid(t, x, y, qs) + n * np.abs(z - qs)
-    return sign * float(np.min(vals))
+    # np.linspace(z - radius, z + radius, npts) built in place, bit for bit;
+    # z is the grid midpoint already, and 0 often hosts the kink of |z|-type
+    # generators, so it takes a trailing slot when in range
+    start, stop = z - radius, z + radius
+    qs = np.arange(npts + (abs(z) <= radius), dtype=float)
+    grid = qs[:npts]
+    spacing = (stop - start) / (npts - 1)
+    if spacing == 0:  # a denormal radius: np.linspace divides first
+        grid /= npts - 1
+        grid *= stop - start
+    else:
+        grid *= spacing
+    grid += start
+    grid[-1] = stop
+    if qs.size > npts:
+        qs[-1] = 0.0
+    vals = sign * gen.eval_grid(t, x, y, qs)
+    # vals is a fresh array, so n|z - q| can take over the q buffer
+    np.subtract(z, qs, out=qs)
+    np.abs(qs, out=qs)
+    qs *= n
+    vals += qs
+    return sign * float(vals.min())
 
 
 def lower_envelope(gen: ScalarGenerator, n, t, x, y, z, step=None):
@@ -190,13 +208,17 @@ def envelope_gap_bound(m: Modulus, L: float, n: float) -> float:
     return float(modulus_eval(m, 2.0 * L / (n - L)))
 
 
-def _finite_abs_max(z) -> float:
-    """max |z| over the points (0 for none); raises ValueError when a z is
-    not finite, before any lattice or search is built from it."""
-    zabs = float(np.max(np.abs(z))) if np.size(z) else 0.0
-    if not math.isfinite(zabs):
-        raise ValueError(f"envelope evaluated at non-finite z ({zabs})")
-    return zabs
+def _check_finite(v, name):
+    if not math.isfinite(v):
+        raise ValueError(f"envelope evaluated at non-finite {name} ({v})")
+
+
+def _finite_abs_max(v, name="z") -> float:
+    """max |v| over the points (0 for none); raises ValueError when a value
+    is not finite, before any lattice or search is built from it."""
+    vabs = float(np.max(np.abs(v))) if np.size(v) else 0.0
+    _check_finite(vabs, name)
+    return vabs
 
 
 class EnvelopeGenerator:
@@ -294,15 +316,15 @@ class EnvelopeGenerator:
             np.asarray(y, dtype=float),
             np.asarray(z, dtype=float),
         )
+        _finite_abs_max(y_b, "y")
         _finite_abs_max(z_b)
-        out = np.empty(t_b.shape)
-        it = np.nditer(z_b, flags=["multi_index"])
+        # the search goes through the module names, so wrappers see each point
         env = lower_envelope if self.side == "lower" else upper_envelope
-        for _ in it:
-            idx = it.multi_index
-            out[idx] = env(
-                self.gen, self.n, t_b[idx], x_b[idx], y_b[idx], z_b[idx]
-            )
+        out = np.fromiter(
+            (env(self.gen, self.n, *p) for p in zip(t_b.flat, x_b.flat, y_b.flat, z_b.flat)),
+            dtype=float,
+            count=z_b.size,
+        ).reshape(z_b.shape)
         return float(out[()]) if out.ndim == 0 else out
 
     def interp_error_bound(self, z) -> float:

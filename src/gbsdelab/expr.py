@@ -250,9 +250,14 @@ def substitute(e: Expr, mapping: dict) -> Expr:
     return Call(e.name, tuple(substitute(a, mapping) for a in e.args))
 
 
+def _any(v) -> bool:
+    """Truth of any element: v.any() for an array, bool(v) for a scalar, so a
+    scalar check costs no array round trip."""
+    return bool(v.any()) if isinstance(v, np.ndarray) else bool(v)
+
+
 def _is_integral(v) -> bool:
-    v = np.asarray(v)
-    return bool(np.all(v == np.floor(v)))
+    return not _any(v != np.floor(v))
 
 
 def evaluate(e: Expr, env: dict):
@@ -275,7 +280,7 @@ def evaluate(e: Expr, env: dict):
             return a - b
         if e.op == "*":
             return a * b
-        if np.any(np.asarray(b) == 0):
+        if _any(b == 0):
             raise EvalError("division by zero", e)
         return a / b
     a = [evaluate(arg, env) for arg in e.args]
@@ -288,12 +293,12 @@ def evaluate(e: Expr, env: dict):
     if e.name == "exp":
         return np.exp(a[0])
     if e.name == "sqrt":
-        if np.any(np.asarray(a[0]) < 0):
+        if _any(a[0] < 0):
             raise EvalError("sqrt of negative value", e)
         return np.sqrt(a[0])
     # pow: negative base with non-integral exponent is a domain error
     base, expo = a
-    if not _is_integral(expo) and np.any(np.asarray(base) < 0):
+    if not _is_integral(expo) and _any(base < 0):
         raise EvalError("pow of negative base with fractional exponent", e)
     with np.errstate(divide="raise", invalid="raise"):
         try:

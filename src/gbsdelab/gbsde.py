@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pde
-from .envelope import EnvelopeGenerator, Modulus, ScalarGenerator, envelope_gap_bound
-from .expr import Bin, Num, free_vars, parse, substitute, to_str
+from .envelope import EnvelopeGenerator, envelope_gap_bound
+from .expr import free_vars, to_str
 from .gfunction import GParams
 from .gsim import PathEnsemble
 
@@ -213,33 +213,6 @@ def extract_triple(
         gk = np.asarray(problem.g.eval_grid(t, xk, Y[k], Z[k]), dtype=float)
         acc = acc + fk * dt + gk * (QV[k + 1] - QV[k]) - Z[k] * (B[k + 1] - B[k])
     return SolutionTriple(Y.T, Z.T, K.T, times)
-
-
-def barrier_problems(problem: "pde.PdeProblem"):
-    """Lipschitz barrier problems squeezing every ladder solution.
-
-    The generators are replaced by -L(1+|y|+|z|) + f(t,x,0,0) (lower) and
-    +L(1+|y|+|z|) + f(t,x,0,0) (upper), same for g; these dominate /
-    minorize every envelope level, so their solutions bracket the ladder.
-    """
-    L = problem_growth_L(problem)
-    zero = {"y": Num(0.0), "z": Num(0.0)}
-    mod = Modulus("linear", c=max(L, 1.0), growth_L=max(L, 1.0))
-
-    def barrier(gen, sign):
-        body = substitute(gen.body, zero)
-        if L > 0.0:
-            w = parse(f"{sign * L!r}*(1+abs(y)+abs(z))")
-            body = Bin("+", w, body)
-        return ScalarGenerator(body, lip_y=L, modulus_z=mod, growth_L=max(L, 1.0))
-
-    f, g = _inner(problem.f), _inner(problem.g)
-    lo, hi = (
-        pde.PdeProblem(problem.coeffs, barrier(f, sign), barrier(g, sign),
-                       problem.gparams, problem.T, L)
-        for sign in (-1, +1)
-    )
-    return lo, hi
 
 
 @dataclass(frozen=True)

@@ -551,11 +551,6 @@ def eval_u(sol: PdeSolution, t, x) -> float:
     return float(eval_u_batch(sol, t, x))
 
 
-def grad_x(sol: PdeSolution, t, x) -> float:
-    """Central difference of eval_u with stencil dx; needs one-cell margin."""
-    return float(grad_x_batch(sol, t, x))
-
-
 def solution_to_csv(sol: PdeSolution, path) -> None:
     """CSV export: schema comment, x-node header, one row per stored layer.
     Each line is one % of a %.17g row template; rows become Python floats one

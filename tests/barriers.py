@@ -1,0 +1,34 @@
+"""Lipschitz barrier problems that bracket every ladder level, for the
+tests that check the bracket."""
+
+from gbsdelab import pde
+from gbsdelab.envelope import Modulus, ScalarGenerator
+from gbsdelab.expr import Bin, Num, parse, substitute
+from gbsdelab.gbsde import _inner, problem_growth_L
+
+
+def barrier_problems(problem: pde.PdeProblem):
+    """Lipschitz barrier problems squeezing every ladder solution.
+
+    The generators are replaced by -L(1+|y|+|z|) + f(t,x,0,0) (lower) and
+    +L(1+|y|+|z|) + f(t,x,0,0) (upper), same for g; these dominate /
+    minorize every envelope level, so their solutions bracket the ladder.
+    """
+    L = problem_growth_L(problem)
+    zero = {"y": Num(0.0), "z": Num(0.0)}
+    mod = Modulus("linear", c=max(L, 1.0), growth_L=max(L, 1.0))
+
+    def barrier(gen, sign):
+        body = substitute(gen.body, zero)
+        if L > 0.0:
+            w = parse(f"{sign * L!r}*(1+abs(y)+abs(z))")
+            body = Bin("+", w, body)
+        return ScalarGenerator(body, lip_y=L, modulus_z=mod, growth_L=max(L, 1.0))
+
+    f, g = _inner(problem.f), _inner(problem.g)
+    lo, hi = (
+        pde.PdeProblem(problem.coeffs, barrier(f, sign), barrier(g, sign),
+                       problem.gparams, problem.T, L)
+        for sign in (-1, +1)
+    )
+    return lo, hi

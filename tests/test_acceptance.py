@@ -11,6 +11,7 @@ import os
 import numpy as np
 import pytest
 
+from barriers import barrier_problems
 from gbsdelab import gbsde, gsim, pde
 from gbsdelab.cli import main as cli_main
 from gbsdelab.envelope import (
@@ -308,7 +309,7 @@ def test_09_moment_growth_and_barriers(
         fitted.append(val / (1.0 + x0**2))
     ratio = max(fitted) / min(fitted)
 
-    lo_prob, hi_prob = gbsde.barrier_problems(golden_problem)
+    lo_prob, hi_prob = barrier_problems(golden_problem)
     g = golden_grid
     u_lo = pde.solve(lo_prob, pde.build_grid(lo_prob, g.x_min, g.x_max, g.nx, 0.25))
     u_hi = pde.solve(hi_prob, pde.build_grid(hi_prob, g.x_min, g.x_max, g.nx, 0.25))

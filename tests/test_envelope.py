@@ -24,6 +24,10 @@ ABS = ScalarGenerator.from_text(
 POWER = ScalarGenerator.from_text(
     "-2.5*pow(abs(z),0.8)", 0.0, Modulus("power", c=2.5, alpha=0.8, growth_L=2.5)
 )
+XYZ = ScalarGenerator.from_text(
+    "-0.5*y-(1+0.5*abs(x)/(1+abs(x)))*pow(abs(z),0.5)", 0.5,
+    Modulus("power", c=1.5, alpha=0.5, growth_L=1.5),
+)
 
 
 class TestModulus:
@@ -302,6 +306,90 @@ class TestEnvelopeGenerator:
     def test_bad_side(self):
         with pytest.raises(ValueError):
             EnvelopeGenerator(POWER, 8.0, "middle")
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
+    def test_direct_empty_input(self, shape):
+        eg = EnvelopeGenerator(XYZ, 4.0, "lower")
+        assert eg.mode == "direct"
+        out = eg.eval_grid(0.0, 1.5, np.zeros(shape), np.zeros(shape))
+        assert isinstance(out, np.ndarray) and out.shape == shape
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, np.array([0.5, np.inf])],
+                             ids=["inf", "-inf", "nan", "array"])
+    def test_direct_names_non_finite_y(self, bad):
+        for side in ("lower", "upper"):
+            eg = EnvelopeGenerator(XYZ, 4.0, side)
+            with pytest.raises(ValueError, match="non-finite y"):
+                eg.eval_grid(0.0, 1.5, bad, 0.01)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_search_names_non_finite_y(self, bad):
+        for env in (lower_envelope, upper_envelope):
+            with pytest.raises(ValueError, match="non-finite y"):
+                env(XYZ, 4.0, 0.0, 1.5, bad, 0.01)
+
+
+def _linspace_search(gen, n, t, x, y, z, step, sign):
+    """The direct search on np.linspace with q = 0 appended, as an oracle
+    for the q-grid built in place."""
+    radius = search_radius(gen.growth_L, n, y, z)
+    if step is None:
+        step = min(1e-3, radius / 1000.0)
+    npts = int(np.ceil(2.0 * radius / step)) + 1
+    if npts % 2 == 0:
+        npts += 1
+    qs = np.linspace(z - radius, z + radius, npts)
+    if abs(z) <= radius:
+        qs = np.append(qs, 0.0)
+    vals = sign * gen.eval_grid(t, x, y, qs) + n * np.abs(z - qs)
+    return sign * float(np.min(vals))
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).view(np.int64)
+
+
+class TestGridSearchBits:
+    """The in-place q-grid gives the linspace search's bits."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(gen=st.sampled_from([XYZ, SQRT, POWER]), n=st.floats(4.0, 64.0),
+           t=st.floats(0.0, 1.0), x=st.floats(-3.0, 3.0), y=st.floats(-2.0, 2.0),
+           z=st.one_of(st.floats(-0.2, 0.2), st.floats(-40.0, 40.0)),
+           cells=st.one_of(st.none(), st.floats(2.0, 3000.0)))
+    def test_matches_linspace_search(self, gen, n, t, x, y, z, cells):
+        # cells sets an explicit step 2r/cells; its ceiling is odd about
+        # half the time, which bumps an even point count to odd
+        radius = search_radius(gen.growth_L, n, y, z)
+        step = None if cells is None else 2.0 * radius / cells
+        for env, sign in ((lower_envelope, 1.0), (upper_envelope, -1.0)):
+            got = env(gen, n, t, x, y, z, step=step)
+            want = _linspace_search(gen, n, t, x, y, z, step, sign)
+            assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("n, z, cells", [
+        (4.0, 0.01, None),   # |z| <= r: q = 0 joins the grid
+        (64.0, 30.0, None),  # |z| > r: no q = 0
+        (8.0, 0.3, 2.5),     # ceil(2.5) + 1 = 4 points, bumped to 5
+        (8.0, 0.3, 3.5),     # ceil(3.5) + 1 = 5 points, odd already
+    ])
+    def test_branches(self, n, z, cells):
+        radius = search_radius(XYZ.growth_L, n, 0.7, z)
+        step = None if cells is None else 2.0 * radius / cells
+        for env, sign in ((lower_envelope, 1.0), (upper_envelope, -1.0)):
+            got = env(XYZ, n, 0.4, -1.2, 0.7, z, step=step)
+            want = _linspace_search(XYZ, n, 0.4, -1.2, 0.7, z, step, sign)
+            assert _bits(got) == _bits(want)
+
+    def test_eval_grid_2d(self):
+        rng = np.random.default_rng(21)
+        t, x, y, z = (a.reshape(3, 4) for a in _panel(rng, 12))
+        for side, sign in (("lower", 1.0), ("upper", -1.0)):
+            got = EnvelopeGenerator(XYZ, 8.0, side).eval_grid(t[0, 0], x, y, z)
+            want = [_linspace_search(XYZ, 8.0, t[0, 0], *p, None, sign)
+                    for p in zip(x.flat, y.flat, z.flat)]
+            assert got.shape == (3, 4)
+            assert np.array_equal(_bits(got).ravel(), _bits(want))
 
 
 def _brute_lattice(eg):

@@ -12,6 +12,7 @@ from gbsdelab.expr import (
     Num,
     ParseError,
     Var,
+    _is_integral,
     evaluate,
     free_vars,
     parse,
@@ -144,6 +145,64 @@ class TestEvaluate:
     def test_exp(self):
         assert ev("exp(x)", x=0) == 1.0
 
+
+
+def _old_is_integral(v):
+    """The integrality rule as first written, through np.asarray/np.all."""
+    v = np.asarray(v)
+    return bool(np.all(v == np.floor(v)))
+
+
+class TestDomainChecks:
+    """Each domain check raises the same EvalError for scalar and array input."""
+
+    CASES = [
+        ("1/x", 0.0, "division by zero in '1.0/x'"),
+        ("sqrt(x)", -1.0, "sqrt of negative value in 'sqrt(x)'"),
+        ("pow(x,0.5)", -4.0, "pow of negative base with fractional exponent in 'pow(x, 0.5)'"),
+        ("pow(x,-1)", 0.0, "pow domain error in 'pow(x, -1.0)'"),
+    ]
+
+    @pytest.mark.parametrize("text, bad, message", CASES)
+    def test_same_error_scalar_and_array(self, text, bad, message):
+        for x in (bad, np.float64(bad), np.array(bad), np.array([2.0, bad]),
+                  np.array([[bad], [3.0]])):
+            with pytest.raises(EvalError) as exc:
+                ev(text, x=x)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("text, bad, message", CASES)
+    def test_good_values_pass(self, text, bad, message):
+        xs = np.array([0.5, 2.0, 4.0])
+        out = ev(text, x=xs)
+        assert np.array_equal(out, [ev(text, x=float(v)) for v in xs])
+
+    @pytest.mark.parametrize("expo", [np.inf, -np.inf, np.nan, -0.0, 0.0, 2.0, 0.5])
+    def test_pow_exponent_rule(self, expo):
+        # a negative base is an error exactly when the old rule calls the
+        # exponent fractional: inf counts as integral, NaN does not
+        for y in (expo, np.array([expo, expo])):
+            if _old_is_integral(y):
+                with np.errstate(all="ignore"):
+                    want = np.power(-4.0, y)
+                assert np.array_equal(ev("pow(x,y)", x=-4.0, y=y), want, equal_nan=True)
+            else:
+                with pytest.raises(EvalError, match="fractional exponent"):
+                    ev("pow(x,y)", x=-4.0, y=y)
+
+    @pytest.mark.parametrize("v", [
+        0.5, 2.0, -0.0, 0.0, np.inf, -np.inf, np.nan, 7, np.float64(3.0),
+        np.float64(-2.5), np.array(3.0), np.array([]), np.array([1.0, 2.0]),
+        np.array([1.0, 2.5]), np.array([np.inf, -0.0]), np.array([np.nan, 1.0]),
+    ])
+    def test_is_integral_matches_old_rule(self, v):
+        assert _is_integral(v) is _old_is_integral(v)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    def test_is_integral_matches_old_rule_on_floats(self, v):
+        assert _is_integral(v) is _old_is_integral(v)
+        assert _is_integral(np.array([v, 1.0])) is _old_is_integral(np.array([v, 1.0]))
 
 class TestSubstitute:
     def test_zero_out_y_z(self):

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from barriers import barrier_problems
 from gbsdelab import gbsde, gsim, pde
 from gbsdelab.envelope import Modulus, ScalarGenerator
 from gbsdelab.expr import evaluate
 from gbsdelab.gfunction import GParams
 from gbsdelab.gbsde import (
     approximation_ladder,
-    barrier_problems,
     compare,
     extract_triple,
     gap_constant,

@@ -12,7 +12,6 @@ from gbsdelab.pde import (
     build_grid,
     eval_u,
     eval_u_batch,
-    grad_x,
     grad_x_batch,
     max_stable_dt,
     refine_grid,
@@ -372,17 +371,18 @@ class TestEvalAndGrad:
             eval_u(self.sol, 2.0, 0.0)
 
     def test_grad_quadratic(self):
-        assert grad_x(self.sol, self.prob.T, 1.0) == pytest.approx(2.0, abs=1e-9)
+        grad = float(pde_module.stencil_batch(self.sol, self.prob.T, 1.0)[1])
+        assert grad == pytest.approx(2.0, abs=1e-9)
 
     def test_grad_linear_exact(self):
         prob = heat_problem(phi="3*x")
         grid = build_grid(prob, -2.0, 2.0, 51)
         sol = solve(prob, grid)
-        assert grad_x(sol, 0.0, 0.3) == pytest.approx(3.0, abs=1e-12)
+        assert float(pde_module.stencil_batch(sol, 0.0, 0.3)[1]) == pytest.approx(3.0, abs=1e-12)
 
     def test_grad_near_boundary_rejected(self):
         with pytest.raises(ValueError):
-            grad_x(self.sol, 0.0, 6.0)
+            float(pde_module.stencil_batch(self.sol, 0.0, 6.0)[1])
 
     def test_stencil_needs_one_cell_margin(self):
         dx = self.grid.dx
@@ -415,7 +415,8 @@ class TestEvalAndGrad:
         assert np.allclose(eval_u_batch(sol, t, xs), want, rtol=0, atol=1e-12)
         assert np.allclose([eval_u(sol, t, x) for x in xs], want, rtol=0, atol=1e-12)
         assert np.allclose(grad_x_batch(sol, t, xs), want_g, rtol=0, atol=1e-10)
-        assert np.allclose([grad_x(sol, t, x) for x in xs], want_g, rtol=0, atol=1e-10)
+        grads = [float(pde_module.stencil_batch(sol, t, x)[1]) for x in xs]
+        assert np.allclose(grads, want_g, rtol=0, atol=1e-10)
 
 
 def _bits(a):
