@@ -92,8 +92,7 @@ def _generator(d, pointer):
         raise ConfigError(pointer, str(e)) from None
 
 
-def _problem(raw, gparams, pointer="/problem"):
-    d = raw
+def _problem(d, gparams, pointer="/problem"):
     if not isinstance(d, dict):
         raise ConfigError(pointer, "problem must be an object")
     coeffs_kwargs = {}
@@ -120,8 +119,16 @@ def _problem(raw, gparams, pointer="/problem"):
         raise ConfigError(pointer, str(e)) from None
 
 
+def _levels(values, pointer):
+    """Ladder levels as floats; an empty list would certify nothing."""
+    levels = [float(v) for v in values]
+    if not levels:
+        raise ConfigError(pointer, "need at least one level")
+    return levels
+
+
 class RunConfig:
-    """Validated config: constructed problem objects plus raw knobs."""
+    """Validated config: constructed problem objects plus the run's knobs."""
 
     def __init__(self, raw):
         if not isinstance(raw, dict):
@@ -149,15 +156,21 @@ class RunConfig:
             raise ConfigError("/grid/nx", "nx must be at least 3")
         if not (self.x_min < self.x_max):
             raise ConfigError("/grid/x_min", "x_min must be below x_max")
+        if not (0.0 < self.core_fraction <= 1.0):
+            raise ConfigError("/grid/core_fraction", "core_fraction must lie in (0, 1]")
         ladder = _get(raw, "ladder", "", {})
         L = gbsde.problem_growth_L(self.problem)
-        self.levels = [float(v) for v in _get(
+        self.levels = _levels(_get(
             ladder, "levels", "/ladder", [2 * L, 4 * L, 8 * L, 16 * L, 32 * L]
-        )]
+        ), "/ladder/levels")
         self.target_gap = float(_get(ladder, "target_gap", "/ladder", 0.05))
         mc = _get(raw, "mc", "", {})
         self.n_paths = int(_get(mc, "n_paths", "/mc", 10000))
         self.mc_dt = float(_get(mc, "dt", "/mc", 1e-3))
+        if self.n_paths < 1:
+            raise ConfigError("/mc/n_paths", "n_paths must be at least 1")
+        if not (0.0 < self.mc_dt < np.inf):
+            raise ConfigError("/mc/dt", "dt must be finite and positive")
         self.seed = int(_get(mc, "seed", "/mc", 1234))
         self.policies = list(_get(mc, "policies", "/mc", ["low", "high"]))
         self.x0 = float(_get(mc, "x0", "/mc", 0.0))
@@ -167,7 +180,6 @@ class RunConfig:
             if free_vars(ref) - {"t", "x"}:
                 raise ConfigError("/reference", "reference may use t and x only")
             self.reference = ref
-        self.raw = raw
 
     def build_grid(self):
         return pde.build_grid(
@@ -428,7 +440,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         if args.levels is not None:
-            cfg.levels = [float(v) for v in args.levels.split(",")]
+            cfg.levels = _levels(args.levels.split(",") if args.levels else [], "--levels")
         return run(cfg, args.experiment, args.out)
     except (ConfigError, ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -52,9 +52,6 @@ class Modulus:
         if self.growth_L <= 0:
             raise ValueError("growth_L must be positive")
 
-    def __call__(self, r):
-        return modulus_eval(self, r)
-
 
 def modulus_eval(m: Modulus, r):
     """phi(r); rejects negative r."""
@@ -99,9 +96,6 @@ class ScalarGenerator:
     @staticmethod
     def from_text(body, lip_y, modulus_z, growth_L=0.0):
         return ScalarGenerator(parse(body), lip_y, modulus_z, growth_L)
-
-    def __call__(self, t, x, y, z):
-        return self.eval_grid(t, x, y, z)
 
     def eval_grid(self, t, x, y, z):
         return evaluate(self.body, {"t": t, "x": x, "y": y, "z": z})

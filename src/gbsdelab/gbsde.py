@@ -92,17 +92,12 @@ def _level_bound(problem: "pde.PdeProblem", L: float, n: float) -> float:
     return gap_constant(L, problem.gparams, problem.T) * bound
 
 
-def _level_grid(problem, n: float, grid: "pde.SpaceTimeGrid") -> "pde.SpaceTimeGrid":
-    """grid with dt refined for both level-n envelope problems."""
-    sides = (envelope_problem(problem, n, side) for side in ("lower", "upper"))
-    return pde.refine_grid(grid, *sides)
-
-
 def _solve_level(problem, L: float, n: float, grid: "pde.SpaceTimeGrid"):
-    """Lower and upper level-n solutions on grid, their core gap and the
-    modulus bound on it."""
-    lo = pde.solve(envelope_problem(problem, n, "lower"), grid)
-    up = pde.solve(envelope_problem(problem, n, "upper"), grid)
+    """Lower and upper level-n solutions on grid with dt refined for both,
+    their core gap and the modulus bound on it."""
+    lower, upper = (envelope_problem(problem, n, side) for side in ("lower", "upper"))
+    grid = pde.refine_grid(grid, lower, upper)
+    lo, up = pde.solve(lower, grid), pde.solve(upper, grid)
     return lo, up, _core_gap(lo, up), _level_bound(problem, L, n)
 
 
@@ -158,9 +153,8 @@ def solve_exact(problem, grid, target_gap, max_doublings: int = 8) -> ExactSolve
     last_gap = None
     for k in range(max_doublings + 1):
         n = base * 2.0**k
-        grid_n = _level_grid(problem, n, grid)
-        lo, up, gap, bound = _solve_level(problem, L, n, grid_n)
-        tol = solver_tolerance(grid_n, lo)
+        lo, up, gap, bound = _solve_level(problem, L, n, grid)
+        tol = solver_tolerance(lo.grid, lo)
         if gap > bound + 2.0 * tol:
             raise RuntimeError(
                 f"certification failed at level n={n}: measured gap {gap:g} "

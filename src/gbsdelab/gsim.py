@@ -37,7 +37,6 @@ class ConstantPolicy:
                 f"[{gparams.sigma_low_sq}, {gparams.sigma_high_sq}]"
             )
         self.var = float(variance)
-        self.gparams = gparams
 
     def variance(self, t, state):
         return np.full_like(np.asarray(state, dtype=float), self.var)
@@ -61,7 +60,6 @@ class FeedbackPolicy:
     def __init__(self, sol: "pde.PdeSolution", problem: "pde.PdeProblem"):
         self.sol = sol
         self.problem = problem
-        self.gparams = problem.gparams
 
     def variance(self, t, state):
         sol, problem = self.sol, self.problem
@@ -75,7 +73,7 @@ class FeedbackPolicy:
         ham = pde._hamiltonian(sigma**2, 2.0 * h, p, d2, gval)
         # sub-rounding curvature is a tie, resolved like the exact tie at 0
         ham = np.where(np.abs(ham) < 1e-9, 0.0, ham)
-        return worst_case_q(self.gparams, ham)
+        return worst_case_q(problem.gparams, ham)
 
     def describe(self) -> str:
         return "feedback"
@@ -85,11 +83,10 @@ class FeedbackPolicy:
 class PathEnsemble:
     """Simulated driving paths and the forward state.
 
-    B and QV have shape (n_paths, n_steps+1) with B[:,0]=0, QV[:,0]=0;
-    control has shape (n_paths, n_steps) and records the variance used on
-    each step.  X, of B's shape, is the forward state: simulate_paths sets
-    it to B itself (dX = dB from 0, the state the policy read), and
-    euler_forward replaces it with the Euler state of given coefficients.
+    B and QV have shape (n_paths, n_steps+1) with B[:,0]=0, QV[:,0]=0.
+    X, of B's shape, is the forward state: simulate_paths sets it to B
+    itself (dX = dB from 0, the state the policy read), and euler_forward
+    replaces it with the Euler state of given coefficients.
     simulate_paths and euler_forward store time-major, (n_steps+1,
     n_paths), so that each step writes one contiguous row; the arrays here
     are transposed views of that storage, and B.T gives it back without a
@@ -100,11 +97,9 @@ class PathEnsemble:
     n_steps: int
     dt: float
     t0: float
-    seed: int
     policy_name: str
     B: np.ndarray
     QV: np.ndarray
-    control: np.ndarray
     X: np.ndarray
 
     @property
@@ -130,10 +125,10 @@ def _batches(t0, T, dt, n_paths, seed):
     return n_steps, map(draw, range(0, n_paths, _BATCH))
 
 
-def _advance(policy, gparams, t0, dt, xi, B, QV, control):
-    """The path loop: step k reads row k % len(B) of B and QV, writes row
-    (k+1) % len(B) of both and row k % len(control) of control.  Full
-    time-major arrays keep the path; two-row rings keep the last state."""
+def _advance(policy, gparams, t0, dt, xi, B, QV):
+    """The path loop: step k reads row k % len(B) of B and QV and writes
+    row (k+1) % len(B) of both.  Full time-major arrays keep the path;
+    two-row rings keep the last state."""
     lo, hi = gparams.sigma_low_sq, gparams.sigma_high_sq
     B[0] = QV[0] = 0.0
     for k in range(xi.shape[1]):
@@ -146,7 +141,6 @@ def _advance(policy, gparams, t0, dt, xi, B, QV, control):
         vdt = var * dt
         np.add(state, np.sqrt(vdt) * xi[:, k], out=B[j])
         np.add(QV[i], vdt, out=QV[j])
-        control[k % len(control)] = var
 
 
 def simulate_paths(policy, gparams: GParams, t0, T, dt, n_paths, seed) -> PathEnsemble:
@@ -159,14 +153,13 @@ def simulate_paths(policy, gparams: GParams, t0, T, dt, n_paths, seed) -> PathEn
     # time-major storage; the ensemble holds transposed views
     B = np.empty((n_steps + 1, n_paths))
     QV = np.empty((n_steps + 1, n_paths))
-    control = np.empty((n_steps, n_paths))
     for cols, xi in batches:
-        _advance(policy, gparams, t0, dt, xi, B[:, cols], QV[:, cols], control[:, cols])
+        _advance(policy, gparams, t0, dt, xi, B[:, cols], QV[:, cols])
     B = B.T  # one view, shared by B and X
     return PathEnsemble(
-        n_paths, n_steps, float(dt), float(t0), int(seed),
+        n_paths, n_steps, float(dt), float(t0),
         policy.describe() if hasattr(policy, "describe") else "custom",
-        B, QV.T, control.T, B,
+        B, QV.T, B,
     )
 
 
@@ -180,8 +173,8 @@ def terminal_states(policies, gparams: GParams, t0, T, dt, n_paths, seed) -> np.
     out = np.empty((len(policies), n_paths))
     for cols, xi in batches:
         for row, policy in zip(out, policies):
-            B, QV, control = (np.empty((m, xi.shape[0])) for m in (2, 2, 1))
-            _advance(policy, gparams, t0, dt, xi, B, QV, control)
+            B, QV = np.empty((2, 2, xi.shape[0]))
+            _advance(policy, gparams, t0, dt, xi, B, QV)
             row[cols] = B[n_steps % 2]
     return out
 

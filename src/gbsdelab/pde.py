@@ -388,24 +388,16 @@ class PdeSolution:
     values: np.ndarray  # len(times) x nx
     fingerprint: str = ""
 
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.values[-1]
-
-    @property
-    def initial(self) -> np.ndarray:
-        return self.values[0]
-
 
 def solve_stack(problems, grid: SpaceTimeGrid) -> tuple:
     """Backward sweeps from Phi over nt steps for P problems at once, one
     PdeSolution per problem, in order.
 
     The problems must share coeffs, gparams and T, so that one Phi, one
-    set of coefficient fields and one G serve every row; each must keep
-    the update monotone at grid.dt (see max_stable_dt).  All P layers
-    advance together as one (P, nx) stack through step_backward.  Each
-    solution stores at most ~2000 layers (stride-decimated, endpoints
+    set of coefficient fields and one G serve every row; grid.dt must keep
+    every update monotone, so refine_grid must return grid itself.  All P
+    layers advance together as one (P, nx) stack through step_backward.
+    Each solution stores at most ~2000 layers (stride-decimated, endpoints
     always kept), written in place into its own preallocated array.
     """
     problems = tuple(problems)
@@ -413,13 +405,12 @@ def solve_stack(problems, grid: SpaceTimeGrid) -> tuple:
     for name in ("coeffs", "gparams", "T"):
         if any(getattr(p, name) != getattr(first, name) for p in problems[1:]):
             raise ValueError(f"stacked problems must share {name}")
-    for p in problems:
-        dt_max = max_stable_dt(p, grid.x_min, grid.x_max, grid.nx)
-        if grid.dt > dt_max * (1.0 + 1e-9):
-            raise SchemeError(
-                f"time step {grid.dt:g} violates the monotonicity bound "
-                f"{dt_max:g} for this problem; rebuild the grid with build_grid"
-            )
+    stable = refine_grid(grid, *problems)
+    if stable is not grid:
+        raise SchemeError(
+            f"time step {grid.dt:g} violates the monotonicity bound; "
+            f"refine_grid gives dt={stable.dt:g} on these nodes"
+        )
     xs = grid.xs
     phi = first.coeffs.eval_phi(xs)
     if not np.all(np.isfinite(phi)):
@@ -497,11 +488,6 @@ def _interp_cell(grid: SpaceTimeGrid, layer, x, slope, seed=None):
     return np.where(d == 0.0, y, slope[j] * d + y), j
 
 
-def _interp_uniform(grid: SpaceTimeGrid, layer, x, slope) -> np.ndarray:
-    """np.interp(x, grid.xs, layer), bit for bit: _interp_cell's value."""
-    return _interp_cell(grid, layer, x, slope)[0]
-
-
 def _check_range(x, lo, hi, what):
     """Raise unless every x lies in [lo, hi] up to _HULL_TOL; NaN passes."""
     out = (x < lo - _HULL_TOL) | (x > hi + _HULL_TOL)
@@ -515,7 +501,7 @@ def eval_u_batch(sol: PdeSolution, t, x) -> np.ndarray:
     grid = sol.grid
     _check_range(x, grid.x_min, grid.x_max, f"outside [{grid.x_min}, {grid.x_max}]")
     layer = _blend_layer(sol, t)
-    return _interp_uniform(grid, layer, x, _slopes(grid, layer))
+    return _interp_cell(grid, layer, x, _slopes(grid, layer))[0]
 
 
 def stencil_batch(sol: PdeSolution, t, x):

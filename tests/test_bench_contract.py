@@ -6,7 +6,9 @@ load bench/tracing.py (read only, no bytecode written), build the `lib`
 namespace the way bench/run.py's setup does, and fail when a wrapped
 name has been renamed or deleted, when a wrapper misses calls made from
 inside the program (a solve_exact, and a feedback path loop), or when
-uninstall leaves a wrapper behind.
+uninstall leaves a wrapper behind.  They also run the one stage of
+bench/workloads.py that calls the path API directly rather than through
+the CLI.
 """
 
 import importlib.util
@@ -22,25 +24,29 @@ from gbsdelab.expr import parse
 from gbsdelab.gfunction import GParams
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-TRACING = os.path.join(ROOT, "bench", "tracing.py")
 GP = GParams(0.5, 1.0)
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("_bench_tracing", TRACING)
+def _load_bench(name):
+    """bench/<name>.py as a module, read only: no bytecode is written.  It
+    sits in sys.modules while it runs, where dataclasses look it up."""
+    path = os.path.join(ROOT, "bench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     dont_write = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
+    sys.modules[spec.name] = module
     try:
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = dont_write
+        del sys.modules[spec.name]
     return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    return _load_tracing()
+    return _load_bench("tracing")
 
 
 @pytest.fixture
@@ -136,3 +142,12 @@ def test_path_loop_hooks(tracing, lib):
     assert m["gsim.path_steps"] == n_paths * n_steps
     assert m["gsim.euler_s"] > 0.0
     assert m["gbsde.triple_s"] > 0.0
+
+
+def test_kcheck_stage_passes_on_the_path_api(lib, tmp_path):
+    # the kcheck stage reads ens.X[:, -1] and tri.K[:, -1] off the path API
+    # itself; at x0 = 0 the feedback control is right, so no check fails
+    workloads = _load_bench("workloads")
+    stage = workloads._kcheck_stage("kcheck_ref", "x*x", lambda x: x * x, 0.0, 41, 50, 0.05, 3)
+    output = stage.run(lib, str(tmp_path))
+    assert stage.check(lib, str(tmp_path), output) == []

@@ -92,6 +92,23 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="/grid/x_min"):
             RunConfig(raw)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("ladder", "levels", []),  # would pass ladder and envelope-report vacuously
+        ("grid", "core_fraction", 0.0),
+        ("grid", "core_fraction", 1.5),
+        ("grid", "core_fraction", float("nan")),
+        ("mc", "dt", 0.0),
+        ("mc", "dt", -0.01),
+        ("mc", "dt", float("inf")),
+        ("mc", "dt", float("nan")),
+        ("mc", "n_paths", 0),
+    ])
+    def test_out_of_range_value_rejected_with_pointer(self, section, key, value):
+        raw = base_config()
+        raw[section][key] = value
+        with pytest.raises(ConfigError, match=f"/{section}/{key}"):
+            RunConfig(raw)
+
     def test_reference_vars_restricted(self):
         raw = base_config(reference="x*x + y")
         with pytest.raises(ConfigError, match="/reference"):
@@ -126,6 +143,29 @@ class TestMainErrors:
         rc = main(["run", path, "golden", "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "/reference" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", ["ladder", "envelope-report"])
+    def test_empty_levels_exit_2(self, tmp_path, capsys, experiment):
+        path = write_config(tmp_path, base_config(ladder={"levels": []}))
+        out = tmp_path / "out"
+        assert main(["run", path, experiment, "--out", str(out)]) == 2
+        assert "/ladder/levels" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_levels_override_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert main(["run", path, "ladder", "--out", str(out), "--levels", ""]) == 2
+        assert "--levels" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_mc_dt_exits_2(self, tmp_path, capsys):
+        raw = base_config()
+        raw["mc"]["dt"] = 0
+        path = write_config(tmp_path, raw)
+        rc = main(["run", path, "upper-expectation", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "/mc/dt" in capsys.readouterr().err
 
 
 def read_summary(out_dir):

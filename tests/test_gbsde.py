@@ -122,7 +122,7 @@ class TestApproximationLadder:
         grid = build_grid(prob, -4.0, 4.0, 101)
         levels = [1.0, 2.0, 4.0]
         lad = approximation_ladder(prob, levels, grid)
-        top = gbsde._level_grid(prob, levels[-1], grid)
+        top = lad.lower_solutions[-1].grid
         L = problem_growth_L(prob)
         for i, n in enumerate(levels):
             lo, up, gap, bound = gbsde._solve_level(prob, L, n, top)

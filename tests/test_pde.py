@@ -99,6 +99,19 @@ class TestRefineGrid:
         kept = ("x_min", "x_max", "nx", "core_fraction")
         assert all(getattr(out, k) == getattr(grid, k) for k in kept)
 
+    @pytest.mark.parametrize("factor, refused", [(1.0 + 1e-13, False), (1.0 + 1e-10, True)])
+    def test_solve_refuses_what_refine_grid_refines(self, factor, refused):
+        # one rule and one tolerance: solve steps a grid exactly when
+        # refine_grid keeps it
+        prob = heat_problem()
+        grid = SpaceTimeGrid(*self.ARGS, max_stable_dt(prob, *self.ARGS) * factor, 1, 0.5)
+        assert (refine_grid(grid, prob) is not grid) == refused
+        if refused:
+            with pytest.raises(SchemeError, match="violates the monotonicity bound"):
+                solve(prob, grid)
+        else:
+            assert solve(prob, grid).grid is grid
+
     @pytest.mark.parametrize("kw", [{}, {"sigma": "0", "b": "1"}, {"T": 1e-6}])
     def test_build_grid_refines_one_step(self, kw):
         prob = heat_problem(**kw)
@@ -197,7 +210,7 @@ class TestSolve:
         prob = heat_problem(phi="x")
         grid = build_grid(prob, -2.0, 2.0, 101)
         sol = solve(prob, grid)
-        assert np.max(np.abs(sol.initial - grid.xs)) < 1e-10
+        assert np.max(np.abs(sol.values[0] - grid.xs)) < 1e-10
 
     def test_convex_heat_value(self):
         prob = heat_problem()
@@ -215,7 +228,7 @@ class TestSolve:
         prob = heat_problem()
         grid = build_grid(prob, -2.0, 2.0, 51)
         sol = solve(prob, grid)
-        assert np.array_equal(sol.terminal, grid.xs**2)
+        assert np.array_equal(sol.values[-1], grid.xs**2)
 
     def test_layer_decimation_bounds_memory(self):
         prob = heat_problem()
@@ -349,7 +362,7 @@ class TestEvalAndGrad:
 
     def test_node_point_exact(self):
         k = 300  # x = 0
-        assert eval_u(self.sol, self.prob.T, self.grid.xs[k]) == self.sol.terminal[k]
+        assert eval_u(self.sol, self.prob.T, self.grid.xs[k]) == self.sol.values[-1][k]
 
     def test_linear_interpolation_exact_on_linears(self):
         prob = heat_problem(phi="3*x")
@@ -467,7 +480,7 @@ class TestUniformInterp:
         for name, x in self._inputs(grid).items():
             want = np.interp(x, grid.xs, layer)
             with np.errstate(invalid="raise"):  # NaN must not reach the int cast
-                got = pde_module._interp_uniform(grid, layer, x, slope)
+                got = pde_module._interp_cell(grid, layer, x, slope)[0]
             assert np.array_equal(_bits(got), _bits(want)), name
 
     @pytest.mark.parametrize("x_min, x_max, nx", GRIDS)
@@ -475,7 +488,7 @@ class TestUniformInterp:
         grid, layer = self._case(x_min, x_max, nx)
         slope = pde_module._slopes(grid, layer)
         for x in (grid.x_min, grid.x_max, grid.xs[nx // 2], 0.3 * x_min + 0.7 * x_max):
-            got = pde_module._interp_uniform(grid, layer, np.asarray(x), slope)
+            got = pde_module._interp_cell(grid, layer, np.asarray(x), slope)[0]
             assert _bits(got) == _bits(np.interp(x, grid.xs, layer))
 
     @pytest.mark.parametrize("x_min, x_max, nx", GRIDS)
