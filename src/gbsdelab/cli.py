@@ -48,6 +48,58 @@ def _get(d, key, pointer, default=None, required=False):
     return d[key]
 
 
+_JSON_TYPES = {bool: "a boolean", type(None): "null", str: "a string",
+               list: "an array", dict: "an object"}
+
+
+def _number(value, pointer, integral=False):
+    """A JSON number as a float, or as an int where integral is set (an
+    integral float such as 801.0 passes); bools, null, strings, arrays and
+    objects are refused rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        got = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise ConfigError(pointer, f"must be a number, not {got}")
+    if not integral:
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(pointer, f"must be an integer, not {value!r}")
+    return int(value)
+
+
+def _num(d, key, pointer, default=None, required=False, integral=False):
+    """_number of the field d[key] (or of its default)."""
+    value = _get(d, key, pointer, default, required)
+    return _number(value, f"{pointer}/{key}", integral)
+
+
+def _array(value, pointer):
+    if not isinstance(value, list):
+        raise ConfigError(pointer, "must be an array")
+    return value
+
+
+def _numbers(value, pointer):
+    """A JSON array of numbers as a list of floats."""
+    return [_number(v, f"{pointer}/{i}") for i, v in enumerate(_array(value, pointer))]
+
+
+def _section(raw, key, required=False):
+    """A top-level object such as /grid; absent means every default."""
+    value = _get(raw, key, "", {}, required)
+    if not isinstance(value, dict):
+        raise ConfigError(f"/{key}", "must be an object")
+    return value
+
+
+def _build(pointer, cls, *args, **kwargs):
+    """cls(*args, **kwargs) with its ValueError a ConfigError at pointer; the
+    arguments are read first, so a field's own error keeps its pointer."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as e:
+        raise ConfigError(pointer, str(e)) from None
+
+
 def _expr(text, pointer):
     try:
         return parse(str(text))
@@ -58,18 +110,15 @@ def _expr(text, pointer):
 def _modulus(d, pointer):
     if not isinstance(d, dict):
         raise ConfigError(pointer, "modulus must be an object")
-    kind = _get(d, "kind", pointer, required=True)
-    try:
-        return Modulus(
-            kind=kind,
-            c=float(_get(d, "c", pointer, 1.0)),
-            alpha=float(_get(d, "alpha", pointer, 1.0)),
-            growth_L=float(_get(d, "growth_L", pointer, 1.0)),
-            rs=tuple(_get(d, "rs", pointer, ())),
-            values=tuple(_get(d, "values", pointer, ())),
-        )
-    except ValueError as e:
-        raise ConfigError(pointer, str(e)) from None
+    return _build(
+        pointer, Modulus,
+        kind=_get(d, "kind", pointer, required=True),
+        c=_num(d, "c", pointer, 1.0),
+        alpha=_num(d, "alpha", pointer, 1.0),
+        growth_L=_num(d, "growth_L", pointer, 1.0),
+        rs=tuple(_numbers(_get(d, "rs", pointer, []), f"{pointer}/rs")),
+        values=tuple(_numbers(_get(d, "values", pointer, []), f"{pointer}/values")),
+    )
 
 
 _ZERO_GEN = {"body": "0", "lip_y": 0.0,
@@ -81,15 +130,9 @@ def _generator(d, pointer):
         raise ConfigError(pointer, "generator must be an object")
     body = _expr(_get(d, "body", pointer, required=True), f"{pointer}/body")
     mod = _modulus(_get(d, "modulus", pointer, required=True), f"{pointer}/modulus")
-    try:
-        return ScalarGenerator(
-            body,
-            lip_y=float(_get(d, "lip_y", pointer, 0.0)),
-            modulus_z=mod,
-            growth_L=float(_get(d, "growth_L", pointer, 0.0)),
-        )
-    except ValueError as e:
-        raise ConfigError(pointer, str(e)) from None
+    return _build(pointer, ScalarGenerator, body, modulus_z=mod,
+                  lip_y=_num(d, "lip_y", pointer, 0.0),
+                  growth_L=_num(d, "growth_L", pointer, 0.0))
 
 
 def _problem(d, gparams, pointer="/problem"):
@@ -99,29 +142,22 @@ def _problem(d, gparams, pointer="/problem"):
     for name, default in (("b", "0"), ("h", "0"), ("sigma", "1")):
         coeffs_kwargs[name] = _expr(_get(d, name, pointer, default), f"{pointer}/{name}")
     phi = _expr(_get(d, "Phi", pointer, required=True), f"{pointer}/Phi")
-    try:
-        coeffs = pde.CoefficientSet(
-            coeffs_kwargs["b"], coeffs_kwargs["h"], coeffs_kwargs["sigma"], phi,
-            lip_const=float(_get(d, "lip_const", pointer, 1.0)),
-            growth_q=int(_get(d, "growth_q", pointer, 2)),
-        )
-    except ValueError as e:
-        raise ConfigError(pointer, str(e)) from None
+    coeffs = _build(
+        pointer, pde.CoefficientSet,
+        coeffs_kwargs["b"], coeffs_kwargs["h"], coeffs_kwargs["sigma"], phi,
+        lip_const=_num(d, "lip_const", pointer, 1.0),
+        growth_q=_num(d, "growth_q", pointer, 2, integral=True),
+    )
     f = _generator(_get(d, "f", pointer, _ZERO_GEN), f"{pointer}/f")
     g = _generator(_get(d, "g", pointer, _ZERO_GEN), f"{pointer}/g")
-    try:
-        return pde.PdeProblem(
-            coeffs, f, g, gparams,
-            T=float(_get(d, "T", pointer, 1.0)),
-            lip_z_bound=float(_get(d, "lip_z_bound", pointer, 0.0)),
-        )
-    except ValueError as e:
-        raise ConfigError(pointer, str(e)) from None
+    return _build(pointer, pde.PdeProblem, coeffs, f, g, gparams,
+                  T=_num(d, "T", pointer, 1.0),
+                  lip_z_bound=_num(d, "lip_z_bound", pointer, 0.0))
 
 
 def _levels(values, pointer):
     """Ladder levels as floats; an empty list would certify nothing."""
-    levels = [float(v) for v in values]
+    levels = _numbers(values, pointer)
     if not levels:
         raise ConfigError(pointer, "need at least one level")
     return levels
@@ -133,47 +169,45 @@ class RunConfig:
     def __init__(self, raw):
         if not isinstance(raw, dict):
             raise ConfigError("", "top-level config must be an object")
-        gp_raw = _get(raw, "gparams", "", required=True)
-        try:
-            self.gparams = GParams(
-                float(_get(gp_raw, "sigma_low_sq", "/gparams", required=True)),
-                float(_get(gp_raw, "sigma_high_sq", "/gparams", required=True)),
-            )
-        except ConfigError:
-            raise
-        except ValueError as e:
-            raise ConfigError("/gparams", str(e)) from None
+        gp_raw = _section(raw, "gparams", required=True)
+        self.gparams = _build("/gparams", GParams,
+                              _num(gp_raw, "sigma_low_sq", "/gparams", required=True),
+                              _num(gp_raw, "sigma_high_sq", "/gparams", required=True))
         self.problem = _problem(_get(raw, "problem", "", required=True), self.gparams)
         self.problem2 = None
         if "problem2" in raw:
             self.problem2 = _problem(raw["problem2"], self.gparams, "/problem2")
-        grid = _get(raw, "grid", "", {})
-        self.x_min = float(_get(grid, "x_min", "/grid", -4.0))
-        self.x_max = float(_get(grid, "x_max", "/grid", 4.0))
-        self.nx = int(_get(grid, "nx", "/grid", 801))
-        self.core_fraction = float(_get(grid, "core_fraction", "/grid", 0.5))
+        grid = _section(raw, "grid")
+        self.x_min = _num(grid, "x_min", "/grid", -4.0)
+        self.x_max = _num(grid, "x_max", "/grid", 4.0)
+        self.nx = _num(grid, "nx", "/grid", 801, integral=True)
+        self.core_fraction = _num(grid, "core_fraction", "/grid", 0.5)
         if self.nx < 3:
             raise ConfigError("/grid/nx", "nx must be at least 3")
         if not (self.x_min < self.x_max):
             raise ConfigError("/grid/x_min", "x_min must be below x_max")
         if not (0.0 < self.core_fraction <= 1.0):
             raise ConfigError("/grid/core_fraction", "core_fraction must lie in (0, 1]")
-        ladder = _get(raw, "ladder", "", {})
+        ladder = _section(raw, "ladder")
         L = gbsde.problem_growth_L(self.problem)
         self.levels = _levels(_get(
             ladder, "levels", "/ladder", [2 * L, 4 * L, 8 * L, 16 * L, 32 * L]
         ), "/ladder/levels")
-        self.target_gap = float(_get(ladder, "target_gap", "/ladder", 0.05))
-        mc = _get(raw, "mc", "", {})
-        self.n_paths = int(_get(mc, "n_paths", "/mc", 10000))
-        self.mc_dt = float(_get(mc, "dt", "/mc", 1e-3))
+        self.target_gap = _num(ladder, "target_gap", "/ladder", 0.05)
+        mc = _section(raw, "mc")
+        self.n_paths = _num(mc, "n_paths", "/mc", 10000, integral=True)
+        self.mc_dt = _num(mc, "dt", "/mc", 1e-3)
         if self.n_paths < 1:
             raise ConfigError("/mc/n_paths", "n_paths must be at least 1")
         if not (0.0 < self.mc_dt < np.inf):
             raise ConfigError("/mc/dt", "dt must be finite and positive")
-        self.seed = int(_get(mc, "seed", "/mc", 1234))
-        self.policies = list(_get(mc, "policies", "/mc", ["low", "high"]))
-        self.x0 = float(_get(mc, "x0", "/mc", 0.0))
+        self.seed = _num(mc, "seed", "/mc", 1234, integral=True)
+        self.policies = list(_array(_get(mc, "policies", "/mc", ["low", "high"]),
+                                    "/mc/policies"))
+        for i, name in enumerate(self.policies):
+            if not isinstance(name, str):
+                _number(name, f"/mc/policies/{i}")  # a constant variance
+        self.x0 = _num(mc, "x0", "/mc", 0.0)
         self.reference = None
         if "reference" in raw:
             ref = _expr(raw["reference"], "/reference")
@@ -364,6 +398,17 @@ def _exp_compare(cfg: RunConfig, out_dir):
             "passed": rep.passed}, rep.passed
 
 
+def _max_uptick(K):
+    """max over paths and k of K_k - min_{j<=k} K_j for time-major K, one row
+    at a time; a NaN stays in both running rows, so it gives NaN."""
+    low = K[0].copy()
+    top = K[0] - low
+    for row in K[1:]:
+        np.minimum(low, row, out=low)
+        np.maximum(top, row - low, out=top)
+    return float(np.max(top))
+
+
 def _kcheck_policy(cfg: RunConfig, sol, name, scale_tol):
     """One policy's kcheck report; its paths are freed before the next."""
     pol = _make_policy(name, cfg, (sol, cfg.problem))
@@ -372,9 +417,11 @@ def _kcheck_policy(cfg: RunConfig, sol, name, scale_tol):
     )
     gsim.euler_forward(cfg.problem.coeffs, ens, cfg.x0)
     tri = gbsde.extract_triple(sol, ens, cfg.problem)
-    path_scale = 1.0 + float(np.max(np.abs(tri.Y))) + float(np.max(np.abs(tri.Z)))
+    # max|a| as max(max a, -min a), without an |a| the size of the paths
+    max_y, max_z = (max(float(np.max(a)), -float(np.min(a))) for a in (tri.Y, tri.Z))
+    path_scale = 1.0 + max_y + max_z
     tol = scale_tol * path_scale
-    uptick = float(np.max(tri.K - np.minimum.accumulate(tri.K, axis=1)))
+    uptick = _max_uptick(tri.K.T)
     return {"policy": str(name), "max_K_uptick": uptick, "tolerance": tol,
             "pass": uptick <= tol}
 
@@ -440,7 +487,11 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         if args.levels is not None:
-            cfg.levels = _levels(args.levels.split(",") if args.levels else [], "--levels")
+            try:
+                levels = [float(v) for v in args.levels.split(",")] if args.levels else []
+            except ValueError:
+                raise ConfigError("--levels", f"not a list of numbers: {args.levels!r}") from None
+            cfg.levels = _levels(levels, "--levels")
         return run(cfg, args.experiment, args.out)
     except (ConfigError, ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)

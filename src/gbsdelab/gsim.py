@@ -53,8 +53,8 @@ class FeedbackPolicy:
     from u, its central gradient and its second difference as
     pde.stencil_batch reads them off one time blend of the stored layers.
     States less than one cell inside the solver domain are clamped one
-    cell in before that read (stencil_batch itself raises for them); the
-    emitted variance is always admissible.
+    cell in, so the read skips stencil_batch's range check (which raises
+    for them); the emitted variance is always admissible.
     """
 
     def __init__(self, sol: "pde.PdeSolution", problem: "pde.PdeProblem"):
@@ -66,8 +66,8 @@ class FeedbackPolicy:
         grid = sol.grid
         t = min(t, float(sol.times[-1]))
         lo, hi = grid.x_min + grid.dx, grid.x_max - grid.dx
-        x = np.clip(np.asarray(state, dtype=float), lo, hi)
-        u, p, d2 = pde.stencil_batch(sol, t, x)
+        x = np.minimum(np.maximum(np.asarray(state, dtype=float), lo), hi)
+        u, p, d2 = pde._stencil(sol, t, x)
         _, h, sigma = problem.coeffs.fields(t, x)
         gval = np.asarray(problem.g.eval_grid(t, x, u, sigma * p), dtype=float)
         ham = pde._hamiltonian(sigma**2, 2.0 * h, p, d2, gval)
@@ -125,22 +125,26 @@ def _batches(t0, T, dt, n_paths, seed):
     return n_steps, map(draw, range(0, n_paths, _BATCH))
 
 
-def _advance(policy, gparams, t0, dt, xi, B, QV):
-    """The path loop: step k reads row k % len(B) of B and QV and writes
-    row (k+1) % len(B) of both.  Full time-major arrays keep the path;
-    two-row rings keep the last state."""
+def _advance(policies, gparams, t0, dt, xi, B, QV):
+    """The path loop on (ring, P, nb) states: step k reads row k % len(B) of
+    B and QV, where policy p reads row [p], and writes row (k+1) % len(B).
+    Full time-major arrays keep the path; two-row rings keep the last state."""
     lo, hi = gparams.sigma_low_sq, gparams.sigma_high_sq
     B[0] = QV[0] = 0.0
+    vdt = np.empty(B.shape[1:])  # the variances, then var*dt, then dB
     for k in range(xi.shape[1]):
         i, j = k % len(B), (k + 1) % len(B)
         state = B[i]
-        state.flags.writeable = False  # the policy reads, never writes
-        var = pde._as_field(policy.variance(t0 + k * dt, state), state.shape)
-        if np.any(var < lo - 1e-12) or np.any(var > hi + 1e-12):
+        state.flags.writeable = False  # the policies read, never write
+        for row, policy, x in zip(vdt, policies, state):
+            row[...] = policy.variance(t0 + k * dt, x)
+        if not (vdt.min() >= lo - 1e-12 and vdt.max() <= hi + 1e-12):  # NaN fails
             raise ValueError("policy emitted an inadmissible variance")
-        vdt = var * dt
-        np.add(state, np.sqrt(vdt) * xi[:, k], out=B[j])
+        vdt *= dt
         np.add(QV[i], vdt, out=QV[j])
+        np.sqrt(vdt, out=vdt)
+        vdt *= xi[:, k].copy()  # one read of the strided column, not one per row
+        np.add(state, vdt, out=B[j])
 
 
 def simulate_paths(policy, gparams: GParams, t0, T, dt, n_paths, seed) -> PathEnsemble:
@@ -154,7 +158,7 @@ def simulate_paths(policy, gparams: GParams, t0, T, dt, n_paths, seed) -> PathEn
     B = np.empty((n_steps + 1, n_paths))
     QV = np.empty((n_steps + 1, n_paths))
     for cols, xi in batches:
-        _advance(policy, gparams, t0, dt, xi, B[:, cols], QV[:, cols])
+        _advance((policy,), gparams, t0, dt, xi, B[:, None, cols], QV[:, None, cols])
     B = B.T  # one view, shared by B and X
     return PathEnsemble(
         n_paths, n_steps, float(dt), float(t0),
@@ -165,17 +169,16 @@ def simulate_paths(policy, gparams: GParams, t0, T, dt, n_paths, seed) -> PathEn
 
 def terminal_states(policies, gparams: GParams, t0, T, dt, n_paths, seed) -> np.ndarray:
     """B_T under each policy, shape (len(policies), n_paths): each batch's
-    noise is drawn once and every policy steps it on two-row rings.  Row i
-    is simulate_paths(policies[i], ...).X[:, -1], bit for bit."""
+    noise is drawn once and every policy steps it together on one two-row
+    ring.  Row i is simulate_paths(policies[i], ...).X[:, -1], bit for bit."""
     if not policies:
         raise ValueError("need at least one policy")
     n_steps, batches = _batches(t0, T, dt, n_paths, seed)
     out = np.empty((len(policies), n_paths))
     for cols, xi in batches:
-        for row, policy in zip(out, policies):
-            B, QV = np.empty((2, 2, xi.shape[0]))
-            _advance(policy, gparams, t0, dt, xi, B, QV)
-            row[cols] = B[n_steps % 2]
+        B, QV = np.empty((2, 2, len(policies), xi.shape[0]))
+        _advance(policies, gparams, t0, dt, xi, B, QV)
+        out[:, cols] = B[n_steps % 2]
     return out
 
 

@@ -35,8 +35,10 @@ class SchemeError(RuntimeError):
 
 
 def _as_field(value, shape) -> np.ndarray:
-    """An evaluated expression as a float array of the given shape."""
-    return np.broadcast_to(np.asarray(value, dtype=float), shape)
+    """An evaluated expression as a float array of the given shape (filled
+    when constant: cheaper than a broadcast view)."""
+    value = np.asarray(value, dtype=float)
+    return np.full(shape, value) if value.ndim == 0 else np.broadcast_to(value, shape)
 
 
 @dataclass(frozen=True)
@@ -481,11 +483,14 @@ def _interp_cell(grid: SpaceTimeGrid, layer, x, slope, seed=None):
         # fmin sends NaN to a valid cell; the value still comes out NaN
         seed = np.fmin((x - grid.x_min) / grid.dx, grid.nx - 2).astype(np.intp)
     j = seed - (xs[seed] > x)
-    j = j + (xs[j + 1] <= x)
+    j += xs[j + 1] <= x
     d = x - xs[j]
     y = layer[j]
+    out = slope[j] * d
+    out += y
     # on a node np.interp returns layer[j] itself, which keeps a -0.0
-    return np.where(d == 0.0, y, slope[j] * d + y), j
+    on_node = d == 0.0
+    return (np.where(on_node, y, out) if on_node.any() else out), j
 
 
 def _check_range(x, lo, hi, what):
@@ -510,9 +515,15 @@ def stencil_batch(sol: PdeSolution, t, x):
     inside the grid (up to rounding); otherwise this raises."""
     x = np.asarray(x, dtype=float)
     grid = sol.grid
-    dx = grid.dx
-    _check_range(x, grid.x_min + dx, grid.x_max - dx,
+    _check_range(x, grid.x_min + grid.dx, grid.x_max - grid.dx,
                  "too close to the boundary for a central stencil; pad the domain")
+    return _stencil(sol, t, x)
+
+
+def _stencil(sol: PdeSolution, t, x):
+    """stencil_batch without its range check, for a float x already in range."""
+    grid = sol.grid
+    dx = grid.dx
     layer = _blend_layer(sol, t)
     slope = _slopes(grid, layer)
     mid, j = _interp_cell(grid, layer, x, slope)

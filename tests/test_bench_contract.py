@@ -144,6 +144,34 @@ def test_path_loop_hooks(tracing, lib):
     assert m["gbsde.triple_s"] > 0.0
 
 
+def test_stacked_terminal_states_hooks(tracing, lib):
+    # the benchmark's mc stage: terminal_states steps low, high and feedback
+    # together, and the wrapped variance of each policy runs once per step
+    sol, problem = gsim.heat_solution(parse("x*x*x"), GP, 0.25, -4.0, 4.0, 41)
+    policies = [gsim.ConstantPolicy(GP.sigma_low_sq, GP),
+                gsim.ConstantPolicy(GP.sigma_high_sq, GP), gsim.FeedbackPolicy(sol, problem)]
+    n_paths, n_steps = 30, 5
+    tracer = tracing.Tracer(lib)
+    tracer.install()
+    try:
+        gsim.terminal_states(policies, GP, 0.0, 0.25, 0.05, n_paths, 3)
+        m = tracer.round_metrics(0)
+    finally:
+        tracer.uninstall()
+    assert m["gsim.feedback_calls"] == n_steps
+    assert m["gsim.constant_calls"] == 2 * n_steps
+
+
+def test_every_workload_config_loads():
+    # the typed config readers take every config the benchmark writes
+    workloads = _load_bench("workloads")
+    for make in workloads.WORKLOADS.values():
+        for smoke in (False, True):
+            for raw in make(1, smoke=smoke).configs.values():
+                cfg = cli.RunConfig(raw)
+                assert all(type(v) is int for v in (cfg.nx, cfg.n_paths, cfg.seed))
+
+
 def test_kcheck_stage_passes_on_the_path_api(lib, tmp_path):
     # the kcheck stage reads ens.X[:, -1] and tri.K[:, -1] off the path API
     # itself; at x0 = 0 the feedback control is right, so no check fails

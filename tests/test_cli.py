@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from gbsdelab import gsim
+from gbsdelab import cli, gsim
 from gbsdelab.cli import ConfigError, RunConfig, load_config, main
 from gbsdelab.expr import evaluate
 
@@ -125,6 +125,65 @@ class TestLoadConfig:
         raw = base_config(problem2=base_config()["problem"])
         cfg = RunConfig(raw)
         assert cfg.problem2 is not None
+
+
+class TestConfigTypes:
+    """Numbers, integers and arrays are read as such: nothing is coerced
+    with a bare float(), int() or list()."""
+
+    @pytest.mark.parametrize("section, key, value, pointer, message", [
+        ("ladder", "levels", "48", "/ladder/levels", "must be an array"),
+        ("mc", "n_paths", 2.9, "/mc/n_paths", "must be an integer, not 2.9"),
+        ("mc", "policies", "low", "/mc/policies", "must be an array"),
+        ("grid", "nx", True, "/grid/nx", "must be a number, not a boolean"),
+        ("ladder", "levels", [{}], "/ladder/levels/0", "must be a number, not an object"),
+        ("grid", "nx", None, "/grid/nx", "must be a number, not null"),
+    ])
+    def test_rejected_with_pointer_and_exit_2(self, tmp_path, capsys, section, key,
+                                              value, pointer, message):
+        raw = base_config()
+        raw[section][key] = value
+        with pytest.raises(ConfigError) as err:
+            RunConfig(raw)
+        assert err.value.pointer == pointer and message in str(err.value)
+        path = write_config(tmp_path, raw)
+        assert main(["run", path, "solve", "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {pointer}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value, pointer", [
+        (("mc", "seed"), 1.5, "/mc/seed"),
+        (("problem", "growth_q"), 2.5, "/problem/growth_q"),
+        (("grid", "x_min"), "-4", "/grid/x_min"),
+        (("mc", "dt"), [0.01], "/mc/dt"),
+        (("mc", "x0"), {"v": 0}, "/mc/x0"),
+        (("gparams", "sigma_low_sq"), None, "/gparams/sigma_low_sq"),
+        (("problem", "f", "modulus", "c"), "0.5", "/problem/f/modulus/c"),
+        (("problem", "f", "modulus", "rs"), "01", "/problem/f/modulus/rs"),
+        (("mc", "policies", 1), True, "/mc/policies/1"),
+    ])
+    def test_other_fields_typed(self, path, value, pointer):
+        raw = base_config()
+        node = raw
+        for k in path[:-1]:
+            node = node[k]
+        node[path[-1]] = value
+        with pytest.raises(ConfigError) as err:
+            RunConfig(raw)
+        assert err.value.pointer == pointer
+
+    @pytest.mark.parametrize("section", ["gparams", "grid", "ladder", "mc"])
+    def test_section_must_be_an_object(self, section):
+        with pytest.raises(ConfigError, match=f"/{section}: must be an object"):
+            RunConfig(base_config(**{section: [1]}))
+
+    def test_integral_values_load_as_ints(self):
+        raw = base_config()
+        raw["grid"]["nx"] = 101.0
+        raw["mc"].update(n_paths=200.0, seed=7.0, policies=["low", 0.75])
+        cfg = RunConfig(raw)
+        assert (cfg.nx, cfg.n_paths, cfg.seed) == (101, 200, 7)
+        assert all(type(v) is int for v in (cfg.nx, cfg.n_paths, cfg.seed))
+        assert cfg.policies == ["low", 0.75]
 
 
 class TestMainErrors:
@@ -300,6 +359,17 @@ class TestExperiments:
         assert main(["run", path, "kcheck", "--out", out]) == 0
         s = read_summary(out)
         assert all(p["pass"] for p in s["policies"])
+
+    def test_kcheck_uptick_bits_and_nan(self):
+        # the running-row uptick is the accumulate form bit for bit, and a
+        # NaN gives NaN, which fails the check's uptick <= tol
+        rng = np.random.default_rng(3)
+        K = np.cumsum(rng.standard_normal((60, 40)), axis=0)  # time-major
+        K[0] = 0.0
+        want = float(np.max(K.T - np.minimum.accumulate(K.T, axis=1)))
+        assert cli._max_uptick(K) == want
+        K[20, 7] = np.nan
+        assert np.isnan(cli._max_uptick(K))
 
     def test_golden(self, tmp_path):
         raw = base_config()

@@ -279,17 +279,32 @@ class TestPathLoopOracle:
         assert _same_bits(ens.X, want)
 
     def test_policy_cannot_write_state(self):
-        class Writer:
-            def variance(self, t, state):
-                state[:] = 5.0
-                return np.full(state.shape, 1.0)
-
         with pytest.raises(ValueError, match="read-only"):
             simulate_paths(Writer(), GP, 0.0, 0.02, 0.01, 3, 1)
 
 
+class Writer:
+    """A policy that writes the state it is handed."""
+
+    def variance(self, t, state):
+        state[:] = 5.0
+        return np.full(state.shape, 1.0)
+
+
+class OneBad:
+    """Admissible everywhere but at the last path, where it emits value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def variance(self, t, state):
+        out = np.full(state.shape, 0.75)
+        out[-1] = self.value
+        return out
+
+
 class TestTerminalStates:
-    """One noise draw per batch, shared by every policy on two-row rings,
+    """One noise draw per batch, shared by every policy on one two-row ring,
     gives each policy's terminal state of simulate_paths bit for bit."""
 
     def _check(self, n_steps, n_paths, dt=0.01, seed=21):
@@ -327,3 +342,35 @@ class TestTerminalStates:
     def test_empty_policy_list_raises(self):
         with pytest.raises(ValueError, match="at least one policy"):
             terminal_states([], GP, 0.0, 0.05, 0.01, 4, 1)
+
+
+class TestStackedLoop:
+    """terminal_states steps every policy of a batch as one (P, nb) stack;
+    each policy still reads its own row, read only, and one check covers
+    the variances of the whole stack."""
+
+    def test_nan_variance_raises(self):
+        # NaN compares False with both bounds, so it must fail the check
+        nan = OneBad(np.nan)
+        with pytest.raises(ValueError, match="inadmissible"):
+            simulate_paths(nan, GP, 0.0, 0.05, 0.01, 4, 1)
+        with pytest.raises(ValueError, match="inadmissible"):
+            terminal_states([ConstantPolicy(1.0, GP), nan], GP, 0.0, 0.05, 0.01, 4, 1)
+
+    def test_policy_cannot_write_state(self):
+        with pytest.raises(ValueError, match="read-only"):
+            terminal_states([ConstantPolicy(1.0, GP), Writer()], GP, 0.0, 0.02, 0.01, 3, 1)
+
+    @pytest.mark.parametrize("value", [GP.sigma_low_sq - 1e-6, GP.sigma_high_sq + 1e-6])
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_inadmissible_row_of_the_stack_raises(self, row, value):
+        policies = [ConstantPolicy(v, GP) for v in (0.5, 1.0, 0.75)]
+        policies[row] = OneBad(value)
+        with pytest.raises(ValueError, match="inadmissible"):
+            terminal_states(policies, GP, 0.0, 0.05, 0.01, 6, 1)
+
+    def test_bounds_are_admissible(self):
+        # the check's tolerance: the interval's ends themselves pass
+        got = terminal_states([OneBad(GP.sigma_low_sq), OneBad(GP.sigma_high_sq)],
+                              GP, 0.0, 0.05, 0.01, 6, 1)
+        assert got.shape == (2, 6) and np.all(np.isfinite(got))

@@ -540,6 +540,39 @@ def test_stencil_cells_at_the_edges(x_min, x_max, nx):
         assert np.array_equal(_bits(g), _bits(w))
 
 
+@pytest.mark.parametrize("kind", ["scalar", "0-d", "1-d", "2-d"])
+def test_stencil_shapes_bits_equal_np_interp(kind):
+    # the x -+ dx reads go as one (2, ...) read; every shape of x, nodes
+    # included, still gets np.interp's three reads bit for bit
+    grid, layer = TestUniformInterp._case(-6.3, 5.9, 1201)
+    sol = pde_module.PdeSolution(grid, np.array([0.0, 1.0]), np.stack((layer, layer)))
+    dx, xs = grid.dx, grid.xs
+    pts = np.random.default_rng(5).uniform(grid.x_min + dx, grid.x_max - dx, 12)
+    pts[1], pts[2] = xs[300], xs[1] + dx
+    x = {"scalar": float(pts[1]), "0-d": np.asarray(pts[0]), "1-d": pts,
+         "2-d": pts.reshape(3, 4)}[kind]
+
+    def interp(z):
+        return np.interp(z, xs, layer)
+
+    u, up, down = interp(x), interp(np.add(x, dx)), interp(np.subtract(x, dx))
+    want = (u, (up - down) / (2.0 * dx), (up - 2.0 * u + down) / dx**2)
+    for g, w in zip(pde_module.stencil_batch(sol, 0.0, x), want):
+        assert np.shape(g) == np.shape(x)
+        assert np.array_equal(_bits(g), _bits(w))
+
+
+@pytest.mark.parametrize("value", [
+    2.5, 2, np.float64(2.5), np.asarray(2.5), np.full((2, 3), 2.5),
+    np.full((1, 3), 2.5), np.full(3, 2.5), [[2.5], [2.5]],
+])
+def test_as_field_is_a_float_array_of_the_shape(value):
+    got = pde_module._as_field(value, (2, 3))
+    assert isinstance(got, np.ndarray)
+    assert got.dtype == np.float64 and got.shape == (2, 3)
+    assert np.all(got == float(np.asarray(value).flat[0]))
+
+
 class TestConvergence:
     def test_halving_dx_reduces_core_error(self):
         # quartic closed form u = x^4 + 6 shs x^2 tau + 3 shs^2 tau^2 on a
