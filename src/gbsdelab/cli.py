@@ -189,9 +189,9 @@ class RunConfig:
         if not (0.0 < self.core_fraction <= 1.0):
             raise ConfigError("/grid/core_fraction", "core_fraction must lie in (0, 1]")
         ladder = _section(raw, "ladder")
-        L = gbsde.problem_growth_L(self.problem)
+        base = gbsde.level_base(gbsde.problem_growth_L(self.problem))
         self.levels = _levels(_get(
-            ladder, "levels", "/ladder", [2 * L, 4 * L, 8 * L, 16 * L, 32 * L]
+            ladder, "levels", "/ladder", [base * 2.0**k for k in range(5)]
         ), "/ladder/levels")
         self.target_gap = _num(ladder, "target_gap", "/ladder", 0.05)
         mc = _section(raw, "mc")
@@ -205,8 +205,8 @@ class RunConfig:
         self.policies = list(_array(_get(mc, "policies", "/mc", ["low", "high"]),
                                     "/mc/policies"))
         for i, name in enumerate(self.policies):
-            if not isinstance(name, str):
-                _number(name, f"/mc/policies/{i}")  # a constant variance
+            if name != "feedback":  # the control needs a solve; built later
+                _make_policy(name, self.gparams, None, f"/mc/policies/{i}")
         self.x0 = _num(mc, "x0", "/mc", 0.0)
         self.reference = None
         if "reference" in raw:
@@ -254,18 +254,19 @@ def _write_summary(out_dir, summary):
         fh.write("\n")
 
 
-def _make_policy(name, cfg, feedback_ctx):
-    gp = cfg.gparams
-    if name == "low":
-        return gsim.ConstantPolicy(gp.sigma_low_sq, gp)
-    if name == "high":
-        return gsim.ConstantPolicy(gp.sigma_high_sq, gp)
+def _make_policy(name, gparams, feedback_ctx, pointer="/mc/policies"):
+    """The policy an /mc/policies entry names: low, high, feedback, or a
+    number (or numeric string) inside the variance interval."""
     if name == "feedback":
         return gsim.FeedbackPolicy(*feedback_ctx)
-    try:
-        return gsim.ConstantPolicy(float(name), gp)
-    except (TypeError, ValueError):
-        raise ConfigError("/mc/policies", f"unknown policy {name!r}") from None
+    if name in ("low", "high"):
+        name = gparams.sigma_low_sq if name == "low" else gparams.sigma_high_sq
+    elif isinstance(name, str):
+        try:
+            name = float(name)
+        except ValueError:
+            raise ConfigError(pointer, f"unknown policy {name!r}") from None
+    return _build(pointer, gsim.ConstantPolicy, _number(name, pointer), gparams)
 
 
 # -- experiments -------------------------------------------------------------
@@ -278,7 +279,7 @@ def _exp_upper_expectation(cfg: RunConfig, out_dir):
         payoff, cfg.gparams, cfg.problem.T, cfg.x_min, cfg.x_max, cfg.nx
     )
     pde_val = pde.eval_u(feedback_ctx[0], 0.0, 0.0)
-    policies = [_make_policy(name, cfg, feedback_ctx) for name in cfg.policies]
+    policies = [_make_policy(name, cfg.gparams, feedback_ctx) for name in cfg.policies]
     terminals = gsim.terminal_states(
         policies, cfg.gparams, 0.0, cfg.problem.T, cfg.mc_dt, cfg.n_paths, cfg.seed
     )
@@ -411,7 +412,7 @@ def _max_uptick(K):
 
 def _kcheck_policy(cfg: RunConfig, sol, name, scale_tol):
     """One policy's kcheck report; its paths are freed before the next."""
-    pol = _make_policy(name, cfg, (sol, cfg.problem))
+    pol = _make_policy(name, cfg.gparams, (sol, cfg.problem))
     ens = gsim.simulate_paths(
         pol, cfg.gparams, 0.0, cfg.problem.T, cfg.mc_dt, cfg.n_paths, cfg.seed
     )
@@ -471,7 +472,7 @@ def main(argv=None) -> int:
         "run",
         help="run one experiment from a JSON config",
         description="Config defaults: b=h=0, sigma=1, g=0, grid [-4,4] with "
-        "nx=801 and core_fraction 0.5, ladder levels {2L,...,32L}, "
+        "nx=801 and core_fraction 0.5, ladder levels {2L,...,32L} or {1,...,16} if L=0, "
         "target_gap 0.05, mc n_paths=10000 dt=1e-3 seed=1234 "
         "policies [low, high].",
     )

@@ -9,8 +9,10 @@ numpy arrays in the environment and broadcasts elementwise.
 
 from __future__ import annotations
 
+import ast
+import re
+import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -26,16 +28,8 @@ FUNCTIONS = {
 }
 
 
-class LexError(ValueError):
-    """Illegal character or malformed number; carries the byte offset."""
-
-    def __init__(self, message, offset):
-        super().__init__(f"{message} at offset {offset}")
-        self.offset = offset
-
-
 class ParseError(ValueError):
-    """Syntax error; carries the offset of the offending token."""
+    """Syntax error; carries the offset of the offending character or node."""
 
     def __init__(self, message, offset):
         super().__init__(f"{message} at offset {offset}")
@@ -81,147 +75,66 @@ class Call:
 Expr = Num | Var | Neg | Bin | Call
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "num", "ident", "op", "lparen", "rparen", "comma", "end"
-    text: str
-    pos: int
-
-
-def tokenize(text: str) -> list[Token]:
-    """Split `text` into tokens; whitespace is skipped."""
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            if i < n and text[i] == ".":
-                i += 1
-                while i < n and text[i].isdigit():
-                    i += 1
-            if i < n and text[i] in "eE":
-                epos = i
-                i += 1
-                if i < n and text[i] in "+-":
-                    i += 1
-                if i >= n or not text[i].isdigit():
-                    raise LexError("malformed exponent", epos)
-                while i < n and text[i].isdigit():
-                    i += 1
-            tokens.append(Token("num", text[start:i], start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(Token("ident", text[start:i], start))
-            continue
-        if ch in "+-*/":
-            tokens.append(Token("op", ch, i))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(Token("lparen", ch, i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(Token("rparen", ch, i))
-            i += 1
-            continue
-        if ch == ",":
-            tokens.append(Token("comma", ch, i))
-            i += 1
-            continue
-        raise LexError(f"illegal character {ch!r}", i)
-    tokens.append(Token("end", "", n))
-    return tokens
-
-
-# Pratt parser: binding powers for the left-associative binary operators.
+# binding powers of the left-associative binary operators, for to_str
 _BINDING = {"+": 10, "-": 10, "*": 20, "/": 20}
 _UNARY_BINDING = 30
 
-
-class _Parser:
-    def __init__(self, tokens: Sequence[Token]):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind}, got {tok.text!r}", tok.pos)
-        return self.advance()
-
-    def parse_expr(self, min_bp: int = 0) -> Expr:
-        left = self.parse_prefix()
-        while True:
-            tok = self.peek()
-            if tok.kind != "op":
-                break
-            bp = _BINDING[tok.text]
-            if bp <= min_bp:
-                break
-            self.advance()
-            right = self.parse_expr(bp)
-            left = Bin(tok.text, left, right)
-        return left
-
-    def parse_prefix(self) -> Expr:
-        tok = self.advance()
-        if tok.kind == "num":
-            return Num(float(tok.text))
-        if tok.kind == "op" and tok.text == "-":
-            return Neg(self.parse_expr(_UNARY_BINDING))
-        if tok.kind == "lparen":
-            inner = self.parse_expr(0)
-            self.expect("rparen")
-            return inner
-        if tok.kind == "ident":
-            if self.peek().kind == "lparen":
-                if tok.text not in FUNCTIONS:
-                    raise ParseError(f"unknown function {tok.text!r}", tok.pos)
-                self.advance()
-                args = [self.parse_expr(0)]
-                while self.peek().kind == "comma":
-                    self.advance()
-                    args.append(self.parse_expr(0))
-                self.expect("rparen")
-                if len(args) != FUNCTIONS[tok.text]:
-                    raise ParseError(
-                        f"{tok.text} takes {FUNCTIONS[tok.text]} argument(s), "
-                        f"got {len(args)}",
-                        tok.pos,
-                    )
-                return Call(tok.text, tuple(args))
-            if tok.text not in VARIABLES:
-                raise ParseError(f"unknown identifier {tok.text!r}", tok.pos)
-            return Var(tok.text)
-        raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
+_ILLEGAL = re.compile(r"[^0-9A-Za-z_+\-*/(),.\s]")
+# zeros that lead a decimal integer, which Python refuses; not those of a
+# fraction or an exponent
+_LEADING_ZEROS = re.compile(r"(?<![\w.])(?<![eE][+-])0+(?=\d)")
+_NUMBER = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 
 
 def parse(text: str) -> Expr:
-    """Parse `text` into an expression tree."""
-    parser = _Parser(tokenize(text))
-    expr = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(f"trailing input {tok.text!r}", tok.pos)
-    return expr
+    """Parse `text` into an expression tree.
+
+    Python's parser reads the text; only the nodes of this language are
+    kept, so a Python-only form (x**2, 1_0, abs(x,), x.real, ...) is a
+    ParseError at its offset."""
+    if bad := _ILLEGAL.search(text):
+        raise ParseError(f"illegal character {bad.group()!r}", bad.start())
+    src = _LEADING_ZEROS.sub(lambda m: " " * len(m.group()), re.sub(r"\s", " ", text))
+    body = src.lstrip()  # Python refuses an indented expression
+    lead = len(src) - len(body)
+
+    def tree(node):
+        at, seg = lead + node.col_offset, body[node.col_offset:node.end_col_offset]
+        kind = type(node)
+        if kind is ast.Constant and _NUMBER.fullmatch(seg):
+            return Num(float(seg))
+        elif kind is ast.Name:
+            if node.id not in VARIABLES:
+                raise ParseError(f"unknown identifier {node.id!r}", at)
+            return Var(node.id)
+        elif kind is ast.UnaryOp and type(node.op) is ast.USub:
+            return Neg(tree(node.operand))
+        elif kind is ast.BinOp and type(node.op) in _OPS:
+            return Bin(_OPS[type(node.op)], tree(node.left), tree(node.right))
+        elif (kind is ast.Call and type(node.func) is ast.Name
+              and node.func.col_offset == node.col_offset):
+            name = node.func.id
+            if name not in FUNCTIONS:
+                raise ParseError(f"unknown function {name!r}", at)
+            args = tuple(tree(a) for a in node.args)
+            # a comma after the last argument: abs(x,) or abs(x, **y)
+            if args and "," in body[node.args[-1].end_col_offset:node.end_col_offset]:
+                raise ParseError(f"unexpected ',' in {name}(...)", at)
+            if len(args) != FUNCTIONS[name]:
+                raise ParseError(f"{name} takes {FUNCTIONS[name]} argument(s), "
+                                 f"got {len(args)}", at)
+            return Call(name, args)
+        raise ParseError(f"unsupported syntax {seg!r}", at)
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # e.g. "invalid decimal literal"
+            return tree(ast.parse(body, mode="eval").body)
+    except SyntaxError as e:
+        raise ParseError(e.msg, lead + max(e.offset or 1, 1) - 1) from None
+    except RecursionError:
+        raise ParseError("expression nested too deeply", lead) from None
 
 
 def free_vars(e: Expr) -> frozenset[str]:

@@ -47,6 +47,11 @@ def problem_growth_L(problem: "pde.PdeProblem") -> float:
     return max(gen_L(_inner(problem.f)), gen_L(_inner(problem.g)))
 
 
+def level_base(L: float) -> float:
+    """The first level of a ladder or level walk: 2L, or 1 when L = 0."""
+    return 2.0 * L if L > 0.0 else 1.0
+
+
 def solver_tolerance(grid: "pde.SpaceTimeGrid", sol: "pde.PdeSolution") -> float:
     """Pinned discretization-tolerance scale: (dx + dt) * (1 + core sup |u|)."""
     core = grid.core_mask()
@@ -140,7 +145,7 @@ class ExactSolve:
 
 
 def solve_exact(problem, grid, target_gap, max_doublings: int = 8) -> ExactSolve:
-    """Walk levels n = 2L * 2^k until the measured core gap clears
+    """Walk levels n = level_base(L) * 2^k until the measured core gap clears
     target_gap; certify each level's gap against the modulus bound.
 
     The level search is driven by the measured gap (the theoretical bound
@@ -149,10 +154,9 @@ def solve_exact(problem, grid, target_gap, max_doublings: int = 8) -> ExactSolve
     if not (target_gap > 0.0):
         raise ValueError("target_gap must be positive (zero is below the floor)")
     L = problem_growth_L(problem)
-    base = 2.0 * L if L > 0.0 else 1.0
     last_gap = None
     for k in range(max_doublings + 1):
-        n = base * 2.0**k
+        n = level_base(L) * 2.0**k
         lo, up, gap, bound = _solve_level(problem, L, n, grid)
         tol = solver_tolerance(lo.grid, lo)
         if gap > bound + 2.0 * tol:

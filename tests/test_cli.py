@@ -121,6 +121,19 @@ class TestLoadConfig:
         # L = 0.5 here, so the default ladder starts at 2L = 1
         assert cfg.levels == [1.0, 2.0, 4.0, 8.0, 16.0]
 
+    def test_default_levels_without_a_generator(self):
+        # L = 0 (no f or g): the ladder starts at 1, where solve_exact does
+        raw = base_config(problem={"Phi": "x*x"})
+        del raw["ladder"]
+        assert RunConfig(raw).levels == [1.0, 2.0, 4.0, 8.0, 16.0]
+
+    @pytest.mark.parametrize("L", [0.3, 1.0 / 3.0, 7.1, 1e-300])
+    def test_default_levels_are_2L_to_32L(self, L):
+        raw = base_config()
+        raw["problem"]["f"]["modulus"]["growth_L"] = L
+        del raw["ladder"]
+        assert RunConfig(raw).levels == [2 * L, 4 * L, 8 * L, 16 * L, 32 * L]
+
     def test_problem2_parsed(self):
         raw = base_config(problem2=base_config()["problem"])
         cfg = RunConfig(raw)
@@ -184,6 +197,39 @@ class TestConfigTypes:
         assert (cfg.nx, cfg.n_paths, cfg.seed) == (101, 200, 7)
         assert all(type(v) is int for v in (cfg.nx, cfg.n_paths, cfg.seed))
         assert cfg.policies == ["low", 0.75]
+
+
+class TestPolicies:
+    """Policy entries are checked at load, each at its own pointer."""
+
+    @pytest.mark.parametrize("policies", [
+        ["low", "high", "feedback"], [0.5, 1, 0.75], ["0.7", "1.0"], [0.5 - 1e-13],
+    ])
+    def test_accepted(self, policies):
+        raw = base_config()
+        raw["mc"]["policies"] = policies
+        assert RunConfig(raw).policies == policies
+
+    @pytest.mark.parametrize("value, message", [
+        (2.0, "variance 2.0 outside [0.5, 1.0]"),
+        ("2.0", "variance 2.0 outside [0.5, 1.0]"),
+        (0.25, "variance 0.25 outside [0.5, 1.0]"),
+        ("medium", "unknown policy 'medium'"),
+        ("Low", "unknown policy 'Low'"),
+        (None, "must be a number, not null"),
+    ])
+    def test_rejected_at_load_with_pointer(self, tmp_path, capsys, value, message):
+        raw = base_config()
+        raw["mc"]["policies"] = ["low", value]
+        with pytest.raises(ConfigError) as err:
+            RunConfig(raw)
+        assert err.value.pointer == "/mc/policies/1"
+        assert str(err.value) == f"/mc/policies/1: {message}"
+        out = tmp_path / "out"
+        path = write_config(tmp_path, raw)
+        assert main(["run", path, "upper-expectation", "--out", str(out)]) == 2
+        assert f"error: /mc/policies/1: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMainErrors:
@@ -282,6 +328,20 @@ class TestExperiments:
         assert main(["run", path, "ladder", "--out", out, "--levels", "2,4"]) == 0
         s = read_summary(out)
         assert [lv["level"] for lv in s["levels"]] == [2.0, 4.0]
+
+    def test_default_levels_without_a_generator(self, tmp_path):
+        # a heat problem (L = 0) used to get five zero levels: ladder
+        # exited 2 and envelope-report passed on rows of level 0
+        raw = base_config(problem={"Phi": "x*x"})
+        del raw["ladder"]
+        path = write_config(tmp_path, raw)
+        for experiment in ("ladder", "envelope-report"):
+            out = str(tmp_path / experiment)
+            assert main(["run", path, experiment, "--out", out]) == 0
+            s = read_summary(out)
+            assert [lv["level"] for lv in s["levels"]] == [1.0, 2.0, 4.0, 8.0, 16.0]
+            gaps = [lv["gap" if experiment == "ladder" else "max_gap"] for lv in s["levels"]]
+            assert gaps == [0.0] * 5
 
     def test_envelope_report(self, tmp_path):
         path = write_config(tmp_path, base_config())

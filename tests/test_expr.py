@@ -1,3 +1,7 @@
+import json
+import os
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +11,6 @@ from gbsdelab.expr import (
     Bin,
     Call,
     EvalError,
-    LexError,
     Neg,
     Num,
     ParseError,
@@ -18,7 +21,6 @@ from gbsdelab.expr import (
     parse,
     substitute,
     to_str,
-    tokenize,
 )
 
 
@@ -26,38 +28,136 @@ def ev(text, **env):
     return evaluate(parse(text), env)
 
 
-class TestTokenize:
+class TestParseText:
+    """What the hand-written lexer checked, now read through parse."""
+
     def test_single_variable(self):
-        toks = tokenize("z")
-        assert [(t.kind, t.text) for t in toks] == [("ident", "z"), ("end", "")]
+        assert parse("z") == Var("z")
 
     def test_generator_body(self):
-        toks = tokenize("-2.5*pow(abs(z),0.8)")
-        kinds = [t.kind for t in toks[:-1]]
-        texts = [t.text for t in toks[:-1]]
-        assert texts == ["-", "2.5", "*", "pow", "(", "abs", "(", "z", ")",
-                         ",", "0.8", ")"]
-        assert kinds == ["op", "num", "op", "ident", "lparen", "ident",
-                         "lparen", "ident", "rparen", "comma", "num", "rparen"]
+        assert parse("-2.5*pow(abs(z),0.8)") == Bin(
+            "*", Neg(Num(2.5)), Call("pow", (Call("abs", (Var("z"),)), Num(0.8)))
+        )
+
+    @pytest.mark.parametrize("text", ["2.5e", "1e+", "x*1e-", "2.5e+x"])
+    def test_malformed_exponent(self, text):
+        with pytest.raises(ParseError):
+            parse(text)
 
     def test_malformed_exponent_offset(self):
-        with pytest.raises(LexError) as exc:
-            tokenize("2.5e")
-        assert exc.value.offset == 3
+        # the offset is Python's tokenizer's, inside the literal; the
+        # hand-written lexer gave 3, the "e"
+        with pytest.raises(ParseError, match="invalid decimal literal") as exc:
+            parse("2.5e")
+        assert 0 <= exc.value.offset <= 3
 
     def test_exponent_forms(self):
-        assert [t.text for t in tokenize("1e3 2E-2 3.5e+1")[:-1]] == [
-            "1e3", "2E-2", "3.5e+1"
-        ]
+        assert parse("1e3+2E-2+3.5e+1+5.e1+.5E0") == Bin("+", Bin("+", Bin("+", Bin(
+            "+", Num(1e3), Num(2e-2)), Num(35.0)), Num(50.0)), Num(0.5))
 
     def test_illegal_character(self):
-        with pytest.raises(LexError) as exc:
-            tokenize("x ^ 2")
+        with pytest.raises(ParseError, match="illegal character '\\^'") as exc:
+            parse("x ^ 2")
         assert exc.value.offset == 2
 
+    def test_syntax_error_offset(self):
+        with pytest.raises(ParseError) as exc:
+            parse("  x y")
+        assert exc.value.offset == 4
+
     def test_positions_recorded(self):
-        toks = tokenize("  x + y")
-        assert toks[0].pos == 2 and toks[1].pos == 4 and toks[2].pos == 6
+        # the three tokens of "  x + y" sit at offsets 2, 4 and 6
+        for text, offset in (("  w + y", 2), ("  x ^ y", 4), ("  x + w", 6)):
+            with pytest.raises(ParseError) as exc:
+                parse(text)
+            assert exc.value.offset == offset
+
+    @pytest.mark.parametrize("text, offset", [
+        ("x +\n\tw", 5), ("\t\n w", 3), ("x\u00a0+\u2003w", 4),
+    ])
+    def test_whitespace_positions(self, text, offset):
+        with pytest.raises(ParseError, match="unknown identifier 'w'") as exc:
+            parse(text)
+        assert exc.value.offset == offset
+
+
+class TestParseGuards:
+    """The checks that keep Python's parser to this language; each test
+    fails when its check is taken out."""
+
+    @pytest.mark.parametrize("text, offset", [
+        ("x # w", 2), ("x\\\n+y", 1), ("x == y", 2), ("x + 'y'", 4),
+        ("x[0]", 1), ("\u0663", 0), ("x*\uff13", 2),
+    ])
+    def test_illegal_characters_first(self, text, offset):
+        with pytest.raises(ParseError, match="illegal character") as exc:
+            parse(text)
+        assert exc.value.offset == offset
+
+    def test_whitespace_is_a_space(self):
+        assert parse("x +\n\ty") == Bin("+", Var("x"), Var("y"))
+        assert parse("x\u00a0*\u2003y") == Bin("*", Var("x"), Var("y"))
+
+    def test_leading_whitespace(self):
+        assert parse(" \n x") == Var("x")
+
+    @pytest.mark.parametrize("text, value", [
+        ("02", 2.0), ("007.5", 7.5), ("00", 0.0), ("100", 100.0),
+        ("1.007", 1.007), ("1e-007", 1e-7), ("1E+005", 1e5), ("1e007", 1e7),
+    ])
+    def test_leading_zeros(self, text, value):
+        assert parse(text) == Num(value)
+        assert parse(f"x*{text}") == Bin("*", Var("x"), Num(value))
+
+    @pytest.mark.parametrize("text", [
+        "1_0", "0x1", "00x1", "0b1", "0o1", "1j", "01j", "True", "None", "...",
+    ])
+    def test_python_only_numbers(self, text):
+        with pytest.raises(ParseError):
+            parse(text)
+
+    @pytest.mark.parametrize("text", [
+        "abs(x,)", "pow(x, y ,)", "abs((x),)", "(abs)(x)", "abs(x, **y)",
+        "abs(*x)", "abs()", "abs(x)(y)", "2(3)", "x(1)",
+    ])
+    def test_calls(self, text):
+        with pytest.raises(ParseError):
+            parse(text)
+
+    @pytest.mark.parametrize("text, offset", [
+        ("x**2", 0), ("1 + x//2", 4), ("+x", 0), ("x.real", 0), ("1..e", 0),
+        ("x, y", 0), ("(x, y)", 0), ("()", 0), ("x if y else z", 0),
+        ("not x", 0), ("x and y", 0), ("x in y", 0), ("await x", 0),
+        ("abs(x for x in y)", 3),
+    ])
+    def test_other_python_syntax(self, text, offset):
+        with pytest.raises(ParseError, match="unsupported syntax") as exc:
+            parse(text)
+        assert exc.value.offset == offset
+
+    @pytest.mark.parametrize("text", ["5x", "1if x else 2", "0x1for x in y"])
+    def test_no_syntax_warning(self, text, capfd):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ParseError):
+                parse(text)
+        assert caught == []
+        assert capfd.readouterr().err == ""
+
+    def test_nesting_to_python_limit(self):
+        assert parse("(" * 200 + "x" + ")" * 200) == Var("x")
+        tree = parse("abs(" * 199 + "x" + ")" * 199)
+        assert free_vars(tree) == {"x"}
+
+    @pytest.mark.parametrize("text", [
+        "(" * 201 + "x" + ")" * 201,
+        "abs(" * 201 + "x" + ")" * 201,
+        "+".join(["x"] * 5000),
+        "-" * 5000 + "x",
+    ], ids=["parens-201", "calls-201", "sum-5000", "minus-5000"])
+    def test_too_deep_is_a_parse_error(self, text):
+        with pytest.raises(ParseError):
+            parse(text)
 
 
 class TestParse:
@@ -246,3 +346,41 @@ def _trees():
 @given(_trees())
 def test_roundtrip_structural(tree):
     assert parse(to_str(tree)) == tree
+
+
+_EXPRESSION_KEYS = {"Phi", "b", "h", "sigma", "body", "reference"}
+
+
+def _expressions(raw):
+    """Every expression string of a raw config, wherever it sits."""
+    if isinstance(raw, dict):
+        for key, value in raw.items():
+            if key in _EXPRESSION_KEYS and isinstance(value, str):
+                yield value
+            else:
+                yield from _expressions(value)
+
+
+def _readme_config():
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(path) as fh:
+        text = fh.read()
+    block = text.split("Example config:", 1)[1].split("```json", 1)[1]
+    return json.loads(block.split("```", 1)[0])
+
+
+def _corpus():
+    from test_bench_contract import _load_bench
+
+    workloads = _load_bench("workloads")
+    raws = [raw for make in workloads.WORKLOADS.values()
+            for smoke in (False, True) for raw in make(1, smoke=smoke).configs.values()]
+    return sorted({e for raw in raws + [_readme_config()] for e in _expressions(raw)})
+
+
+def test_config_expressions_parse_and_round_trip():
+    corpus = _corpus()
+    assert {"x*x", "-2.5*pow(abs(z),0.8)", "-0.5*abs(z)"} <= set(corpus)
+    for text in corpus:
+        tree = parse(text)
+        assert parse(to_str(tree)) == tree, text
