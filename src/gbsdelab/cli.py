@@ -21,6 +21,7 @@ import numpy as np
 
 from . import gbsde, gsim, pde
 from .envelope import (
+    ZERO_GENERATOR,
     EnvelopeGenerator,
     Modulus,
     ScalarGenerator,
@@ -121,10 +122,6 @@ def _modulus(d, pointer):
     )
 
 
-_ZERO_GEN = {"body": "0", "lip_y": 0.0,
-             "modulus": {"kind": "linear", "c": 1.0, "growth_L": 1.0}}
-
-
 def _generator(d, pointer):
     if not isinstance(d, dict):
         raise ConfigError(pointer, "generator must be an object")
@@ -148,8 +145,8 @@ def _problem(d, gparams, pointer="/problem"):
         lip_const=_num(d, "lip_const", pointer, 1.0),
         growth_q=_num(d, "growth_q", pointer, 2, integral=True),
     )
-    f = _generator(_get(d, "f", pointer, _ZERO_GEN), f"{pointer}/f")
-    g = _generator(_get(d, "g", pointer, _ZERO_GEN), f"{pointer}/g")
+    f, g = (_generator(d[k], f"{pointer}/{k}") if k in d else ZERO_GENERATOR
+            for k in ("f", "g"))
     return _build(pointer, pde.PdeProblem, coeffs, f, g, gparams,
                   T=_num(d, "T", pointer, 1.0),
                   lip_z_bound=_num(d, "lip_z_bound", pointer, 0.0))
@@ -295,9 +292,8 @@ def _exp_upper_expectation(cfg: RunConfig, out_dir):
         ["policy", "mc_mean", "mc_se", "dominated"],
         rows,
     )
-    passed = all(c["dominated"] for c in checks)
     return {"experiment": "upper-expectation", "pde_value": pde_val,
-            "policies": checks, "passed": passed}, passed
+            "policies": checks, "passed": all(c["dominated"] for c in checks)}
 
 
 def _exp_envelope_report(cfg: RunConfig, out_dir):
@@ -305,7 +301,6 @@ def _exp_envelope_report(cfg: RunConfig, out_dir):
     L = gbsde.problem_growth_L(cfg.problem)
     zs = np.linspace(-4.0, 4.0, 401)
     level_reports = []
-    ok_all = True
     for n in cfg.levels:
         lo = EnvelopeGenerator(f, n, "lower")
         up = EnvelopeGenerator(f, n, "upper")
@@ -314,13 +309,12 @@ def _exp_envelope_report(cfg: RunConfig, out_dir):
         gap = float(max(np.max(fv - lov), np.max(upv - fv)))
         bound = envelope_gap_bound(f.modulus_z, L, n) if "z" in free_vars(f.body) else 0.0
         slack = lo.interp_error_bound(zs) + 1e-9
-        ok = gap <= bound + slack
-        ok_all = ok_all and ok
-        level_reports.append({"level": n, "max_gap": gap, "bound": bound, "pass": ok})
+        level_reports.append({"level": n, "max_gap": gap, "bound": bound,
+                              "pass": gap <= bound + slack})
     _write_records(os.path.join(out_dir, "envelope_report.csv"),
                    ["level", "max_gap", "bound", "pass"], level_reports)
     return {"experiment": "envelope-report", "levels": level_reports,
-            "passed": ok_all}, ok_all
+            "passed": all(r["pass"] for r in level_reports)}
 
 
 def _exp_ladder(cfg: RunConfig, out_dir):
@@ -329,7 +323,6 @@ def _exp_ladder(cfg: RunConfig, out_dir):
     tol = lad.tolerance
     core = grid.core_mask()
     reports = []
-    ok_all = True
     for i, n in enumerate(lad.levels):
         ok = lad.gap_report[i] <= lad.bound_report[i] + 2.0 * tol
         if i > 0:
@@ -341,13 +334,12 @@ def _exp_ladder(cfg: RunConfig, out_dir):
             pup = lad.upper_solutions[i - 1].values[:, core]
             ok = (ok and lad.gap_report[i] <= lad.gap_report[i - 1]
                   and bool(np.all(plo <= lo + tol)) and bool(np.all(up <= pup + tol)))
-        ok_all = ok_all and ok
         reports.append({"level": n, "gap": lad.gap_report[i],
                         "bound": lad.bound_report[i], "pass": ok})
     _write_records(os.path.join(out_dir, "ladder.csv"),
                    ["level", "gap", "bound", "pass"], reports)
     return {"experiment": "ladder", "tolerance": lad.tolerance,
-            "levels": reports, "passed": ok_all}, ok_all
+            "levels": reports, "passed": all(r["pass"] for r in reports)}
 
 
 def _solve_exact_summary(cfg: RunConfig, out_dir):
@@ -364,10 +356,9 @@ def _solve_exact_summary(cfg: RunConfig, out_dir):
 
 def _exp_solve(cfg: RunConfig, out_dir):
     grid, ex = _solve_exact_summary(cfg, out_dir)
-    passed = ex.measured_gap <= cfg.target_gap
     return {"experiment": "solve", "level": ex.level, "gap": ex.measured_gap,
             "bound": ex.bound, "tolerance": ex.tolerance,
-            "target_gap": cfg.target_gap, "passed": passed}, passed
+            "target_gap": cfg.target_gap, "passed": ex.measured_gap <= cfg.target_gap}
 
 
 def _exp_golden(cfg: RunConfig, out_dir):
@@ -383,7 +374,7 @@ def _exp_golden(cfg: RunConfig, out_dir):
     return {"experiment": "golden", "level": ex.level, "gap": ex.measured_gap,
             "bound": ex.bound, "tolerance": ex.tolerance,
             "max_core_error": err, "threshold": cfg.target_gap,
-            "passed": passed}, passed
+            "passed": passed}
 
 
 def _exp_compare(cfg: RunConfig, out_dir):
@@ -395,8 +386,7 @@ def _exp_compare(cfg: RunConfig, out_dir):
                ["min_core_diff", "level1", "level2", "pass"],
                [(rep.min_core_diff, rep.level1, rep.level2, rep.passed)])
     return {"experiment": "compare", "min_core_diff": rep.min_core_diff,
-            "level1": rep.level1, "level2": rep.level2,
-            "passed": rep.passed}, rep.passed
+            "level1": rep.level1, "level2": rep.level2, "passed": rep.passed}
 
 
 def _max_uptick(K):
@@ -433,10 +423,10 @@ def _exp_kcheck(cfg: RunConfig, out_dir):
     sol = ex.solution
     scale_tol = 5.0 * (grid.dx + np.sqrt(cfg.mc_dt))
     reports = [_kcheck_policy(cfg, sol, name, scale_tol) for name in cfg.policies]
-    ok_all = all(r["pass"] for r in reports)
     _write_records(os.path.join(out_dir, "kcheck.csv"),
                    ["policy", "max_K_uptick", "tolerance", "pass"], reports)
-    return {"experiment": "kcheck", "policies": reports, "passed": ok_all}, ok_all
+    return {"experiment": "kcheck", "policies": reports,
+            "passed": all(r["pass"] for r in reports)}
 
 
 _EXPERIMENTS = {
@@ -456,9 +446,9 @@ def run(cfg: RunConfig, experiment: str, out_dir: str = ".") -> int:
               f"{sorted(_EXPERIMENTS)}", file=sys.stderr)
         return 2
     os.makedirs(out_dir, exist_ok=True)
-    summary, passed = _EXPERIMENTS[experiment](cfg, out_dir)
+    summary = _EXPERIMENTS[experiment](cfg, out_dir)
     _write_summary(out_dir, summary)
-    return 0 if passed else 1
+    return 0 if summary["passed"] else 1
 
 
 def main(argv=None) -> int:

@@ -127,6 +127,9 @@ class ScalarGenerator:
         return bool(np.all(vals <= bound + 1e-9))
 
 
+ZERO_GENERATOR = ScalarGenerator(parse("0"), 0.0, Modulus("linear", c=1.0, growth_L=1.0))
+
+
 def search_radius(L: float, n: float, y, z):
     """Certified localization radius 2L(1+|y|+|z|)/(n-L) for the minimizer.
 

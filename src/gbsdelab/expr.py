@@ -150,19 +150,6 @@ def free_vars(e: Expr) -> frozenset[str]:
     return frozenset().union(*(free_vars(a) for a in e.args)) if e.args else frozenset()
 
 
-def substitute(e: Expr, mapping: dict) -> Expr:
-    """Replace variables by expression trees; mapping maps names to Exprs."""
-    if isinstance(e, Var):
-        return mapping.get(e.name, e)
-    if isinstance(e, Num):
-        return e
-    if isinstance(e, Neg):
-        return Neg(substitute(e.arg, mapping))
-    if isinstance(e, Bin):
-        return Bin(e.op, substitute(e.left, mapping), substitute(e.right, mapping))
-    return Call(e.name, tuple(substitute(a, mapping) for a in e.args))
-
-
 def _any(v) -> bool:
     """Truth of any element: v.any() for an array, bool(v) for a scalar, so a
     scalar check costs no array round trip."""

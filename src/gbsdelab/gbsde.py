@@ -52,8 +52,9 @@ def level_base(L: float) -> float:
     return 2.0 * L if L > 0.0 else 1.0
 
 
-def solver_tolerance(grid: "pde.SpaceTimeGrid", sol: "pde.PdeSolution") -> float:
-    """Pinned discretization-tolerance scale: (dx + dt) * (1 + core sup |u|)."""
+def solver_tolerance(sol: "pde.PdeSolution") -> float:
+    """Pinned tolerance scale on sol's grid: (dx + dt) * (1 + core sup |u|)."""
+    grid = sol.grid
     core = grid.core_mask()
     scale = 1.0 + float(np.max(np.abs(sol.values[:, core])))
     return (grid.dx + grid.dt) * scale
@@ -98,10 +99,9 @@ def _level_bound(problem: "pde.PdeProblem", L: float, n: float) -> float:
 
 
 def _solve_level(problem, L: float, n: float, grid: "pde.SpaceTimeGrid"):
-    """Lower and upper level-n solutions on grid with dt refined for both,
-    their core gap and the modulus bound on it."""
+    """Lower and upper level-n solutions on grid's nodes (one dt: the two
+    envelopes share lip_z and lip_y), their core gap and its modulus bound."""
     lower, upper = (envelope_problem(problem, n, side) for side in ("lower", "upper"))
-    grid = pde.refine_grid(grid, lower, upper)
     lo, up = pde.solve(lower, grid), pde.solve(upper, grid)
     return lo, up, _core_gap(lo, up), _level_bound(problem, L, n)
 
@@ -109,11 +109,11 @@ def _solve_level(problem, L: float, n: float, grid: "pde.SpaceTimeGrid"):
 def approximation_ladder(problem, levels, grid) -> Ladder:
     """Solve lower/upper envelope problems for each level on one grid.
 
-    All levels share the spatial nodes of the given grid; the time step is
-    refined once, for the top level, so every level's update is monotone.
-    The 2K envelope problems differ only in f and g, so they advance
-    together as one pde.solve_stack; each solution equals what pde.solve
-    gives for its problem alone, bit for bit.
+    All levels share the spatial nodes of the given grid.  The 2K envelope
+    problems differ only in f and g, so they advance together as one
+    pde.solve_stack, whose time step is the top level's (the smallest);
+    each solution equals what pde.solve gives for its problem alone on that
+    grid, bit for bit.
     """
     levels = tuple(float(n) for n in levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
@@ -125,12 +125,11 @@ def approximation_ladder(problem, levels, grid) -> Ladder:
         raise ValueError(f"every level must exceed L={L}")
     problems = [envelope_problem(problem, n, side)
                 for n in levels for side in ("lower", "upper")]
-    grid = pde.refine_grid(grid, *problems[-2:])
     sols = pde.solve_stack(problems, grid)
     lowers, uppers = sols[0::2], sols[1::2]
     gaps = tuple(_core_gap(lo, up) for lo, up in zip(lowers, uppers))
     bounds = tuple(_level_bound(problem, L, n) for n in levels)
-    tol = solver_tolerance(grid, lowers[-1])
+    tol = solver_tolerance(lowers[-1])
     return Ladder(levels, lowers, uppers, gaps, bounds, tol)
 
 
@@ -158,7 +157,7 @@ def solve_exact(problem, grid, target_gap, max_doublings: int = 8) -> ExactSolve
     for k in range(max_doublings + 1):
         n = level_base(L) * 2.0**k
         lo, up, gap, bound = _solve_level(problem, L, n, grid)
-        tol = solver_tolerance(lo.grid, lo)
+        tol = solver_tolerance(lo)
         if gap > bound + 2.0 * tol:
             raise RuntimeError(
                 f"certification failed at level n={n}: measured gap {gap:g} "
@@ -245,14 +244,17 @@ def _check_generator_order(g1, g2, T, xs, name):
 def compare(problem1, problem2, grid, target_gap: float = 0.05) -> CompareReport:
     """Solve an ordered pair and report the minimum core difference.
 
-    Preconditions: shared b, h, sigma; Phi1 <= Phi2 on the nodes;
-    f1 <= f2 and g1 <= g2 on a sampled panel.  The monotone scheme then
-    preserves the ordering up to rounding.
+    Preconditions: shared b, h, sigma, T and gparams; Phi1 <= Phi2 on the
+    nodes; f1 <= f2 and g1 <= g2 on a sampled panel.  The monotone scheme
+    then preserves the ordering up to rounding.
     """
     c1, c2 = problem1.coeffs, problem2.coeffs
     for name in ("b", "h", "sigma"):
         if to_str(getattr(c1, name)) != to_str(getattr(c2, name)):
             raise ValueError(f"problems must share coefficient {name}")
+    for name in ("T", "gparams"):
+        if getattr(problem1, name) != getattr(problem2, name):
+            raise ValueError(f"problems must share {name}")
     xs = grid.xs
     phi1, phi2 = c1.eval_phi(xs), c2.eval_phi(xs)
     if np.any(phi1 > phi2 + _ORDER_TOL):
@@ -274,9 +276,8 @@ def compare(problem1, problem2, grid, target_gap: float = 0.05) -> CompareReport
     grid_n = pde.refine_grid(grid, p1, p2)
 
     def at_common_level(s, p):
-        sol = s.solution
-        if sol.fingerprint == p.fingerprint() and sol.grid == grid_n:
-            return sol
+        if s.level == n and s.solution.grid == grid_n:
+            return s.solution
         return pde.solve(p, grid_n)
 
     u1 = at_common_level(s1, p1)

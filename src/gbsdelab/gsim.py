@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pde
-from .envelope import Modulus, ScalarGenerator
+from .envelope import ZERO_GENERATOR
 from .expr import Expr, Num, evaluate, free_vars
 from .gfunction import GParams, worst_case_q
 
@@ -112,7 +112,7 @@ def _batches(t0, T, dt, n_paths, seed):
     batch's columns and normals xi (nb, n_steps) from its Philox stream."""
     span = T - t0
     n_steps = int(round(span / dt))
-    if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(1.0, span):
+    if n_steps < 1 or not pde.spans(n_steps, dt, span):
         raise ValueError(f"dt={dt} does not divide the horizon {span}")
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
@@ -235,9 +235,9 @@ def heat_solution(payoff: Expr, gparams: GParams, T, x_min=-8.0, x_max=8.0, nx=1
     """The degenerate parabolic solve behind the worst-case expectation of
     payoff(B_T): b=h=0, sigma=1 and no generators.  Returns (sol, problem),
     which is also the context FeedbackPolicy reads its control from."""
-    zero = ScalarGenerator.from_text("0", 0.0, Modulus("linear", c=1.0, growth_L=1.0))
     coeffs = pde.CoefficientSet(b=Num(0.0), h=Num(0.0), sigma=Num(1.0), Phi=payoff)
-    problem = pde.PdeProblem(coeffs, zero, zero, gparams, float(T), 0.0)
+    problem = pde.PdeProblem(coeffs, ZERO_GENERATOR, ZERO_GENERATOR, gparams,
+                             float(T), 0.0)
     grid = pde.build_grid(problem, x_min, x_max, nx)
     return pde.solve(problem, grid), problem
 

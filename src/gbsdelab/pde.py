@@ -267,19 +267,24 @@ def max_stable_dt(problem: PdeProblem, x_min, x_max, nx) -> float:
     return _CFL_SAFETY / denom
 
 
+def spans(n, dt, T) -> bool:
+    """True when n steps of dt make up the horizon T, within rounding."""
+    return abs(n * dt - T) <= 1e-9 * max(1.0, T)
+
+
 def refine_grid(grid: SpaceTimeGrid, *problems) -> SpaceTimeGrid:
-    """grid itself when its dt keeps the update monotone for every given
-    problem (see max_stable_dt); otherwise the same nodes with the fewest
-    steps over the horizon of the first problem that do.
+    """grid itself when its nt steps span the horizon T of the first problem
+    and its dt keeps the update monotone for every given problem (see
+    max_stable_dt); otherwise the fewest steps over T on its nodes that do.
 
     Envelope problems at high levels carry extra numerical dissipation, so
     a grid built for the base problem can violate their monotonicity
     bound; the spatial nodes are kept and only dt is refined.
     """
     dt = min(max_stable_dt(p, grid.x_min, grid.x_max, grid.nx) for p in problems)
-    if grid.dt <= dt * (1.0 + 1e-12):
-        return grid
     T = problems[0].T
+    if grid.dt <= dt * (1.0 + 1e-12) and spans(grid.nt, grid.dt, T):
+        return grid
     nt = int(np.ceil(T / dt))
     return SpaceTimeGrid(grid.x_min, grid.x_max, grid.nx, T / nt, nt, grid.core_fraction)
 
@@ -309,14 +314,13 @@ def _non_finite(a, grid: SpaceTimeGrid) -> str:
     return where if len(a) == 1 else f"row {r}, {where}"
 
 
-def step_backward(u_next, t, problem, grid: SpaceTimeGrid, fields=None):
-    """One explicit Euler step from the layer at t+dt down to t.
+def step_backward(u, t, problems, grid: SpaceTimeGrid, fields=None):
+    """One explicit Euler step from the layers at t+dt down to t.
 
-    u_next is either one layer, shape (nx,), with problem a PdeProblem, or
-    a stack of P layers, shape (P, nx), with problem a sequence of P
-    problems that share coeffs and gparams (solve_stack checks this); row
-    r of the stack is stepped under problem[r], and the result has the
-    shape of u_next.  Coefficients and generators are evaluated at the
+    u is a stack of P layers, shape (P, nx), and problems a sequence of P
+    problems that share coeffs and gparams (solve_stack checks this);
+    row r of the stack is stepped under problems[r], and the result has
+    shape (P, nx).  Coefficients and generators are evaluated at the
     layer being produced; f and g are evaluated row by row, since each
     row has its own envelope.  fields, when given, is _step_fields of the
     problems and stands in for the coefficients at t; solve_stack passes
@@ -332,10 +336,6 @@ def step_backward(u_next, t, problem, grid: SpaceTimeGrid, fields=None):
     path and a non-finite input node is still named as such.  An envelope
     evaluated at a non-finite z raises its own ValueError first.
     """
-    u = np.asarray(u_next, dtype=float)
-    problems = (problem,) if u.ndim == 1 else tuple(problem)
-    shape = u.shape
-    u = u.reshape(len(problems), grid.nx)
     xs = grid.xs
     dx = grid.dx
     if fields is None:
@@ -348,7 +348,7 @@ def step_backward(u_next, t, problem, grid: SpaceTimeGrid, fields=None):
     delta = lap / (2.0 * dx)
     # one-sided differences padded by their end values: node j's forward
     # difference is column j+1, its backward one column j
-    du = np.empty((len(problems), grid.nx + 1))
+    du = np.empty((len(u), grid.nx + 1))
     du[:, 1:-1] = (u[:, 1:] - u[:, :-1]) / dx
     du[:, 0] = du[:, 1]
     du[:, -1] = du[:, -2]
@@ -374,7 +374,7 @@ def step_backward(u_next, t, problem, grid: SpaceTimeGrid, fields=None):
             f"non-finite update at {_non_finite(out, grid)}, t={t:g}); "
             "the time step likely violates the monotonicity bound"
         )
-    return out.reshape(shape)
+    return out
 
 
 @dataclass(frozen=True)
@@ -388,17 +388,16 @@ class PdeSolution:
     grid: SpaceTimeGrid
     times: np.ndarray
     values: np.ndarray  # len(times) x nx
-    fingerprint: str = ""
 
 
 def solve_stack(problems, grid: SpaceTimeGrid) -> tuple:
-    """Backward sweeps from Phi over nt steps for P problems at once, one
+    """Backward sweeps from Phi over [0, T] for P problems at once, one
     PdeSolution per problem, in order.
 
     The problems must share coeffs, gparams and T, so that one Phi, one
-    set of coefficient fields and one G serve every row; grid.dt must keep
-    every update monotone, so refine_grid must return grid itself.  All P
-    layers advance together as one (P, nx) stack through step_backward.
+    set of coefficient fields and one G serve every row; they are stepped
+    on refine_grid(grid, *problems), the grid every solution carries.  All
+    P layers advance together as one (P, nx) stack through step_backward.
     Each solution stores at most ~2000 layers (stride-decimated, endpoints
     always kept), written in place into its own preallocated array.
     """
@@ -407,12 +406,7 @@ def solve_stack(problems, grid: SpaceTimeGrid) -> tuple:
     for name in ("coeffs", "gparams", "T"):
         if any(getattr(p, name) != getattr(first, name) for p in problems[1:]):
             raise ValueError(f"stacked problems must share {name}")
-    stable = refine_grid(grid, *problems)
-    if stable is not grid:
-        raise SchemeError(
-            f"time step {grid.dt:g} violates the monotonicity bound; "
-            f"refine_grid gives dt={stable.dt:g} on these nodes"
-        )
+    grid = refine_grid(grid, *problems)
     xs = grid.xs
     phi = first.coeffs.eval_phi(xs)
     if not np.all(np.isfinite(phi)):
@@ -434,8 +428,7 @@ def solve_stack(problems, grid: SpaceTimeGrid) -> tuple:
             for values, row in zip(kept, u):
                 values[k // stride] = row
     times = np.asarray(kept_idx, dtype=float) * grid.dt
-    return tuple(PdeSolution(grid, times, values, p.fingerprint())
-                 for p, values in zip(problems, kept))
+    return tuple(PdeSolution(grid, times, values) for values in kept)
 
 
 def solve(problem: PdeProblem, grid: SpaceTimeGrid) -> PdeSolution:

@@ -1,10 +1,23 @@
 """Lipschitz barrier problems that bracket every ladder level, for the
-tests that check the bracket."""
+tests that check the bracket, and the variable substitution they use."""
 
 from gbsdelab import pde
 from gbsdelab.envelope import Modulus, ScalarGenerator
-from gbsdelab.expr import Bin, Num, parse, substitute
+from gbsdelab.expr import Bin, Call, Expr, Neg, Num, Var, parse
 from gbsdelab.gbsde import _inner, problem_growth_L
+
+
+def substitute(e: Expr, mapping: dict) -> Expr:
+    """Replace variables by expression trees; mapping maps names to Exprs."""
+    if isinstance(e, Var):
+        return mapping.get(e.name, e)
+    if isinstance(e, Num):
+        return e
+    if isinstance(e, Neg):
+        return Neg(substitute(e.arg, mapping))
+    if isinstance(e, Bin):
+        return Bin(e.op, substitute(e.left, mapping), substitute(e.right, mapping))
+    return Call(e.name, tuple(substitute(a, mapping) for a in e.args))
 
 
 def barrier_problems(problem: pde.PdeProblem):

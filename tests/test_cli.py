@@ -6,7 +6,8 @@ import pytest
 
 from gbsdelab import cli, gsim
 from gbsdelab.cli import ConfigError, RunConfig, load_config, main
-from gbsdelab.expr import evaluate
+from gbsdelab.envelope import ZERO_GENERATOR
+from gbsdelab.expr import evaluate, parse
 
 
 def base_config(**overrides):
@@ -138,6 +139,18 @@ class TestLoadConfig:
         raw = base_config(problem2=base_config()["problem"])
         cfg = RunConfig(raw)
         assert cfg.problem2 is not None
+
+    def test_default_generators_are_the_zero_generator(self):
+        # a missing f or g is the generator the CLI parsed from
+        # {"body": "0", "lip_y": 0.0, linear modulus c = growth_L = 1},
+        # field for field, and the heat solve uses the same one
+        cfg = RunConfig(base_config(problem={"Phi": "x*x"}))
+        written = {"body": "0", "lip_y": 0.0,
+                   "modulus": {"kind": "linear", "c": 1.0, "growth_L": 1.0}}
+        assert cli._generator(written, "/problem/f") == ZERO_GENERATOR
+        assert cfg.problem.f == cfg.problem.g == ZERO_GENERATOR
+        _, heat = gsim.heat_solution(parse("x*x"), cfg.gparams, 0.1, -2.0, 2.0, 21)
+        assert heat.f == heat.g == ZERO_GENERATOR
 
 
 class TestConfigTypes:
@@ -407,6 +420,15 @@ class TestExperiments:
         assert s["passed"] is True
         assert s["min_core_diff"] >= -1e-6
 
+    def test_compare_needs_a_shared_horizon(self, tmp_path, capsys):
+        # problem2 on [0, 0.5] used to be solved on problem's [0, 1] grid
+        # and reported PASS
+        raw = base_config()
+        raw["problem2"] = dict(raw["problem"], Phi="x*x+0.1", T=0.5)
+        path = write_config(tmp_path, raw)
+        assert main(["run", path, "compare", "--out", str(tmp_path / "out")]) == 2
+        assert "problems must share T" in capsys.readouterr().err
+
     def test_compare_needs_problem2(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())
         rc = main(["run", path, "compare", "--out", str(tmp_path / "out")])
@@ -456,6 +478,21 @@ class TestExperiments:
             err = max(err, float(np.max(np.abs(np.array(layer)[core] - ref))))
         assert len(lines) > 2
         assert s["max_core_error"] == err
+
+
+@pytest.mark.parametrize("experiment", sorted(cli._EXPERIMENTS))
+def test_exit_status_is_summary_passed(tmp_path, experiment):
+    # run takes the exit status from the summary alone; golden's reference
+    # is wrong for this problem, so both outcomes occur
+    raw = base_config(problem2=dict(base_config()["problem"], Phi="x*x+0.1"),
+                      reference="x*x+(1-t)")
+    raw["grid"]["nx"] = 41
+    raw["mc"]["policies"] = ["low", "high", "feedback"]
+    out = str(tmp_path / "out")
+    rc = main(["run", write_config(tmp_path, raw), experiment, "--out", out])
+    passed = read_summary(out)["passed"]
+    assert type(passed) is bool
+    assert rc == (0 if passed else 1)
 
 
 class TestDeterminism:

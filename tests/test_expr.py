@@ -19,9 +19,9 @@ from gbsdelab.expr import (
     evaluate,
     free_vars,
     parse,
-    substitute,
     to_str,
 )
+from barriers import substitute
 
 
 def ev(text, **env):

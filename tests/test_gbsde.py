@@ -130,10 +130,9 @@ class TestApproximationLadder:
                 assert got.grid == want.grid == top
                 assert np.array_equal(got.values, want.values)
                 assert np.array_equal(got.times, want.times)
-                assert got.fingerprint == want.fingerprint
             assert lad.gap_report[i] == gap
             assert lad.bound_report[i] == bound
-        assert lad.tolerance == gbsde.solver_tolerance(top, lo)
+        assert lad.tolerance == gbsde.solver_tolerance(lo)
 
     def test_sandwich_across_levels(self):
         prob = problem(f=SQRT_F, lip_z=1.0)
@@ -385,6 +384,16 @@ class TestCompare:
         with pytest.raises(ValueError, match="coefficient b"):
             compare(p1, p2, grid)
 
+    @pytest.mark.parametrize("name, other", [
+        ("T", problem(T=0.5)),
+        ("gparams", PdeProblem(problem().coeffs, ZERO, ZERO, GParams(0.5, 2.0), 1.0, 0.0)),
+    ])
+    def test_problems_must_share(self, name, other):
+        p1 = problem()
+        grid = build_grid(p1, -2.0, 2.0, 101)
+        with pytest.raises(ValueError, match=f"problems must share {name}"):
+            compare(p1, other, grid)
+
     def test_terminal_order_violation_witnessed(self):
         p1 = problem(phi="x*x")
         p2 = problem(phi="x*x-1")
@@ -399,6 +408,41 @@ class TestCompare:
         grid = build_grid(p1, -2.0, 2.0, 101)
         with pytest.raises(ValueError, match="f ordering"):
             compare(p1, p2, grid)
+
+
+@pytest.mark.parametrize("T, grid_T", [(0.25, 1.0), (1.0, 0.25)])
+def test_level_walks_span_the_problem_horizon(T, grid_T):
+    # solve_exact and the ladder step the problem's own [0, T], whatever T
+    # the grid was built for
+    prob = problem(T=T)
+    grid = build_grid(problem(T=grid_T), -6.0, 6.0, 301)
+    ex = solve_exact(prob, grid, 0.05)
+    lad = approximation_ladder(prob, [1.0, 2.0], grid)
+    for sol in (ex.solution, ex.upper_solution, *lad.lower_solutions, *lad.upper_solutions):
+        assert sol.times[-1] == T
+        assert eval_u(sol, 0.0, 0.0) == pytest.approx(GP.sigma_high_sq * T, abs=1e-6)
+
+
+def test_stable_dt_runs_once_per_problem(monkeypatch):
+    # two max_stable_dt calls per solve_exact level and 2K per ladder: the
+    # solver alone picks the time step
+    prob = problem(f=SQRT_F, lip_z=1.0)
+    grid = build_grid(prob, -4.0, 4.0, 101)
+    calls = []
+    real = pde.max_stable_dt
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(pde, "max_stable_dt", counting)
+    ex = solve_exact(prob, grid, 0.05)
+    tried = round(np.log2(ex.level / gbsde.level_base(problem_growth_L(prob)))) + 1
+    assert tried > 1
+    assert len(calls) == 2 * tried
+    calls.clear()
+    approximation_ladder(prob, [1.0, 2.0, 4.0], grid)
+    assert len(calls) == 2 * 3
 
 
 def _count_solves(monkeypatch):

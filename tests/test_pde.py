@@ -99,18 +99,36 @@ class TestRefineGrid:
         kept = ("x_min", "x_max", "nx", "core_fraction")
         assert all(getattr(out, k) == getattr(grid, k) for k in kept)
 
-    @pytest.mark.parametrize("factor, refused", [(1.0 + 1e-13, False), (1.0 + 1e-10, True)])
-    def test_solve_refuses_what_refine_grid_refines(self, factor, refused):
-        # one rule and one tolerance: solve steps a grid exactly when
-        # refine_grid keeps it
-        prob = heat_problem()
-        grid = SpaceTimeGrid(*self.ARGS, max_stable_dt(prob, *self.ARGS) * factor, 1, 0.5)
-        assert (refine_grid(grid, prob) is not grid) == refused
-        if refused:
-            with pytest.raises(SchemeError, match="violates the monotonicity bound"):
-                solve(prob, grid)
+    @pytest.mark.parametrize("factor, nt, kept", [
+        (1.0 + 1e-13, 50, True),  # stable within the slack, spans T
+        (1.0 - 1e-3, 50, True),
+        (1.0 + 1e-10, 50, False),  # unstable
+        (1.0 - 1e-3, 49, False),  # stable, but stops short of T
+        (1.0 - 1e-3, 51, False),  # stable, but runs past T
+    ])
+    def test_solve_steps_what_refine_grid_gives(self, factor, nt, kept):
+        # one rule: solve steps a stable grid that spans T as given and
+        # any other grid as refine_grid gives it
+        dt = max_stable_dt(heat_problem(), *self.ARGS) * factor
+        prob = heat_problem(T=50 * dt)
+        grid = SpaceTimeGrid(*self.ARGS, dt, nt, 0.5)
+        refined = refine_grid(grid, prob)
+        assert (refined is grid) == kept
+        sol = solve(prob, grid)
+        if kept:
+            assert sol.grid is grid
         else:
-            assert solve(prob, grid).grid is grid
+            assert sol.grid == refined and refined.nt * refined.dt == pytest.approx(prob.T)
+            assert np.array_equal(sol.values, solve(prob, refined).values)
+
+    @pytest.mark.parametrize("rel, kept", [(1e-10, True), (1e-8, False)])
+    def test_span_slack(self, rel, kept):
+        # a grid counts as spanning T within 1e-9 relative, the same rule
+        # the path simulation applies to its dt
+        prob = heat_problem()
+        grid = build_grid(prob, *self.ARGS)
+        off = SpaceTimeGrid(*self.ARGS, grid.dt * (1.0 - rel), grid.nt, 0.5)
+        assert (refine_grid(off, prob) is off) == kept
 
     @pytest.mark.parametrize("kw", [{}, {"sigma": "0", "b": "1"}, {"T": 1e-6}])
     def test_build_grid_refines_one_step(self, kw):
@@ -148,12 +166,12 @@ class TestStepBackward:
 
     def test_linear_fixed_point(self):
         u = 3.0 * self.grid.xs + 1.0
-        out = step_backward(u, 0.5, self.prob, self.grid)
+        out = step_backward(u[None], 0.5, [self.prob], self.grid)[0]
         assert np.allclose(out, u, atol=1e-12)
 
     def test_convex_quadratic_gains_high_variance(self):
         u = self.grid.xs**2
-        out = step_backward(u, 0.5, self.prob, self.grid)
+        out = step_backward(u[None], 0.5, [self.prob], self.grid)[0]
         interior = slice(1, -1)
         assert np.allclose(
             out[interior], u[interior] + self.grid.dt * GP.sigma_high_sq, atol=1e-12
@@ -161,7 +179,7 @@ class TestStepBackward:
 
     def test_concave_quadratic_loses_low_variance(self):
         u = -self.grid.xs**2
-        out = step_backward(u, 0.5, self.prob, self.grid)
+        out = step_backward(u[None], 0.5, [self.prob], self.grid)[0]
         interior = slice(1, -1)
         assert np.allclose(
             out[interior], u[interior] - self.grid.dt * GP.sigma_low_sq, atol=1e-12
@@ -171,7 +189,7 @@ class TestStepBackward:
         u = self.grid.xs**2
         u[7] = np.nan
         with pytest.raises(SchemeError, match="node 7"):
-            step_backward(u, 0.5, self.prob, self.grid)
+            step_backward(u[None], 0.5, [self.prob], self.grid)
 
     def test_monotone_in_every_node(self):
         # every interior output is nondecreasing in each input node, also
@@ -188,20 +206,20 @@ class TestStepBackward:
         grid = build_grid(prob, -2.0, 2.0, 41)
         rng = np.random.default_rng(5)
         u = rng.uniform(-1, 1, grid.nx)
-        base = step_backward(u, 0.3, prob, grid)
+        base = step_backward(u[None], 0.3, [prob], grid)[0]
         eps = 1e-6
         for j in range(grid.nx):
             up = u.copy()
             up[j] += eps
-            out = step_backward(up, 0.3, prob, grid)
+            out = step_backward(up[None], 0.3, [prob], grid)[0]
             assert np.min(out[1:-1] - base[1:-1]) >= -1e-15
 
     def test_scheme_level_comparison(self):
         rng = np.random.default_rng(6)
         u = rng.uniform(-1, 1, self.grid.nx)
         v = u - rng.uniform(0, 1, self.grid.nx)
-        out_u = step_backward(u, 0.2, self.prob, self.grid)
-        out_v = step_backward(v, 0.2, self.prob, self.grid)
+        out_u = step_backward(u[None], 0.2, [self.prob], self.grid)[0]
+        out_v = step_backward(v[None], 0.2, [self.prob], self.grid)[0]
         assert np.all(out_u[1:-1] >= out_v[1:-1] - 1e-15)
 
 
@@ -230,6 +248,17 @@ class TestSolve:
         sol = solve(prob, grid)
         assert np.array_equal(sol.values[-1], grid.xs**2)
 
+    @pytest.mark.parametrize("T, grid_T", [(0.25, 1.0), (1.0, 0.25)])
+    def test_grid_built_for_another_horizon(self, T, grid_T):
+        # the solver steps the problem's own [0, T], whatever T the grid
+        # was built for
+        prob = heat_problem(T=T)
+        grid = build_grid(heat_problem(T=grid_T), -6.0, 6.0, 301)
+        for sol in (solve(prob, grid), solve_stack((prob, prob), grid)[1]):
+            assert sol.grid == build_grid(prob, -6.0, 6.0, 301)
+            assert sol.times[-1] == T
+            assert eval_u(sol, 0.0, 0.0) == pytest.approx(GP.sigma_high_sq * T, abs=1e-6)
+
     def test_layer_decimation_bounds_memory(self):
         prob = heat_problem()
         grid = build_grid(prob, -4.0, 4.0, 401)  # several thousand steps
@@ -251,7 +280,7 @@ class TestSolveFields:
         u = np.asarray(prob.coeffs.eval_phi(grid.xs), dtype=float)
         layers = [u]
         for k in range(grid.nt - 1, -1, -1):
-            u = step_backward(u, k * grid.dt, prob, grid)
+            u = step_backward(u[None], k * grid.dt, [prob], grid)[0]
             layers.append(u)
         return np.asarray(layers[::-1])
 
@@ -320,7 +349,6 @@ class TestSolveStack:
             want = solve(fresh, grid)
             assert np.array_equal(sol.values, want.values)
             assert np.array_equal(sol.times, want.times)
-            assert sol.fingerprint == want.fingerprint
             assert sol.grid == grid
 
     def test_stack_step_equals_single_steps(self):
@@ -328,7 +356,7 @@ class TestSolveStack:
         grid = self._grid(problems)
         u = np.random.default_rng(3).uniform(-1, 1, (len(problems), grid.nx))
         got = step_backward(u, 0.02, problems, grid)
-        want = [step_backward(u[r], 0.02, p, grid)
+        want = [step_backward(u[r][None], 0.02, [p], grid)[0]
                 for r, p in enumerate(_stack_problems())]
         assert got.shape == u.shape
         assert np.array_equal(got, np.asarray(want))
