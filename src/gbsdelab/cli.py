@@ -407,6 +407,17 @@ def _kcheck_policy(cfg: RunConfig, sol, name, scale_tol):
         pol, cfg.gparams, 0.0, cfg.problem.T, cfg.mc_dt, cfg.n_paths, cfg.seed
     )
     gsim.euler_forward(cfg.problem.coeffs, ens, cfg.x0)
+    # Y and Z are read with a central stencil, one cell inside the domain
+    X, grid = ens.X.T, sol.grid
+    lo, hi = grid.x_min + grid.dx, grid.x_max - grid.dx
+    out = (X.min(axis=1) < lo - pde._HULL_TOL) | (X.max(axis=1) > hi + pde._HULL_TOL)
+    if out.any():
+        reason = (f"paths leave [{lo:g}, {hi:g}], one cell inside the domain "
+                  f"[{grid.x_min:g}, {grid.x_max:g}], at t={ens.times[out.argmax()]:g}; "
+                  "widen the domain")
+        print(f"kcheck {name}: {reason}", file=sys.stderr)
+        return {"policy": str(name), "max_K_uptick": None, "tolerance": None,
+                "pass": False, "reason": reason}
     tri = gbsde.extract_triple(sol, ens, cfg.problem)
     # max|a| as max(max a, -min a), without an |a| the size of the paths
     max_y, max_z = (max(float(np.max(a)), -float(np.min(a))) for a in (tri.Y, tri.Z))

@@ -6,11 +6,13 @@ into an n-Lipschitz one, at a cost bounded by the modulus of continuity
 evaluated at 2L/(n-L).  The minimizer search is localized to a certified
 radius derived from the linear-growth constant, so the grid search is a
 rigorous overestimate of the infimum with explicit error accounting.
+The same modulus bounds how far f can dip between two grid points, so
+the search skips the cells that cannot hold the grid minimum and still
+returns the full scan's value, one search per row of points.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,49 +143,91 @@ def search_radius(L: float, n: float, y, z):
     return 2.0 * L * (1.0 + np.abs(y) + np.abs(z)) / (n - L)
 
 
+_COARSE = 256  # coarse cells per point
+_CHUNK = 1 << 15  # most fine q-points handed to the generator in one call
+_SLACK = 1e-9  # rounding allowance of the pruning test, relative to |f| and n|z-q|
+
+
 def _grid_search(gen: ScalarGenerator, n, t, x, y, z, step, sign):
     """sign * grid minimum of q -> sign*f(t,x,y,q) + n|z-q| over the
-    certified interval; sign -1 gives the upper envelope exactly, since
-    negation is exact."""
-    _check_finite(y, "y")
-    _check_finite(z, "z")
+    certified interval, at every point of the broadcast t, x, y, z; sign
+    -1 gives the upper envelope exactly, since negation is exact.
+
+    Each point's grid is np.linspace(z - r, z + r, npts) bit for bit, plus
+    q = 0 when |z| <= r (0 often hosts the kink of |z|-type generators).
+    A coarse pass evaluates _COARSE + 1 of its points.  Inside a cell every
+    point lies within h of an end, where f moves by at most phi(h), so a
+    cell whose ends both exceed the best value so far by more than
+    phi(h) + n*h cannot hold the grid minimum (Piyavskii 1972, Shubert
+    1972); only the other cells are scanned, in chunks of _CHUNK points.
+    """
+    t, x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (t, x, y, z)))
+    shape = z.shape
+    t, x, y, z = (v.ravel() for v in (t, x, y, z))
+    _finite_abs_max(y, "y")
+    _finite_abs_max(z)
     radius = search_radius(gen.growth_L, n, y, z)
     if step is None:
-        step = min(1e-3, radius / 1000.0)
-    if step <= 0:
+        step = np.minimum(1e-3, radius / 1000.0)
+    if np.any(step <= 0):
         raise ValueError("step must be positive")
-    npts = int(np.ceil(2.0 * radius / step)) + 1
-    if npts % 2 == 0:
-        npts += 1
-    # np.linspace(z - radius, z + radius, npts) built in place, bit for bit;
-    # z is the grid midpoint already, and 0 often hosts the kink of |z|-type
-    # generators, so it takes a trailing slot when in range
+    npts = np.ceil(2.0 * radius / step).astype(np.int64) + 1
+    npts |= 1  # an even count takes one more point, so z stays the midpoint
+    last = npts - 1
     start, stop = z - radius, z + radius
-    qs = np.arange(npts + (abs(z) <= radius), dtype=float)
-    grid = qs[:npts]
-    spacing = (stop - start) / (npts - 1)
-    if spacing == 0:  # a denormal radius: np.linspace divides first
-        grid /= npts - 1
-        grid *= stop - start
-    else:
-        grid *= spacing
-    grid += start
-    grid[-1] = stop
-    if qs.size > npts:
-        qs[-1] = 0.0
-    vals = sign * gen.eval_grid(t, x, y, qs)
-    # vals is a fresh array, so n|z - q| can take over the q buffer
-    np.subtract(z, qs, out=qs)
-    np.abs(qs, out=qs)
-    qs *= n
-    vals += qs
-    return sign * float(vals.min())
+    delta = stop - start
+    spacing = delta / last
+    tiny = spacing == 0
+
+    def at(k, p):
+        """np.linspace(start, stop, npts)[k] of the points p, for k < last."""
+        q = k * spacing[p]
+        if tiny.any():  # a denormal radius: np.linspace divides first
+            q = np.where(tiny[p], k / last[p] * delta[p], q)
+        q += start[p]
+        return q
+
+    def scan(p, q):
+        return sign * gen.eval_grid(t[p], x[p], y[p], q) + n * np.abs(z[p] - q)
+
+    # coarse pass: columns 0.._COARSE are grid indices, the last one q = 0
+    col = (slice(None), None)
+    cols = np.minimum(np.arange(_COARSE + 2) * -(-last[col] // _COARSE), last[col])
+    qc = np.where(cols == last[col], stop[col], at(cols, col))
+    qc[:, -1] = np.where(np.abs(z) <= radius, 0.0, start)
+    vc = scan(col, qc)
+    best = vc.min(axis=1)
+    # h: half the widest cell plus 4 ulps of q; the slack: rounding of values
+    h = 0.5 * (qc[:, 1:-1] - qc[:, :-2]).max(axis=1, initial=0.0)
+    h += 4.0 * np.spacing(np.abs(z) + radius)
+    reach = modulus_eval(gen.modulus_z, h) + n * h
+    reach += _SLACK * (1.0 + np.abs(best) + n * radius + reach)
+    inner = cols[:, 1:-1] - cols[:, :-2] - 1
+    keep = (inner > 0) & (np.minimum(vc[:, :-2], vc[:, 1:-1]) - reach[col] <= best[col])
+    # fine pass over the interiors of the kept cells
+    pt, cell = np.nonzero(keep)
+    first, count = cols[pt, cell] + 1, inner[pt, cell]
+    ends = np.cumsum(count)
+    cuts = np.flatnonzero(np.diff(ends // _CHUNK)) + 1
+    for c in np.split(np.arange(pt.size), cuts) if pt.size else ():
+        m = count[c]
+        offsets = np.cumsum(m) - m
+        p = np.repeat(pt[c], m)
+        k = np.arange(offsets[-1] + m[-1]) + np.repeat(first[c] - offsets, m)
+        np.minimum.at(best, pt[c], np.minimum.reduceat(scan(p, at(k, p)), offsets))
+    out = (sign * best).reshape(shape)
+    return float(out[()]) if out.ndim == 0 else out
 
 
 def lower_envelope(gen: ScalarGenerator, n, t, x, y, z, step=None):
-    """Grid minimum of q -> f(t,x,y,q) + n|z-q| over the certified interval.
+    """Grid minimum of q -> f(t,x,y,q) + n|z-q| over the certified interval,
+    at every point of the broadcast t, x, y, z (a float for scalars).
 
-    Overestimates the true infimum by at most phi(step) + n*step.
+    Overestimates the true infimum by at most phi(step) + n*step.  Both
+    this bound and the exactness of the pruned search rest on the declared
+    modulus phi: where f moves by more than phi between two grid points,
+    the search may skip the dip, and it then returns a value at or above
+    the full scan's grid minimum, never below.
     """
     return _grid_search(gen, n, t, x, y, z, step, 1.0)
 
@@ -205,16 +249,12 @@ def envelope_gap_bound(m: Modulus, L: float, n: float) -> float:
     return float(modulus_eval(m, 2.0 * L / (n - L)))
 
 
-def _check_finite(v, name):
-    if not math.isfinite(v):
-        raise ValueError(f"envelope evaluated at non-finite {name} ({v})")
-
-
 def _finite_abs_max(v, name="z") -> float:
     """max |v| over the points (0 for none); raises ValueError when a value
     is not finite, before any lattice or search is built from it."""
     vabs = float(np.max(np.abs(v))) if np.size(v) else 0.0
-    _check_finite(vabs, name)
+    if not np.isfinite(vabs):
+        raise ValueError(f"envelope evaluated at non-finite {name} ({vabs})")
     return vabs
 
 
@@ -231,8 +271,10 @@ class EnvelopeGenerator:
         distance transform of the samples, built in O(N) by one forward and
         one backward prefix-minimum sweep (Felzenszwalb & Huttenlocher,
         Distance Transforms of Sampled Functions, ToC 2012).
-      * direct - any body with t, x or y in it; certified grid search per
-        evaluation point, orders of magnitude slower than a lattice lookup.
+      * direct - any body with t, x or y in it; one pruned certified grid
+        search per call, over all its points: about 400 generator values
+        per point on the benchmark's xyz generator, against one
+        interpolation per point for a lattice lookup.
     """
 
     _Z_RES = 1e-8  # innermost lattice resolution, resolves kinks near z=0
@@ -304,25 +346,9 @@ class EnvelopeGenerator:
             self._ensure_range(z)
             out = np.interp(z, self._lattice, self._values)
             return float(out) if out.ndim == 0 else out
-        return self._eval_direct(t, x, y, z)
-
-    def _eval_direct(self, t, x, y, z):
-        t_b, x_b, y_b, z_b = np.broadcast_arrays(
-            np.asarray(t, dtype=float),
-            np.asarray(x, dtype=float),
-            np.asarray(y, dtype=float),
-            np.asarray(z, dtype=float),
-        )
-        _finite_abs_max(y_b, "y")
-        _finite_abs_max(z_b)
-        # the search goes through the module names, so wrappers see each point
+        # the direct search goes through the module names, so wrappers see it
         env = lower_envelope if self.side == "lower" else upper_envelope
-        out = np.fromiter(
-            (env(self.gen, self.n, *p) for p in zip(t_b.flat, x_b.flat, y_b.flat, z_b.flat)),
-            dtype=float,
-            count=z_b.size,
-        ).reshape(z_b.shape)
-        return float(out[()]) if out.ndim == 0 else out
+        return env(self.gen, self.n, t, x, y, z)
 
     def interp_error_bound(self, z) -> float:
         """Bound on the lattice interpolation error near |z| (0 if exact mode)."""

@@ -120,6 +120,27 @@ def test_traced_ladder_steps_the_stack_once_per_time_step(tracing, lib):
     assert m["envelope.lattice_builds"] >= 4
 
 
+def test_traced_direct_solve_records_the_search(tracing, lib):
+    # a generator in x and z takes the direct search, which the tracer sees
+    # only through the module names envelope.lower_envelope/upper_envelope
+    f = ScalarGenerator.from_text(
+        "-(1+0.5*abs(x)/(1+abs(x)))*sqrt(abs(z))", 0.0,
+        Modulus("power", c=1.5, alpha=0.5, growth_L=1.5))
+    coeffs = pde.CoefficientSet.from_text("0", "0", "1", "x*x")
+    problem = pde.PdeProblem(coeffs, f, envelope.ZERO_GENERATOR, GP, 0.25, 1.5)
+    grid = pde.build_grid(problem, -2.0, 2.0, 11)
+    tracer = tracing.Tracer(lib)
+    tracer.install()
+    try:
+        gbsde.solve_exact(problem, grid, 10.0)
+        m = tracer.round_metrics(0)
+    finally:
+        tracer.uninstall()
+    assert envelope.EnvelopeGenerator(f, 3.0, "lower").mode == "direct"
+    assert m["envelope.direct_points"] > 0
+    assert m["envelope.direct_s"] > 0.0
+
+
 def test_path_loop_hooks(tracing, lib):
     # a feedback run: simulate_paths -> euler_forward -> extract_triple
     targets = tracing._targets(lib)

@@ -442,6 +442,21 @@ class TestExperiments:
         s = read_summary(out)
         assert all(p["pass"] for p in s["policies"])
 
+    def test_kcheck_paths_leaving_the_domain_fail_the_check(self, tmp_path, capsys):
+        # paths of variance >= 0.5 over T = 1 leave [-0.9, 0.9]; the stencil
+        # read used to refuse them with a ValueError and exit 2
+        raw = base_config(grid={"x_min": -1.0, "x_max": 1.0, "nx": 21,
+                                "core_fraction": 0.5})
+        out = str(tmp_path / "out")
+        assert main(["run", write_config(tmp_path, raw), "kcheck", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "paths leave [-0.9, 0.9], one cell inside the domain [-1, 1], at t=" in err
+        s = read_summary(out)
+        assert [p["policy"] for p in s["policies"]] == ["low", "high"]
+        assert s["passed"] is False
+        for p in s["policies"]:
+            assert p["pass"] is False and p["reason"] in err
+
     def test_kcheck_uptick_bits_and_nan(self):
         # the running-row uptick is the accumulate form bit for bit, and a
         # NaN gives NaN, which fails the check's uptick <= tol

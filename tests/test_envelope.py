@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gbsdelab import envelope
 from gbsdelab.envelope import (
     EnvelopeGenerator,
     Modulus,
@@ -390,6 +391,98 @@ class TestGridSearchBits:
                     for p in zip(x.flat, y.flat, z.flat)]
             assert got.shape == (3, 4)
             assert np.array_equal(_bits(got).ravel(), _bits(want))
+
+
+# a body in t and y whose z part is Lipschitz and saturates, under a
+# tabulated modulus that bounds it: min(2.5r, 1 + 0.5r, 1.5)
+TY = ScalarGenerator.from_text(
+    "0.3*exp(-t)*y-2*min(abs(z),0.5)+0.5*min(abs(z-1),1)", 0.3,
+    Modulus("tabulated", rs=(0.0, 0.5, 1.0, 2.0), values=(0.0, 1.25, 1.5, 1.5),
+            growth_L=1.5),
+)
+# a true but loose modulus: nothing is pruned, so every row scans in full
+LOOSE = ScalarGenerator.from_text(
+    "sqrt(abs(z))", 0.0, Modulus("power", c=1000.0, alpha=0.5, growth_L=0.5)
+)
+
+_POINT = st.tuples(
+    st.floats(0.0, 1.0), st.floats(-3.0, 3.0), st.floats(-2.0, 2.0),
+    st.one_of(st.just(0.0), st.floats(-0.2, 0.2), st.floats(-40.0, 40.0)),
+)
+
+
+def _assert_row_bits(gen, n, row, step):
+    t, x, y, z = (np.array(v) for v in zip(*row))
+    for env, sign in ((lower_envelope, 1.0), (upper_envelope, -1.0)):
+        got = env(gen, n, t, x, y, z, step=step)
+        want = [_linspace_search(gen, n, *p, step, sign) for p in row]
+        assert got.shape == (len(row),)
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+class TestPrunedSearchBits:
+    """One pruned search per row gives each point the full scan's bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(gen=st.sampled_from([SQRT, ABS, POWER, XYZ, TY]), ratio=st.floats(1.5, 1e6),
+           row=st.lists(_POINT, min_size=1, max_size=8),
+           step=st.one_of(st.none(), st.floats(1e-3, 1.0)))
+    def test_rows_match_linspace_search(self, gen, ratio, row, step):
+        # n = 1.5L gives radii up to about 170 (full scans past _CHUNK
+        # points); a large ratio gives tiny radii, where q = 0 mostly leaves
+        # the grid and an explicit step leaves three points
+        _assert_row_bits(gen, ratio * gen.growth_L, row, step)
+
+    @pytest.mark.parametrize("gen", [XYZ, TY, LOOSE], ids=["XYZ", "TY", "LOOSE"])
+    def test_fine_pass_in_many_chunks(self, gen, monkeypatch):
+        # 64-point chunks split the kept cells of this row many times over;
+        # under LOOSE no cell is pruned and the row scans about 26,000 points
+        monkeypatch.setattr(envelope, "_CHUNK", 64)
+        rng = np.random.default_rng(22)
+        row = list(zip(*_panel(rng, 6)))
+        _assert_row_bits(gen, 4.0 * gen.growth_L, row, None)
+
+    def test_narrow_dip_off_z(self):
+        # a dip (peak) 0.002 wide, 3e-3 to 9e-3 from z: often no coarse
+        # point sees it, and it beats q = z by less than phi allows but by
+        # more than n*h, so a bound without phi would skip it
+        gen = ScalarGenerator.from_text(
+            "sqrt(max(0,0.001-abs(z+0.305)))-sqrt(max(0,0.001-abs(z-0.305)))", 0.0,
+            Modulus("power", c=2.0, alpha=0.5, growth_L=0.5))
+        zs = np.linspace(0.296, 0.302, 20)
+        _assert_row_bits(gen, 4.0, [(0.0, 0.0, 0.0, z) for z in np.r_[zs, -zs]], None)
+
+    def test_tiny_radius_and_three_points(self):
+        # r = 2L(1 + |y| + |z|)/(n - L) from 3e-9 to 2.1e-8, q = 0 in range
+        # for the first two; a step of 4e-9 gives 3, 5 and 13 points
+        row = [(0.2, 0.5, 0.0, 0.0), (0.2, 0.5, 1.0, 1e-10), (0.2, 0.5, -1.0, 5.0)]
+        n = 1e9
+        for step in (None, 4e-9):
+            _assert_row_bits(XYZ, n, row, step)
+
+
+class TestFalseModulus:
+    """Exactness rests on the declared modulus; under a false one the
+    pruned search may skip a dip, which only removes candidates."""
+
+    # a dip at 0.3037 and a peak at -0.4021, each 5e-3 wide, declared
+    # nearly flat
+    SPIKES = ScalarGenerator.from_text(
+        "max(0,1-400*abs(z+0.4021))-max(0,1-400*abs(z-0.3037))", 0.0,
+        Modulus("power", c=0.01, alpha=1.0, growth_L=1.0),
+    )
+
+    def test_pruning_only_removes_candidates(self):
+        gen, n = self.SPIKES, 4.0
+        missed = 0
+        for z in np.linspace(-1.0, 1.0, 81):
+            lo = lower_envelope(gen, n, 0.0, 0.0, 0.0, z)
+            up = upper_envelope(gen, n, 0.0, 0.0, 0.0, z)
+            lo_full = _linspace_search(gen, n, 0.0, 0.0, 0.0, z, None, 1.0)
+            up_full = _linspace_search(gen, n, 0.0, 0.0, 0.0, z, None, -1.0)
+            assert lo >= lo_full and up <= up_full
+            missed += (lo > lo_full) + (up < up_full)
+        assert missed > 0  # the false modulus did make the search skip a spike
 
 
 def _brute_lattice(eg):
