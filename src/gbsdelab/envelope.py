@@ -13,6 +13,7 @@ returns the full scan's value, one search per row of points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +100,9 @@ class ScalarGenerator:
     def from_text(body, lip_y, modulus_z, growth_L=0.0):
         return ScalarGenerator(parse(body), lip_y, modulus_z, growth_L)
 
-    def eval_grid(self, t, x, y, z):
+    def eval_grid(self, t, x, y, z, zabs=None):
+        """f at the broadcast points; zabs, max|z| over them when the caller
+        has it, is for EnvelopeGenerator.eval_grid and unused here."""
         return evaluate(self.body, {"t": t, "x": x, "y": y, "z": z})
 
     @property
@@ -249,13 +252,18 @@ def envelope_gap_bound(m: Modulus, L: float, n: float) -> float:
     return float(modulus_eval(m, 2.0 * L / (n - L)))
 
 
-def _finite_abs_max(v, name="z") -> float:
-    """max |v| over the points (0 for none); raises ValueError when a value
+def _finite(vabs, name="z") -> float:
+    """vabs, a max |v| over points, as a float; raises ValueError when it
     is not finite, before any lattice or search is built from it."""
-    vabs = float(np.max(np.abs(v))) if np.size(v) else 0.0
-    if not np.isfinite(vabs):
+    vabs = float(vabs)
+    if not math.isfinite(vabs):
         raise ValueError(f"envelope evaluated at non-finite {name} ({vabs})")
     return vabs
+
+
+def _finite_abs_max(v, name="z") -> float:
+    """max |v| over the points (0 for none), checked by _finite."""
+    return _finite(np.max(np.abs(v)) if np.size(v) else 0.0, name)
 
 
 class EnvelopeGenerator:
@@ -283,6 +291,9 @@ class EnvelopeGenerator:
     def __init__(self, gen: ScalarGenerator, n: float, side: str, z_max: float = 16.0):
         if side not in ("lower", "upper"):
             raise ValueError("side must be 'lower' or 'upper'")
+        # the lattice doubles z_max until it covers |z|
+        if not (math.isfinite(z_max) and z_max > 0.0):
+            raise ValueError(f"z_max must be finite and positive, got {z_max}")
         # the level constraint only matters when the inf/sup-convolution is
         # actually taken over z; z-free bodies pass through untouched
         if "z" in free_vars(gen.body) and n <= gen.growth_L:
@@ -329,8 +340,8 @@ class EnvelopeGenerator:
         self._lattice = lattice
         self._values = values
 
-    def _ensure_range(self, z):
-        zabs = _finite_abs_max(z)
+    def _ensure_range(self, zabs):
+        """Build the lattice, doubling z_max until it covers zabs = max|z|."""
         if self._lattice is None or zabs > self._z_max:
             while zabs > self._z_max:
                 self._z_max *= 2.0
@@ -338,12 +349,14 @@ class EnvelopeGenerator:
 
     # -- evaluation ----------------------------------------------------------
 
-    def eval_grid(self, t, x, y, z):
+    def eval_grid(self, t, x, y, z, zabs=None):
+        """The envelope at the broadcast points.  zabs, when given, is
+        max|z| over them; a lattice then checks it instead of reducing z."""
         if self.mode == "passthrough":
             return self.gen.eval_grid(t, x, y, z)
         if self.mode == "lattice":
             z = np.asarray(z, dtype=float)
-            self._ensure_range(z)
+            self._ensure_range(_finite_abs_max(z) if zabs is None else _finite(zabs))
             out = np.interp(z, self._lattice, self._values)
             return float(out) if out.ndim == 0 else out
         # the direct search goes through the module names, so wrappers see it
@@ -351,8 +364,9 @@ class EnvelopeGenerator:
         return env(self.gen, self.n, t, x, y, z)
 
     def interp_error_bound(self, z) -> float:
-        """Bound on the lattice interpolation error near |z| (0 if exact mode)."""
+        """Bound on the lattice interpolation error near |z| (0 if exact
+        mode); n * _Z_RES, the innermost bound, for no points."""
         if self.mode != "lattice" or self._lattice is None:
             return 0.0
-        spacing = max(self._Z_RES, float(np.max(np.abs(z))) * (self._RATIO - 1.0))
+        spacing = max(self._Z_RES, _finite_abs_max(z) * (self._RATIO - 1.0))
         return self.n * spacing

@@ -219,18 +219,40 @@ def _dissipation(problem: PdeProblem, sigma, h, dx):
     return theta
 
 
+def _is_zero(gen) -> bool:
+    """True when gen is 0 wherever it is evaluated: a body free of every
+    variable that evaluates to 0, evaluated as it stands (a plain
+    generator, or an envelope that passes it through)."""
+    if isinstance(gen, EnvelopeGenerator):
+        if gen.mode != "passthrough":
+            return False
+        gen = gen.gen
+    return not free_vars(gen.body) and evaluate(gen.body, {}) == 0.0
+
+
 def _step_fields(problems, t, grid: SpaceTimeGrid):
-    """The coefficient fields one step of a stack of problems reads, at t.
+    """The coefficient fields one step of a stack of problems reads, at t,
+    and the update terms that vanish on the whole stack.
 
     problems is a sequence of P problems that share coeffs and gparams.
-    Returns (b, b >= 0, 2*h, sigma, sigma**2, theta): b, h and sigma are
-    evaluated once, on the nodes, from the shared coefficients; theta is
-    the (P, nx) dissipation, one row per problem, since each row has its
-    own z-Lipschitz constants.  step_backward takes this tuple as fields.
+    Returns (b, b >= 0, 2*h, sigma, sigma**2, g_live, theta): b, h and
+    sigma are evaluated once, on the nodes, from the shared coefficients;
+    g_live holds one flag per row, False where the row's g is a constant 0
+    (_is_zero); theta is the (P, nx) dissipation, one row per problem,
+    since each row has its own z-Lipschitz constants.  b (with b >= 0),
+    2*h and theta are None when they are 0 on every node and row.
+    step_backward takes this tuple as fields and drops those terms.
+
+    Dropping them keeps every bit of the output: each is 0 times a finite
+    difference quotient, a signed zero, so it can change only the sign of
+    a zero sum.  G maps both zeros of its argument to +0.0, and +0.0 or a
+    nonzero value plus a signed zero is itself.
     """
     b, h, sigma = problems[0].coeffs.fields(t, grid.xs)
     theta = np.stack([_dissipation(p, sigma, h, grid.dx) for p in problems])
-    return b, b >= 0.0, 2.0 * h, sigma, sigma**2, theta
+    b, h2, theta = (a if a.any() else None for a in (b, 2.0 * h, theta))
+    g_live = tuple(not _is_zero(p.g) for p in problems)
+    return b, None if b is None else b >= 0.0, h2, sigma, sigma**2, g_live, theta
 
 
 def max_stable_dt(problem: PdeProblem, x_min, x_max, nx) -> float:
@@ -303,8 +325,14 @@ def build_grid(
 def _hamiltonian(s2, h2, p, d2, gval):
     """G's argument sigma^2 u_xx + 2 h u_x + 2 g, from s2 = sigma^2,
     h2 = 2 h, p and d2 standing for u_x and u_xx, and gval the value of g
-    at (t, x, u, sigma u_x)."""
-    return s2 * d2 + h2 * p + 2.0 * gval
+    at (t, x, u, sigma u_x); h2 or gval None drops its term (see
+    _step_fields)."""
+    ham = s2 * d2
+    if h2 is not None:
+        ham = ham + h2 * p
+    if gval is not None:
+        ham = ham + 2.0 * gval
+    return ham
 
 
 def _non_finite(a, grid: SpaceTimeGrid) -> str:
@@ -322,11 +350,17 @@ def step_backward(u, t, problems, grid: SpaceTimeGrid, fields=None):
     row r of the stack is stepped under problems[r], and the result has
     shape (P, nx).  Coefficients and generators are evaluated at the
     layer being produced; f and g are evaluated row by row, since each
-    row has its own envelope.  fields, when given, is _step_fields of the
-    problems and stands in for the coefficients at t; solve_stack passes
-    it when they are free of t.  Interior nodes use central differences;
-    boundary nodes use zero second difference and one-sided first
-    differences.  Monotonicity (every subgradient of the update
+    row has its own envelope, and each is handed its row's max|z|, taken
+    once for the stack, so that a lattice envelope skips its own
+    reduction.  fields, when given, is _step_fields of the problems and
+    stands in for the coefficients at t; solve_stack passes it when they
+    are free of t.  The drift, h and dissipation terms that fields marks
+    as 0 on the whole stack are not computed, and neither is g on a row
+    where it is a constant 0; the rest keeps its order of operations, so
+    the output is bit for bit that of computing every term, wherever the
+    difference quotients are finite.  Interior nodes use central
+    differences; boundary nodes use zero second difference and one-sided
+    first differences.  Monotonicity (every subgradient of the update
     nonnegative in each neighbor value) holds at the interior nodes; the
     two boundary nodes are sacrificial and excluded from every certified
     region.
@@ -340,12 +374,11 @@ def step_backward(u, t, problems, grid: SpaceTimeGrid, fields=None):
     dx = grid.dx
     if fields is None:
         fields = _step_fields(problems, t, grid)
-    b, b_up, h2, sigma, s2, theta = fields
+    b, b_up, h2, sigma, s2, g_live, theta = fields
 
     lap = np.zeros_like(u)
     lap[:, 1:-1] = u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]
     d2 = lap / dx**2
-    delta = lap / (2.0 * dx)
     # one-sided differences padded by their end values: node j's forward
     # difference is column j+1, its backward one column j
     du = np.empty((len(u), grid.nx + 1))
@@ -356,17 +389,22 @@ def step_backward(u, t, problems, grid: SpaceTimeGrid, fields=None):
     p_c[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2.0 * dx)
     p_c[:, 0] = du[:, 1]
     p_c[:, -1] = du[:, -2]
-    p_up = np.where(b_up, du[:, 1:], du[:, :-1])
 
     z = sigma * p_c
+    zabs = np.abs(z).max(axis=1).tolist()
     fval = np.empty_like(u)
-    gval = np.empty_like(u)
+    gval = np.zeros_like(u) if any(g_live) else None
     for r, prob in enumerate(problems):
-        fval[r] = prob.f.eval_grid(t, xs, u[r], z[r])
-        gval[r] = prob.g.eval_grid(t, xs, u[r], z[r])
-    fval += theta * delta
-    ham = _hamiltonian(s2, h2, p_c, d2, gval)
-    out = u + grid.dt * (g_value(problems[0].gparams, ham) + b * p_up + fval)
+        fval[r] = prob.f.eval_grid(t, xs, u[r], z[r], zabs[r])
+        if g_live[r]:
+            gval[r] = prob.g.eval_grid(t, xs, u[r], z[r], zabs[r])
+    if theta is not None:
+        fval += theta * (lap / (2.0 * dx))
+    upd = g_value(problems[0].gparams, _hamiltonian(s2, h2, p_c, d2, gval))
+    if b is not None:
+        upd += b * np.where(b_up, du[:, 1:], du[:, :-1])
+    upd += fval
+    out = u + grid.dt * upd
     if not np.isfinite(out).all():
         if not np.isfinite(u).all():
             raise SchemeError(f"non-finite input at {_non_finite(u, grid)})")

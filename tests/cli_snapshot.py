@@ -12,8 +12,11 @@ benchmark never runs, each run in seconds: nonzero b and h, a g in z, a
 sigma in x and a start x0 != 0 under the feedback policy (drift); a
 sigma in t, which samples the stability bound at 33 times and evaluates
 the fields at every step (time_sigma); a problem2 on another horizon,
-which compare must refuse (horizons); and an f in t, y and |z|^(1/2),
-whose envelopes take the direct search (direct).  gbsdelab is imported
+which compare must refuse (horizons); an f in t, y and |z|^(1/2),
+whose envelopes take the direct search (direct); and lattice envelopes
+of f and g under nonzero b and h, with the dissipation on at the top
+ladder level (dissipation), so that every term the solver's step may
+skip is on somewhere.  gbsdelab is imported
 from the src/ next to this file and bench/workloads.py is read without
 writing bytecode, so the snapshots of two checkouts compare with one
 `diff -r`.  Not collected by pytest (the name does not start with test_).
@@ -53,6 +56,10 @@ _DRIFT = {"Phi": "x*x", "b": "0.2*x", "h": "0.1", "sigma": "1+0.1*x*x/(1+x*x)",
 _TY_F = {"body": "0.2*t*y-0.5*sqrt(abs(z))", "lip_y": 0.2,
          "modulus": {"kind": "power", "c": 0.5, "alpha": 0.5, "growth_L": 0.5}}
 _DIRECT = {"Phi": "x*x", "f": _TY_F, "lip_z_bound": 0.5, "T": 0.5}
+_ROUGH_F = {"body": "-0.5*pow(abs(z),0.8)",
+            "modulus": {"kind": "power", "c": 0.5, "alpha": 0.8, "growth_L": 0.5}}
+_DISSIPATION = {"Phi": "x*x", "b": "0.2*x", "h": "0.1", "f": _ROUGH_F, "g": _SQRT_G,
+                "lip_z_bound": 1.0, "T": 0.5}
 _TIME_SIGMA = {"Phi": "x*x", "sigma": "1+0.5*t", "f": _LINEAR_F,
                "lip_z_bound": 0.5, "T": 0.5}
 
@@ -63,6 +70,7 @@ SMALL_CONFIGS = {
                        dict(_TIME_SIGMA, Phi="x*x+0.2", T=0.25)),
     "direct": dict(_small(_DIRECT, dict(_DIRECT, Phi="x*x+0.2")),
                    grid={"x_min": -3.0, "x_max": 3.0, "nx": 41, "core_fraction": 0.5}),
+    "dissipation": _small(_DISSIPATION, dict(_DISSIPATION, Phi="x*x+0.2")),
 }
 
 

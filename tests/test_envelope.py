@@ -279,6 +279,18 @@ class TestEnvelopeGenerator:
         after = eg.eval_grid(0, 0, 0, zs)
         assert np.array_equal(after.view(np.int64), before.view(np.int64))
 
+    @pytest.mark.parametrize("z_max", [0.0, -1.0, np.nan, np.inf])
+    def test_z_max_must_be_finite_and_positive(self, z_max):
+        # 0 and -1 doubled forever; NaN built a three-point lattice
+        with pytest.raises(ValueError, match="z_max must be finite and positive"):
+            EnvelopeGenerator(POWER, 8.0, "lower", z_max=z_max)
+
+    @pytest.mark.parametrize("points", [np.array([]), np.zeros((2, 0))], ids=["1d", "2d"])
+    def test_interp_error_bound_without_points(self, points):
+        eg = EnvelopeGenerator(POWER, 8.0, "lower")
+        eg.eval_grid(0, 0, 0, 0.5)
+        assert eg.interp_error_bound(points) == 8.0 * EnvelopeGenerator._Z_RES
+
     def test_mode_direct(self):
         gen = ScalarGenerator.from_text(
             "x+sqrt(abs(z))", 0.0, Modulus("power", c=1.0, alpha=0.5, growth_L=1.0)

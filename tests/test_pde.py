@@ -3,7 +3,7 @@ import pytest
 
 from gbsdelab import pde as pde_module
 from gbsdelab.envelope import EnvelopeGenerator, Modulus, ScalarGenerator
-from gbsdelab.gfunction import GParams
+from gbsdelab.gfunction import GParams, g_value
 from gbsdelab.pde import (
     CoefficientSet,
     PdeProblem,
@@ -380,6 +380,135 @@ class TestSolveStack:
         grid = build_grid(prob, -2.0, 2.0, 21)
         with pytest.raises(ValueError, match=f"share {name}"):
             solve_stack((prob, other), grid)
+
+
+def _full_step(u, t, problems, grid):
+    """Oracle: step_backward as it was before vanishing terms were dropped,
+    every term evaluated on every row."""
+    xs, dx = grid.xs, grid.dx
+    b, h, sigma = problems[0].coeffs.fields(t, xs)
+    theta = np.stack([pde_module._dissipation(p, sigma, h, dx) for p in problems])
+    lap = np.zeros_like(u)
+    lap[:, 1:-1] = u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]
+    d2 = lap / dx**2
+    delta = lap / (2.0 * dx)
+    du = np.empty((len(u), grid.nx + 1))
+    du[:, 1:-1] = (u[:, 1:] - u[:, :-1]) / dx
+    du[:, 0] = du[:, 1]
+    du[:, -1] = du[:, -2]
+    p_c = np.empty_like(u)
+    p_c[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2.0 * dx)
+    p_c[:, 0] = du[:, 1]
+    p_c[:, -1] = du[:, -2]
+    p_up = np.where(b >= 0.0, du[:, 1:], du[:, :-1])
+    z = sigma * p_c
+    fval = np.empty_like(u)
+    gval = np.empty_like(u)
+    for r, prob in enumerate(problems):
+        fval[r] = prob.f.eval_grid(t, xs, u[r], z[r])
+        gval[r] = prob.g.eval_grid(t, xs, u[r], z[r])
+    fval += theta * delta
+    ham = sigma**2 * d2 + 2.0 * h * p_c + 2.0 * gval
+    return u + grid.dt * (g_value(problems[0].gparams, ham) + b * p_up + fval)
+
+
+def _heat_stack():
+    """b = h = g = 0 and theta = 0 on every row: lattice envelopes at a level
+    diffusion dominates on dx = 0.1, a -0.0 f at z = 0, and the 0 problem."""
+    half_abs = ScalarGenerator.from_text(
+        "-0.5*abs(z)", 0.0, Modulus("linear", c=0.5, growth_L=0.5))
+    coeffs = CoefficientSet.from_text("0", "0", "1", "x*x*x/3")
+    gens = [EnvelopeGenerator(ROUGH, 4.0, "lower"), EnvelopeGenerator(ROUGH, 4.0, "upper"),
+            half_abs, ZERO]
+    g = EnvelopeGenerator(ZERO, 4.0, "lower")
+    return [PdeProblem(coeffs, f, g, GP, 0.05, 4.0) for f in gens]
+
+
+def _time_sigma_stack():
+    """sigma in t, b = h = g = 0; theta is on at level 8 and off at level 4."""
+    coeffs = CoefficientSet.from_text("0", "0", "1+0.5*t", "x*x*x/3")
+    gens = [EnvelopeGenerator(ROUGH, n, side) for n in (4.0, 8.0) for side in ("lower", "upper")]
+    return [PdeProblem(coeffs, f, ZERO, GP, 0.05, 8.0) for f in gens]
+
+
+class TestLeanStep:
+    """step_backward drops the terms that vanish and keeps every bit of the
+    step that evaluates them all."""
+
+    STACKS = {"mixed": _stack_problems, "heat": _heat_stack, "time_sigma": _time_sigma_stack}
+
+    def test_g_maps_both_zeros_to_plus_zero(self):
+        # the dropped terms are signed zeros; this is why their sign is lost
+        assert not np.signbit(g_value(GP, np.array([-0.0, 0.0]))).any()
+
+    @pytest.mark.parametrize("name", STACKS)
+    def test_equals_full_step_bit_for_bit(self, name):
+        make = self.STACKS[name]
+        problems = make()
+        grid = refine_grid(build_grid(problems[0], -2.0, 2.0, 41), *problems)
+        rng = np.random.default_rng(8)
+        # a random layer, and one with exact zeros of both signs at x = 0
+        layers = [rng.uniform(-1, 1, (len(problems), grid.nx)),
+                  np.tile(-grid.xs**3 / 3.0, (len(problems), 1))]
+        assert np.signbit(layers[1][:, 20]).all() and (layers[1][:, 20] == 0.0).all()
+        for u in layers:
+            # fresh problems for the oracle: lattices grow with the z they see
+            lean, full, oracle = u, u, make()
+            for k in range(5):
+                t = (4 - k) * grid.dt
+                lean = step_backward(lean, t, problems, grid)
+                full = _full_step(full, t, oracle, grid)
+                assert np.array_equal(lean.view(np.int64), full.view(np.int64))
+
+    def test_fields_mark_the_vanishing_terms(self):
+        grid = build_grid(_heat_stack()[0], -2.0, 2.0, 41)
+        b, b_up, h2, _, _, g_live, theta = pde_module._step_fields(_heat_stack(), 0.0, grid)
+        assert b is None and b_up is None and h2 is None and theta is None
+        assert g_live == (False,) * 4
+        b, b_up, h2, _, _, g_live, theta = pde_module._step_fields(
+            _stack_problems(), 0.0, grid)
+        assert b.any() and h2.any() and theta.any()
+        assert g_live == (True, False, True, True)
+        theta = pde_module._step_fields(_time_sigma_stack(), 0.0, grid)[-1]
+        assert np.all(theta[:2] == 0.0) and np.all(theta[2:] > 0.0)
+
+
+class TestRowRanges:
+    """Each lattice row of a stack grows its own z range, as it would alone."""
+
+    SLOPES = (10.0, 20.0, 40.0, 100.0)  # |z| past 0, 1, 2 and 3 doublings of 16
+
+    def _problems(self):
+        coeffs = CoefficientSet.from_text("0", "0", "1", "x*x")
+        return [PdeProblem(coeffs, EnvelopeGenerator(ROUGH, 8.0, side), ZERO, GP, 0.05, 8.0)
+                for side in ("lower", "upper", "lower", "upper")]
+
+    def _setup(self):
+        problems = self._problems()
+        grid = refine_grid(build_grid(problems[0], -2.0, 2.0, 41), *problems)
+        u = np.asarray([a * grid.xs for a in self.SLOPES])
+        return problems, grid, u
+
+    def test_rows_keep_their_solo_ranges_and_values(self):
+        problems, grid, u = self._setup()
+        got = step_backward(u, 0.02, problems, grid)
+        for r, (prob, fresh) in enumerate(zip(problems, self._problems())):
+            want = step_backward(u[r][None], 0.02, [fresh], grid)[0]
+            assert prob.f._z_max == fresh.f._z_max
+            assert np.array_equal(got[r].view(np.int64), want.view(np.int64))
+        assert [p.f._z_max for p in problems] == [16.0, 32.0, 64.0, 128.0]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_z_in_one_row_leaves_every_lattice(self, bad):
+        problems, grid, u = self._setup()
+        step_backward(u, 0.02, problems, grid)
+        before = [(p.f._lattice, p.f._z_max) for p in problems]
+        u[2, 7] = bad
+        with pytest.raises(ValueError, match="non-finite z"):
+            step_backward(u, 0.02, problems, grid)
+        for p, (lattice, z_max) in zip(problems, before):
+            assert p.f._lattice is lattice and p.f._z_max == z_max
 
 
 class TestEvalAndGrad:
