@@ -294,13 +294,19 @@ class EnvelopeGenerator:
         # the lattice doubles z_max until it covers |z|
         if not (math.isfinite(z_max) and z_max > 0.0):
             raise ValueError(f"z_max must be finite and positive, got {z_max}")
-        # the level constraint only matters when the inf/sup-convolution is
-        # actually taken over z; z-free bodies pass through untouched
-        if "z" in free_vars(gen.body) and n <= gen.growth_L:
-            raise ValueError(
-                f"envelope level n={n} must exceed the growth constant "
-                f"L={gen.growth_L}"
-            )
+        if not math.isfinite(n):
+            raise ValueError(f"envelope level n must be finite, got {n}")
+        # the growth constraint only matters when the inf/sup-convolution is
+        # actually taken over z; z-free bodies pass through untouched, which
+        # a nonnegative level ensures (their lip_z is 0)
+        if "z" in free_vars(gen.body):
+            if n <= gen.growth_L:
+                raise ValueError(
+                    f"envelope level n={n} must exceed the growth constant "
+                    f"L={gen.growth_L}"
+                )
+        elif n < 0.0:
+            raise ValueError(f"envelope level n={n} of a z-free body must be nonnegative")
         self.gen = gen
         self.n = float(n)
         self.side = side

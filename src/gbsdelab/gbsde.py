@@ -19,7 +19,7 @@ from . import pde
 from .envelope import EnvelopeGenerator, envelope_gap_bound
 from .expr import free_vars, to_str
 from .gfunction import GParams
-from .gsim import PathEnsemble
+from .gsim import PathEnsemble, PathTerms
 
 
 def gap_constant(L: float, gparams: GParams, T: float) -> float:
@@ -188,7 +188,15 @@ def extract_triple(
 ) -> SolutionTriple:
     """Read Y and Z off the value function along the paths and rebuild K as
     the defect K_t = Y_t - Y_0 + sum f dt + sum g dQV - sum Z dB
-    (left-point sums), one time point at a time."""
+    (left-point sums), one time point at a time.
+
+    Y and Z come from one pde.stencil_batch read per time point; sigma is
+    a float where gsim.PathTerms finds it free of t and x, and the f and g
+    sums are left out where it finds f or g zero.  The running sum starts
+    at +0.0 and so is never -0.0, and adding a signed zero to it changes
+    nothing: K is the one of every term wherever the increments are
+    finite.  A time of the ensemble outside the solution's [0, T] raises.
+    """
     # time-major, as simulate_paths and euler_forward store the paths
     X, B, QV = ensemble.X.T, ensemble.B.T, ensemble.QV.T
     times, dt = ensemble.times, ensemble.dt
@@ -197,18 +205,21 @@ def extract_triple(
     Z = np.empty((m + 1, n))
     K = np.empty((m + 1, n))
     acc = np.zeros(n)
+    terms = PathTerms(problem.coeffs, problem.f, problem.g)
     for k in range(m + 1):
         t, xk = times[k], X[k]
-        t_sol = min(t, float(sol.times[-1]))
-        Y[k], p, _ = pde.stencil_batch(sol, t_sol, xk)
-        _, _, sigma = problem.coeffs.fields(t_sol, xk)
-        Z[k] = sigma * p
+        Y[k], p, _ = pde.stencil_batch(sol, t, xk)
+        Z[k] = terms.coeff("sigma", t, xk) * p
         K[k] = Y[k] - Y[0] + acc if k else 0.0
         if k == m:
             break
-        fk = np.asarray(problem.f.eval_grid(t, xk, Y[k], Z[k]), dtype=float)
-        gk = np.asarray(problem.g.eval_grid(t, xk, Y[k], Z[k]), dtype=float)
-        acc = acc + fk * dt + gk * (QV[k + 1] - QV[k]) - Z[k] * (B[k + 1] - B[k])
+        if terms.f_live:
+            fk = np.asarray(problem.f.eval_grid(t, xk, Y[k], Z[k]), dtype=float)
+            acc += fk * dt
+        if terms.g_live:
+            gk = np.asarray(problem.g.eval_grid(t, xk, Y[k], Z[k]), dtype=float)
+            acc += gk * (QV[k + 1] - QV[k])
+        acc -= Z[k] * (B[k + 1] - B[k])
     return SolutionTriple(Y.T, Z.T, K.T, times)
 
 

@@ -45,32 +45,65 @@ class ConstantPolicy:
         return f"constant({self.var:g})"
 
 
+class PathTerms:
+    """What a read of one problem along paths needs, decided once.
+
+    floats holds each of b, h and sigma that is free of t and x as its
+    float; coeff(name, t, x) returns that float, or else evaluates the
+    coefficient on the states x.  h_live, f_live and g_live are False
+    where that term is zero: h when its float is 0, and f and g by
+    pde._is_zero, the rule the lean backward step drops g by.
+    """
+
+    def __init__(self, coeffs: "pde.CoefficientSet", f=ZERO_GENERATOR, g=ZERO_GENERATOR):
+        self.coeffs = coeffs
+        self.floats = {name: float(evaluate(e, {})) for name in ("b", "h", "sigma")
+                       if not free_vars(e := getattr(coeffs, name))}
+        self.h_live = self.floats.get("h") != 0.0
+        self.f_live, self.g_live = not pde._is_zero(f), not pde._is_zero(g)
+
+    def coeff(self, name, t, x):
+        """Coefficient name at time t on the states x: its float, or an
+        array of x's shape."""
+        value = self.floats.get(name)
+        if value is not None:
+            return value
+        return pde._as_field(evaluate(getattr(self.coeffs, name), {"t": t, "x": x}),
+                             np.shape(x))
+
+
 class FeedbackPolicy:
     """Worst-case feedback law read off a solved value function.
 
     At (t, x) the instantaneous variance is the maximizer of G applied to
     pde._hamiltonian, the argument the scheme steps G with, assembled
     from u, its central gradient and its second difference as
-    pde.stencil_batch reads them off one time blend of the stored layers.
-    States less than one cell inside the solver domain are clamped one
-    cell in, so the read skips stencil_batch's range check (which raises
-    for them); the emitted variance is always admissible.
+    pde.stencil_batch reads them, in one read of x and x +- dx off one
+    time blend of the stored layers.  b is never read, and the h and g
+    terms are left out where PathTerms finds them zero: each is a signed
+    zero, and the tie snap sends both zeros of G's argument to 0.  States
+    less than one cell inside the solver domain are clamped one cell in,
+    so the read skips stencil_batch's range check (which raises for
+    them); the emitted variance is always admissible.  A time outside the
+    solution's [0, T] raises.
     """
 
     def __init__(self, sol: "pde.PdeSolution", problem: "pde.PdeProblem"):
         self.sol = sol
         self.problem = problem
+        self.terms = PathTerms(problem.coeffs, problem.f, problem.g)
 
     def variance(self, t, state):
-        sol, problem = self.sol, self.problem
+        sol, problem, terms = self.sol, self.problem, self.terms
         grid = sol.grid
-        t = min(t, float(sol.times[-1]))
         lo, hi = grid.x_min + grid.dx, grid.x_max - grid.dx
         x = np.minimum(np.maximum(np.asarray(state, dtype=float), lo), hi)
         u, p, d2 = pde._stencil(sol, t, x)
-        _, h, sigma = problem.coeffs.fields(t, x)
-        gval = np.asarray(problem.g.eval_grid(t, x, u, sigma * p), dtype=float)
-        ham = pde._hamiltonian(sigma**2, 2.0 * h, p, d2, gval)
+        sigma = terms.coeff("sigma", t, x)
+        h2 = 2.0 * terms.coeff("h", t, x) if terms.h_live else None
+        gval = (np.asarray(problem.g.eval_grid(t, x, u, sigma * p), dtype=float)
+                if terms.g_live else None)
+        ham = pde._hamiltonian(np.square(sigma), h2, p, d2, gval)
         # sub-rounding curvature is a tie, resolved like the exact tie at 0
         ham = np.where(np.abs(ham) < 1e-9, 0.0, ham)
         return worst_case_q(problem.gparams, ham)
@@ -183,16 +216,21 @@ def terminal_states(policies, gparams: GParams, t0, T, dt, n_paths, seed) -> np.
 
 
 def euler_forward(coeffs: "pde.CoefficientSet", ensemble: PathEnsemble, x0):
-    """Fill the forward state: dX = b dt + h dQV + sigma dB, X[:,0]=x0."""
+    """Fill the forward state: dX = b dt + h dQV + sigma dB, X[:,0]=x0.
+
+    b, h and sigma are PathTerms floats where they are free of t and x.
+    Every term is kept, even a zero one: the state can be -0.0, and a +0.0
+    term turns it into +0.0, as the sum of every term does."""
     n, m = ensemble.n_paths, ensemble.n_steps
     B, QV = ensemble.B.T, ensemble.QV.T  # time-major
     X = np.empty((m + 1, n))
     X[0] = x0
     t0, dt = ensemble.t0, ensemble.dt
+    terms = PathTerms(coeffs)
     for k in range(m):
         t = t0 + k * dt
         xk = X[k]
-        b, h, s = coeffs.fields(t, xk)
+        b, h, s = (terms.coeff(name, t, xk) for name in ("b", "h", "sigma"))
         dqv = QV[k + 1] - QV[k]
         db = B[k + 1] - B[k]
         X[k + 1] = xk + b * dt + h * dqv + s * db

@@ -499,21 +499,21 @@ def _slopes(grid: SpaceTimeGrid, layer) -> np.ndarray:
     return slope
 
 
-def _interp_cell(grid: SpaceTimeGrid, layer, x, slope, seed=None):
-    """np.interp(x, grid.xs, layer), bit for bit, without a binary search,
-    and the cell j read: xs[j] <= x < xs[j + 1], or nx - 1 at x_max.
+def _interp_cell(grid: SpaceTimeGrid, layer, x, slope):
+    """np.interp(x, grid.xs, layer), bit for bit, without a binary search.
 
     x is clamped to the hull and slope is _slopes(grid, layer), so both
-    endpoints come out as np.interp gives them; NaN gives NaN.  j starts
-    at seed (in [0, nx - 2] and within one of j; by default (x - x_min)/dx)
-    and moves a node where rounding put x on the wrong side of one.
+    endpoints come out as np.interp gives them; NaN gives NaN.  The cell j,
+    xs[j] <= x < xs[j + 1] (nx - 1 at x_max), starts at (x - x_min)/dx,
+    which for a clamped x is within one of j, and moves a node where
+    rounding put x on the wrong side of one.  x may have any shape, so
+    several reads of one layer go as one call on their stack.
     """
     xs = grid.xs
     x = np.minimum(np.maximum(x, grid.x_min), grid.x_max)
-    if seed is None:
-        # fmin sends NaN to a valid cell; the value still comes out NaN
-        seed = np.fmin((x - grid.x_min) / grid.dx, grid.nx - 2).astype(np.intp)
-    j = seed - (xs[seed] > x)
+    # fmin sends NaN to a valid cell; the value still comes out NaN
+    j = np.fmin((x - grid.x_min) / grid.dx, grid.nx - 2).astype(np.intp)
+    j -= xs[j] > x
     j += xs[j + 1] <= x
     d = x - xs[j]
     y = layer[j]
@@ -521,7 +521,7 @@ def _interp_cell(grid: SpaceTimeGrid, layer, x, slope, seed=None):
     out += y
     # on a node np.interp returns layer[j] itself, which keeps a -0.0
     on_node = d == 0.0
-    return (np.where(on_node, y, out) if on_node.any() else out), j
+    return np.where(on_node, y, out) if on_node.any() else out
 
 
 def _check_range(x, lo, hi, what):
@@ -537,7 +537,7 @@ def eval_u_batch(sol: PdeSolution, t, x) -> np.ndarray:
     grid = sol.grid
     _check_range(x, grid.x_min, grid.x_max, f"outside [{grid.x_min}, {grid.x_max}]")
     layer = _blend_layer(sol, t)
-    return _interp_cell(grid, layer, x, _slopes(grid, layer))[0]
+    return _interp_cell(grid, layer, x, _slopes(grid, layer))
 
 
 def stencil_batch(sol: PdeSolution, t, x):
@@ -552,15 +552,18 @@ def stencil_batch(sol: PdeSolution, t, x):
 
 
 def _stencil(sol: PdeSolution, t, x):
-    """stencil_batch without its range check, for a float x already in range."""
+    """stencil_batch without its range check, for a float x already in range.
+
+    u at x, x + dx and x - dx is one _interp_cell read of their (3, ...)
+    stack, off one time blend of the stored layers."""
     grid = sol.grid
     dx = grid.dx
     layer = _blend_layer(sol, t)
-    slope = _slopes(grid, layer)
-    mid, j = _interp_cell(grid, layer, x, slope)
-    # x +- dx lies one cell up or down from x, up to rounding
-    up = _interp_cell(grid, layer, x + dx, slope, np.minimum(j + 1, grid.nx - 2))[0]
-    down = _interp_cell(grid, layer, x - dx, slope, np.maximum(j - 1, 0))[0]
+    pts = np.empty((3, *np.shape(x)))
+    pts[0] = x
+    np.add(x, dx, out=pts[1, ...])
+    np.subtract(x, dx, out=pts[2, ...])
+    mid, up, down = _interp_cell(grid, layer, pts, _slopes(grid, layer))
     return mid, (up - down) / (2.0 * dx), (up - 2.0 * mid + down) / dx**2
 
 

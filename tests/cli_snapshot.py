@@ -16,24 +16,35 @@ which compare must refuse (horizons); an f in t, y and |z|^(1/2),
 whose envelopes take the direct search (direct); and lattice envelopes
 of f and g under nonzero b and h, with the dissipation on at the top
 ladder level (dissipation), so that every term the solver's step may
-skip is on somewhere.  gbsdelab is imported
+skip is on somewhere.
+
+The CLI summaries sample the paths (a max uptick, a mean), so
+OUT_DIR/path_digests.txt also lists the SHA-256 of every array the path
+API returns: B, QV, X, Y, Z and K of the benchmark's feedback kcheck
+stages (seed 1) and of each policy of the drift and time_sigma configs,
+and terminal_states of the low, high and feedback policies on each of
+these setups.  gbsdelab is imported
 from the src/ next to this file and bench/workloads.py is read without
 writing bytecode, so the snapshots of two checkouts compare with one
 `diff -r`.  Not collected by pytest (the name does not start with test_).
 """
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.dont_write_bytecode = True
 
-from gbsdelab import cli  # noqa: E402
+import numpy as np  # noqa: E402
+
+from gbsdelab import cli, envelope, gbsde, gfunction, gsim, pde  # noqa: E402
 
 _GPARAMS = {"sigma_low_sq": 0.5, "sigma_high_sq": 1.0}
 _LINEAR_F = {"body": "-0.5*abs(z)+0.1*y", "lip_y": 0.1,
@@ -92,6 +103,82 @@ def _configs():
         yield "small", cname, raw
 
 
+def _digest_lines(setup, run):
+    """One line per array run() returns: name, shape and SHA-256 of its bytes."""
+    try:
+        arrays = run()
+    except Exception as exc:  # a refused read is part of the snapshot too
+        return [f"{setup} error {type(exc).__name__}: {exc}\n"]
+    return [f"{setup} {name} {a.shape} "
+            f"{hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()}\n"
+            for name, a in arrays.items()]
+
+
+def _path_arrays(ens, tri):
+    return {"B": ens.B, "QV": ens.QV, "X": ens.X, "Y": tri.Y, "Z": tri.Z, "K": tri.K}
+
+
+def _terminal_states(sol, problem, args):
+    """terminal_states of low, high and feedback, drawn with simulate_paths'
+    args but the policy."""
+    gp = problem.gparams
+    pols = [gsim.ConstantPolicy(gp.sigma_low_sq, gp),
+            gsim.ConstantPolicy(gp.sigma_high_sq, gp), gsim.FeedbackPolicy(sol, problem)]
+    return {"terminal_states": gsim.terminal_states(pols, *args[1:])}
+
+
+def _bench_kcheck_runs():
+    """(setup, run) for the kcheck stage of every benchmark workload (seed 1);
+    the problem and simulate_paths args its run keeps to itself are caught
+    on their way to gsim."""
+    for wname, make in _workloads().WORKLOADS.items():
+        for stage in make(1).stages:
+            if stage.metric != "kcheck_ref":
+                continue
+
+            def run(stage=stage):
+                seen = {}
+
+                def policy(sol, problem):
+                    seen["problem"] = problem
+                    return gsim.FeedbackPolicy(sol, problem)
+
+                def simulate(*args):
+                    seen["args"] = args
+                    return gsim.simulate_paths(*args)
+
+                lib = SimpleNamespace(
+                    pde=pde, gbsde=gbsde, envelope=envelope, GParams=gfunction.GParams,
+                    gsim=SimpleNamespace(**{**vars(gsim), "FeedbackPolicy": policy,
+                                            "simulate_paths": simulate}))
+                sol, ens, tri = stage.run(lib, None)
+                return {**_path_arrays(ens, tri),
+                        **_terminal_states(sol, seen["problem"], seen["args"])}
+
+            yield f"{wname}/kcheck", run
+
+
+def _config_runs(out_dir):
+    """(setup, run) for each policy of the drift and time_sigma configs, read
+    as CLI kcheck reads them off the level walk's solution, and for their
+    terminal states."""
+    for cname in ("drift", "time_sigma"):
+        cfg = cli.load_config(os.path.join(out_dir, "small", f"{cname}.json"))
+        sol = gbsde.solve_exact(cfg.problem, cfg.build_grid(), cfg.target_gap).solution
+        args = (None, cfg.gparams, 0.0, cfg.problem.T, cfg.mc_dt, cfg.n_paths, cfg.seed)
+        for name in cfg.policies:
+
+            def run(cfg=cfg, sol=sol, name=name):
+                pol = cli._make_policy(name, cfg.gparams, (sol, cfg.problem))
+                ens = gsim.simulate_paths(pol, *args[1:])
+                gsim.euler_forward(cfg.problem.coeffs, ens, cfg.x0)
+                return _path_arrays(ens, gbsde.extract_triple(sol, ens, cfg.problem))
+
+            yield f"small/{cname}/{name}", run
+        yield f"small/{cname}", lambda sol=sol, cfg=cfg, args=args: _terminal_states(
+            sol, cfg.problem, args)
+
+
 def main(out_dir):
     codes = []
     for wname, cname, raw in _configs():
@@ -110,6 +197,13 @@ def main(out_dir):
             codes.append(line + "\n")
     with open(os.path.join(out_dir, "exit_codes.txt"), "w") as fh:
         fh.writelines(codes)
+    digests = []
+    for setup, run in (*_bench_kcheck_runs(), *_config_runs(out_dir)):
+        lines = _digest_lines(setup, run)
+        print(*lines, sep="", end="", flush=True)
+        digests += lines
+    with open(os.path.join(out_dir, "path_digests.txt"), "w") as fh:
+        fh.writelines(digests)
 
 
 if __name__ == "__main__":

@@ -316,6 +316,24 @@ class TestEnvelopeGenerator:
         with pytest.raises(ValueError):
             EnvelopeGenerator(POWER, 2.0, "lower")
 
+    @pytest.mark.parametrize("n", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("body", ["1", "x+y", "-sqrt(abs(z))"])
+    def test_level_must_be_finite(self, body, n):
+        # NaN gave NaN values; inf on -sqrt(abs(z)) built a NaN lattice
+        gen = ScalarGenerator.from_text(
+            body, 0.0, Modulus("power", c=1.0, alpha=0.5, growth_L=0.5))
+        with pytest.raises(ValueError, match="level n must be finite"):
+            EnvelopeGenerator(gen, n, "lower")
+
+    @pytest.mark.parametrize("body", ["1", "x+y"])
+    def test_z_free_level_must_be_nonnegative(self, body):
+        # "1" at n = -1 took the lattice and gave [-15.06, -18.06]
+        gen = ScalarGenerator.from_text(body, 0.0, Modulus("linear", c=1.0))
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            EnvelopeGenerator(gen, -1.0, "lower")
+        eg = EnvelopeGenerator(gen, 0.0, "upper")
+        assert eg.mode == "passthrough" and eg.lip_z == 0.0
+
     def test_bad_side(self):
         with pytest.raises(ValueError):
             EnvelopeGenerator(POWER, 8.0, "middle")

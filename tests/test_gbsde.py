@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import path_oracles as oracles
 from barriers import barrier_problems
 from gbsdelab import gbsde, gsim, pde
 from gbsdelab.envelope import Modulus, ScalarGenerator
@@ -194,6 +195,15 @@ class TestSolveExact:
 
 
 class TestExtractTriple:
+    def test_ensemble_past_the_horizon_raises(self):
+        # the layer at T stood in for every later time
+        prob = problem()
+        sol = solve(prob, build_grid(prob, -8.0, 8.0, 161))
+        ens = simulate_paths(ConstantPolicy(1.0, GP), GP, 0.0, 3.0, 0.1, 5, 3)
+        euler_forward(prob.coeffs, ens, 0.0)
+        with pytest.raises(ValueError, match="outside"):
+            extract_triple(sol, ens, prob)
+
     def test_constant_terminal(self):
         prob = problem(phi="7")
         grid = build_grid(prob, -8.0, 8.0, 401)
@@ -274,6 +284,21 @@ class TestTripleOracle:
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert np.any(tri.K[:, -1] != 0.0)
+        # the lean terms against every term, on paths that pass the nodes,
+        # the ends of the stencil range and +-0.0 at a stored layer (t = 0)
+        # and between layers (t = 0.02)
+        for name in oracles.PROBLEMS:
+            sol, prob = oracles.solved(name)
+            ens = simulate_paths(gsim.FeedbackPolicy(sol, prob), GP, 0.0, 0.04, 0.01,
+                                 997, 22)
+            euler_forward(prob.coeffs, ens, 0.4)
+            states = oracles.edge_states(sol.grid)
+            ens.X[:, 0] = np.resize(states, ens.n_paths)
+            ens.X[:, 2] = np.resize(states[::-1], ens.n_paths)
+            tri = extract_triple(sol, ens, prob)
+            for want in (oracles.extract_triple(sol, ens, prob), oracle_triple(sol, ens, prob)):
+                for got, w in zip((tri.Y, tri.Z, tri.K), want):
+                    assert oracles.same_bits(got, w)
 
 
 def test_triple_blends_once_per_time_point(monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import path_oracles as oracles
 from gbsdelab import gsim, pde
 from gbsdelab.envelope import Modulus, ScalarGenerator
 from gbsdelab.expr import evaluate, parse
@@ -178,6 +179,18 @@ class TestFeedbackPolicy:
         var = pol.variance(0.5, np.linspace(-20, 20, 101))  # off-grid clamped
         assert np.all((var >= GP.sigma_low_sq) & (var <= GP.sigma_high_sq))
 
+    def test_time_past_the_horizon_raises(self):
+        # the layer at T stood in for every later time
+        sol, prob = heat_solution("x*x*x")
+        pol = FeedbackPolicy(sol, prob)
+        x = np.array([-1.0, 0.5, 2.0])
+        for t in (5.0, 1.0 + 1e-6, -1e-6):
+            with pytest.raises(ValueError, match="outside"):
+                pol.variance(t, x)
+        # rounding past the ends is still a read of the end layers
+        assert np.array_equal(pol.variance(1.0 + 1e-12, x), pol.variance(1.0, x))
+        assert np.array_equal(pol.variance(-1e-12, x), pol.variance(0.0, x))
+
 
 class OracleFeedback:
     """FeedbackPolicy as it was first written: six np.interp calls on three
@@ -240,12 +253,13 @@ def oracle_euler(coeffs, B, QV, x0, t0, dt):
     return X
 
 
-def _same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+_same_bits = oracles.same_bits
 
 
 class TestPathLoopOracle:
-    """Time-major storage changes no bit; the run crosses the batch boundary."""
+    """Time-major storage and the lean reads change no bit; the run crosses
+    the batch boundary.  The oracles are the loop as first written and the
+    reads of path_oracles, which evaluate every term."""
 
     N_PATHS = gsim._BATCH + 3
     DT, N_STEPS = 0.01, 4
@@ -259,24 +273,37 @@ class TestPathLoopOracle:
         return ens
 
     def test_feedback(self):
-        sol, prob = heat_solution("x*x*x")
-        ens = self._check(FeedbackPolicy(sol, prob), OracleFeedback(sol, prob), 11)
-        # both variances occur, so the control really reads the state
-        var = np.diff(ens.QV, axis=1) / self.DT
-        low, high = np.isclose(var, GP.sigma_low_sq), np.isclose(var, GP.sigma_high_sq)
-        assert low.any() and high.any() and (low | high).all()
+        for sol, prob in (heat_solution("x*x*x"), *map(oracles.solved, oracles.PROBLEMS)):
+            for oracle in (OracleFeedback, oracles.Feedback):
+                ens = self._check(FeedbackPolicy(sol, prob), oracle(sol, prob), 11)
+            # both variances occur, so the control really reads the state
+            var = np.diff(ens.QV, axis=1) / self.DT
+            low, high = np.isclose(var, GP.sigma_low_sq), np.isclose(var, GP.sigma_high_sq)
+            assert low.any() and high.any() and (low | high).all()
+            # nodes, the ends of the stencil range, +-0.0 and clamped states,
+            # at stored layers and between them
+            grid = sol.grid
+            x = np.concatenate((oracles.edge_states(grid), [grid.x_min, grid.x_max, -50.0]))
+            policy, oracle = FeedbackPolicy(sol, prob), oracles.Feedback(sol, prob)
+            for t in (0.0, 0.5 * sol.times[1], 0.3, sol.times[-2], 1.0):
+                for xt in (x, -0.0, np.asarray(grid.x_min + grid.dx)):
+                    assert _same_bits(policy.variance(t, xt), oracle.variance(t, xt))
 
     def test_constant(self):
         pol = ConstantPolicy(0.7, GP)
         self._check(pol, pol, 12)
 
     def test_euler_forward(self):
-        coeffs = CoefficientSet.from_text("0.3*x", "0.2*abs(x)", "1+0.1*exp(-x*x)", "x")
+        grid = oracles.solved("heat")[0].grid
+        every_term = CoefficientSet.from_text("0.3*x", "0.2*abs(x)", "1+0.1*exp(-x*x)", "x")
         ens = simulate_paths(ConstantPolicy(0.7, GP), GP, 0.0, self.DT * self.N_STEPS,
                              self.DT, self.N_PATHS, 13)
-        euler_forward(coeffs, ens, 0.4)
-        want = oracle_euler(coeffs, ens.B, ens.QV, 0.4, 0.0, self.DT)
-        assert _same_bits(ens.X, want)
+        for coeffs in (every_term, *(oracles.solved(n)[1].coeffs for n in oracles.PROBLEMS)):
+            for x0 in (0.4, -0.0, np.resize(oracles.edge_states(grid), self.N_PATHS)):
+                euler_forward(coeffs, ens, x0)
+                want = oracle_euler(coeffs, ens.B, ens.QV, x0, 0.0, self.DT)
+                assert _same_bits(ens.X, want)
+                assert _same_bits(ens.X, oracles.euler_forward(coeffs, ens, x0))
 
     def test_policy_cannot_write_state(self):
         with pytest.raises(ValueError, match="read-only"):

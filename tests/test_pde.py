@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import path_oracles as oracles
 from gbsdelab import pde as pde_module
 from gbsdelab.envelope import EnvelopeGenerator, Modulus, ScalarGenerator
 from gbsdelab.gfunction import GParams, g_value
@@ -637,7 +640,7 @@ class TestUniformInterp:
         for name, x in self._inputs(grid).items():
             want = np.interp(x, grid.xs, layer)
             with np.errstate(invalid="raise"):  # NaN must not reach the int cast
-                got = pde_module._interp_cell(grid, layer, x, slope)[0]
+                got = pde_module._interp_cell(grid, layer, x, slope)
             assert np.array_equal(_bits(got), _bits(want)), name
 
     @pytest.mark.parametrize("x_min, x_max, nx", GRIDS)
@@ -645,7 +648,7 @@ class TestUniformInterp:
         grid, layer = self._case(x_min, x_max, nx)
         slope = pde_module._slopes(grid, layer)
         for x in (grid.x_min, grid.x_max, grid.xs[nx // 2], 0.3 * x_min + 0.7 * x_max):
-            got = pde_module._interp_cell(grid, layer, np.asarray(x), slope)[0]
+            got = pde_module._interp_cell(grid, layer, np.asarray(x), slope)
             assert _bits(got) == _bits(np.interp(x, grid.xs, layer))
 
     @pytest.mark.parametrize("x_min, x_max, nx", GRIDS)
@@ -699,7 +702,7 @@ def test_stencil_cells_at_the_edges(x_min, x_max, nx):
 
 @pytest.mark.parametrize("kind", ["scalar", "0-d", "1-d", "2-d"])
 def test_stencil_shapes_bits_equal_np_interp(kind):
-    # the x -+ dx reads go as one (2, ...) read; every shape of x, nodes
+    # x and x +- dx go as one (3, ...) read; every shape of x, nodes
     # included, still gets np.interp's three reads bit for bit
     grid, layer = TestUniformInterp._case(-6.3, 5.9, 1201)
     sol = pde_module.PdeSolution(grid, np.array([0.0, 1.0]), np.stack((layer, layer)))
@@ -717,6 +720,44 @@ def test_stencil_shapes_bits_equal_np_interp(kind):
     for g, w in zip(pde_module.stencil_batch(sol, 0.0, x), want):
         assert np.shape(g) == np.shape(x)
         assert np.array_equal(_bits(g), _bits(w))
+
+
+@pytest.mark.parametrize("name", oracles.PROBLEMS)
+def test_stacked_stencil_equals_three_seeded_reads(name):
+    # one read of the (3, ...) stack against three reads seeded from x's
+    # cell, at stored layers and between them
+    sol, _ = oracles.solved(name)
+    grid = sol.grid
+    rng = np.random.default_rng(6)
+    x = np.concatenate((oracles.edge_states(grid),
+                        rng.uniform(grid.x_min + grid.dx, grid.x_max - grid.dx, 500)))
+    for t in (0.0, 0.5 * sol.times[1], 0.3, 1.0):
+        for xt in (x, -0.0, np.asarray(grid.x_max - grid.dx)):
+            for got, want in zip(pde_module._stencil(sol, t, xt), oracles.stencil(sol, t, xt)):
+                assert oracles.same_bits(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x_min=st.floats(-20.0, 20.0), width=st.floats(1e-3, 40.0),
+       nx=st.integers(3, 400), data=st.data())
+def test_stacked_read_bits_equal_np_interp(x_min, width, nx, data):
+    # odd domains: dx is rarely a binary fraction, x_min rarely a node of 0
+    grid = SpaceTimeGrid(x_min, x_min + width, nx, 0.1, 1)
+    xs, dx, tol = grid.xs, grid.dx, pde_module._HULL_TOL
+    lo, hi = grid.x_min + dx - tol, grid.x_max - dx + tol
+    x = np.array(data.draw(st.lists(
+        st.one_of(st.floats(lo, hi), st.sampled_from(xs[1:-1].tolist())),
+        min_size=1, max_size=40)))
+    layer = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(nx)
+    layer[::5] = -0.0
+    stack = np.stack((x, x + dx, x - dx))
+    got = pde_module._interp_cell(grid, layer, stack, pde_module._slopes(grid, layer))
+    assert oracles.same_bits(got, np.interp(stack, xs, layer))
+    sol = pde_module.PdeSolution(grid, np.array([0.0, 1.0]), np.stack((layer, layer)))
+    u, up, down = (np.interp(z, xs, layer) for z in stack)
+    want = (u, (up - down) / (2.0 * dx), (up - 2.0 * u + down) / dx**2)
+    for g, w in zip(pde_module.stencil_batch(sol, 0.0, x), want):
+        assert oracles.same_bits(g, w)
 
 
 @pytest.mark.parametrize("value", [
