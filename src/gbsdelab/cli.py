@@ -475,7 +475,9 @@ def main(argv=None) -> int:
         description="Config defaults: b=h=0, sigma=1, g=0, grid [-4,4] with "
         "nx=801 and core_fraction 0.5, ladder levels {2L,...,32L} or {1,...,16} if L=0, "
         "target_gap 0.05, mc n_paths=10000 dt=1e-3 seed=1234 "
-        "policies [low, high].",
+        "policies [low, high] x0=0 (read by kcheck only). upper-expectation is "
+        "the worst-case expectation of Phi(B_T) from B_0=0 under b=h=0, sigma=1 "
+        "and no generators, whatever the problem declares.",
     )
     runp.add_argument("config", help="path to JSON config")
     runp.add_argument("experiment", help=f"one of {sorted(_EXPERIMENTS)}")

@@ -8,6 +8,15 @@ the forward state by Euler steps, and estimates upper expectations both
 by Monte Carlo over a finite policy set (a certified lower bound on the
 sup) and exactly through the degenerate parabolic solve.
 
+The worst-case feedback control (FeedbackPolicy) is the maximizer of G
+at the solved value function.  Where h and g are zero and sigma is a
+constant, that is one bit per state, the sign of sigma^2 u_xx past the
+1e-9 tie snap, and a per-cell table of the blended layer's second
+differences, with a bound on what rounding can do to the stencil read,
+decides it wherever the bound is decisive; only the other states are
+read (a filtered exact predicate, as in Shewchuk's adaptive-precision
+geometric predicates).
+
 Randomness is counter-based: each batch of paths draws from a Philox
 stream keyed by (seed, batch start), so runs are byte-identical and
 every policy of one call sees the same noise (common random numbers).
@@ -15,6 +24,7 @@ every policy of one call sees the same noise (common random numbers).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +35,9 @@ from .expr import Expr, Num, evaluate, free_vars
 from .gfunction import GParams, worst_case_q
 
 _BATCH = 5000  # fixed so outputs do not depend on ensemble size chunking
+_TIE = -1e-9  # G's argument above this is a tie or positive: sigma_high_sq
+_TABLE_C = 64.0  # FeedbackPolicy's curvature-table error constant
+_EPS = float(np.finfo(float).eps)
 
 
 class ConstantPolicy:
@@ -78,27 +91,90 @@ class FeedbackPolicy:
     At (t, x) the instantaneous variance is the maximizer of G applied to
     pde._hamiltonian, the argument the scheme steps G with, assembled
     from u, its central gradient and its second difference as
-    pde.stencil_batch reads them, in one read of x and x +- dx off one
-    time blend of the stored layers.  b is never read, and the h and g
-    terms are left out where PathTerms finds them zero: each is a signed
-    zero, and the tie snap sends both zeros of G's argument to 0.  States
-    less than one cell inside the solver domain are clamped one cell in,
-    so the read skips stencil_batch's range check (which raises for
-    them); the emitted variance is always admissible.  A time outside the
-    solution's [0, T] raises.
+    pde.stencil_batch reads them, off one time blend L of the stored
+    layers.  b is never read, and the h and g terms are left out where
+    PathTerms finds them zero: each is a signed zero, and the tie snap
+    (an argument within 1e-9 of 0 is 0) sends both zeros to 0.  So the
+    variance is sigma_high_sq exactly where the computed argument exceeds
+    -1e-9, and sigma_low_sq elsewhere, NaN included.  States less than
+    one cell inside the solver domain are clamped one cell in, so the
+    read skips stencil_batch's range check (which raises for them); the
+    emitted variance is always admissible.  A time outside the solution's
+    [0, T] raises.
+
+    Where h and g are zero and sigma is a float, the argument is sigma^2
+    times the stencil's second difference, and a per-cell table decides
+    most states without the read; only the states it leaves in doubt take
+    the exact read, so the output is the read's bit for bit.  With the
+    nodal second differences S_k = L[k+1] - 2 L[k] + L[k-1], a clamped x
+    in cell j (xs[j] <= x < xs[j+1]) has, in exact arithmetic on uniform
+    nodes, the argument sigma^2 ((1 - a) S_j + a S_{j+1}) / dx^2 with
+    a = (x - xs[j])/dx in [0, 1): a point between its values at nodes j
+    and j + 1 (at the last interior cell a is within rounding of 0).
+    Rounding moves the computed argument by less than
+
+        E = C eps (M + (X + dx)/dx D) sigma^2/dx^2,    C = 64,
+
+    with M = max|L|, D = max|L[k+1] - L[k]|, X = max(|x_min|, |x_max|)
+    and eps the float64 machine epsilon: the points x +- dx and the nodes
+    are each off by a few eps (X + dx), which moves a read by D/dx per
+    unit length; each read rounds by a few eps (M + D); the sum
+    up - 2 mid + down and the table's own S_k by a few eps M; and the
+    division by dx^2 and the product with sigma^2 by a few eps relative
+    to values at most 4 M sigma^2/dx^2.  The cell c = floor((x - x_min)/dx)
+    of a state is within one of j, so the interior nodes among c - 1 ...
+    c + 2 include j and j + 1: c is sure sigma_high_sq when sigma^2 S_k/dx^2
+    exceeds -1e-9 + E at all of them, and sure sigma_low_sq when it is
+    below -1e-9 - E at all of them.  The states in other cells take the
+    exact read, and so do NaN states (fmin sends them to cell nx - 1,
+    which decides nothing).  A layer holding inf or NaN, or large enough
+    for the table to overflow, decides no cell; nor does the table of a
+    problem with live h or g or a sigma in t or x.
     """
 
     def __init__(self, sol: "pde.PdeSolution", problem: "pde.PdeProblem"):
         self.sol = sol
         self.problem = problem
-        self.terms = PathTerms(problem.coeffs, problem.f, problem.g)
-
-    def variance(self, t, state):
-        sol, problem, terms = self.sol, self.problem, self.terms
+        self.terms = terms = PathTerms(problem.coeffs, problem.f, problem.g)
         grid = sol.grid
-        lo, hi = grid.x_min + grid.dx, grid.x_max - grid.dx
-        x = np.minimum(np.maximum(np.asarray(state, dtype=float), lo), hi)
-        u, p, d2 = pde._stencil(sol, t, x)
+        self.lo, self.hi = grid.x_min + grid.dx, grid.x_max - grid.dx
+        gp = problem.gparams
+        self.high, self.low = float(gp.sigma_high_sq), float(gp.sigma_low_sq)
+        sigma, dx2 = terms.floats.get("sigma"), grid.dx * grid.dx
+        self.table_scale = None  # sigma^2/dx^2, where the table applies
+        if sigma is not None and not (terms.h_live or terms.g_live) and dx2 > 0.0:
+            k = sigma * sigma / dx2
+            self.table_scale = k if k < math.inf else None
+
+    def _table(self, layer):
+        """The variance each cell of the layer decides, NaN where it is in
+        doubt: nx entries, the last one (a NaN state's cell) in doubt."""
+        grid, k = self.sol.grid, self.table_scale
+        if k is None:
+            return np.full(grid.nx, np.nan)
+        scale = float(np.abs(layer).max())
+        if not 4.0 * scale * max(k, 1.0) < math.inf:  # it would overflow; NaN too
+            return np.full(grid.nx, np.nan)
+        dl = layer[1:] - layer[:-1]
+        s = dl[1:] - dl[:-1]  # S_k at the interior nodes
+        s *= k
+        x_abs = max(abs(grid.x_min), abs(grid.x_max))
+        err = _TABLE_C * _EPS * (scale + (x_abs + grid.dx) / grid.dx
+                                 * float(np.abs(dl).max())) * k
+        # sure high, sure low at nodes -1 ... nx + 1: the boundary and
+        # outer nodes veto nothing, but node nx + 1 vetoes cell nx - 1
+        node = np.ones((2, grid.nx + 3), dtype=bool)
+        node[:, -1] = False
+        np.greater(s, _TIE + err, out=node[0, 2:-3])
+        np.less(s, _TIE - err, out=node[1, 2:-3])
+        node = node[:, 1:] & node[:, :-1]
+        cell = node[:, 2:] & node[:, :-2]  # cell c: nodes c - 1 ... c + 2 agree
+        return np.where(cell[0], self.high, np.where(cell[1], self.low, np.nan))
+
+    def _exact(self, t, x, layer):
+        """The variance at the clamped states x, from one stencil read."""
+        problem, terms = self.problem, self.terms
+        u, p, d2 = pde._stencil(self.sol.grid, layer, x)
         sigma = terms.coeff("sigma", t, x)
         h2 = 2.0 * terms.coeff("h", t, x) if terms.h_live else None
         gval = (np.asarray(problem.g.eval_grid(t, x, u, sigma * p), dtype=float)
@@ -107,6 +183,20 @@ class FeedbackPolicy:
         # sub-rounding curvature is a tie, resolved like the exact tie at 0
         ham = np.where(np.abs(ham) < 1e-9, 0.0, ham)
         return worst_case_q(problem.gparams, ham)
+
+    def variance(self, t, state):
+        shape = np.shape(state)
+        x = np.asarray(state, dtype=float).reshape(-1)
+        x = np.minimum(np.maximum(x, self.lo), self.hi)
+        grid = self.sol.grid
+        layer = pde._blend_layer(self.sol, t)
+        cell = x - grid.x_min
+        cell /= grid.dx
+        out = self._table(layer)[np.fmin(cell, grid.nx - 1, out=cell).astype(np.intp)]
+        doubt = np.isnan(out)
+        if doubt.any():
+            out[doubt] = self._exact(t, x[doubt], layer)
+        return out.reshape(shape) if shape else float(out[0])
 
     def describe(self) -> str:
         return "feedback"

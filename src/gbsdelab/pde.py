@@ -548,17 +548,16 @@ def stencil_batch(sol: PdeSolution, t, x):
     grid = sol.grid
     _check_range(x, grid.x_min + grid.dx, grid.x_max - grid.dx,
                  "too close to the boundary for a central stencil; pad the domain")
-    return _stencil(sol, t, x)
+    return _stencil(grid, _blend_layer(sol, t), x)
 
 
-def _stencil(sol: PdeSolution, t, x):
-    """stencil_batch without its range check, for a float x already in range.
+def _stencil(grid: SpaceTimeGrid, layer, x):
+    """stencil_batch without its range check or its time blend, for a float
+    x already in range and the layer _blend_layer gave.
 
     u at x, x + dx and x - dx is one _interp_cell read of their (3, ...)
-    stack, off one time blend of the stored layers."""
-    grid = sol.grid
+    stack."""
     dx = grid.dx
-    layer = _blend_layer(sol, t)
     pts = np.empty((3, *np.shape(x)))
     pts[0] = x
     np.add(x, dx, out=pts[1, ...])

@@ -16,14 +16,18 @@ which compare must refuse (horizons); an f in t, y and |z|^(1/2),
 whose envelopes take the direct search (direct); and lattice envelopes
 of f and g under nonzero b and h, with the dissipation on at the top
 ladder level (dissipation), so that every term the solver's step may
-skip is on somewhere.
+skip is on somewhere.  The heat problem on Phi = abs(x)-1 (ties) and
+on Phi = x*x*x (ties_cubic), under low, high and feedback, makes
+feedback decisions that the curvature table finds sure high and sure
+low, and others it leaves in doubt, among them snapped ties (flat
+stretches, where its error bound exceeds 1e-9).
 
 The CLI summaries sample the paths (a max uptick, a mean), so
 OUT_DIR/path_digests.txt also lists the SHA-256 of every array the path
 API returns: B, QV, X, Y, Z and K of the benchmark's feedback kcheck
-stages (seed 1) and of each policy of the drift and time_sigma configs,
-and terminal_states of the low, high and feedback policies on each of
-these setups.  gbsdelab is imported
+stages (seed 1) and of each policy of the drift, time_sigma, ties and
+ties_cubic configs, and terminal_states of the low, high and feedback
+policies on each of these setups.  gbsdelab is imported
 from the src/ next to this file and bench/workloads.py is read without
 writing bytecode, so the snapshots of two checkouts compare with one
 `diff -r`.  Not collected by pytest (the name does not start with test_).
@@ -74,6 +78,15 @@ _DISSIPATION = {"Phi": "x*x", "b": "0.2*x", "h": "0.1", "f": _ROUGH_F, "g": _SQR
 _TIME_SIGMA = {"Phi": "x*x", "sigma": "1+0.5*t", "f": _LINEAR_F,
                "lip_z_bound": 0.5, "T": 0.5}
 
+
+def _ties(phi):
+    return {"gparams": _GPARAMS, "problem": {"Phi": phi, "T": 0.5},
+            "problem2": {"Phi": f"{phi}+0.2", "T": 0.5},
+            "grid": {"x_min": -8.0, "x_max": 8.0, "nx": 1601, "core_fraction": 0.5},
+            "mc": {"n_paths": 2000, "dt": 1e-3, "seed": 5,
+                   "policies": ["low", "high", "feedback"]}}
+
+
 SMALL_CONFIGS = {
     "drift": _small(_DRIFT, dict(_DRIFT, Phi="x*x+0.2")),
     "time_sigma": _small(_TIME_SIGMA, dict(_TIME_SIGMA, Phi="x*x+0.2")),
@@ -82,6 +95,8 @@ SMALL_CONFIGS = {
     "direct": dict(_small(_DIRECT, dict(_DIRECT, Phi="x*x+0.2")),
                    grid={"x_min": -3.0, "x_max": 3.0, "nx": 41, "core_fraction": 0.5}),
     "dissipation": _small(_DISSIPATION, dict(_DISSIPATION, Phi="x*x+0.2")),
+    "ties": _ties("abs(x)-1"),
+    "ties_cubic": _ties("x*x*x"),
 }
 
 
@@ -159,10 +174,10 @@ def _bench_kcheck_runs():
 
 
 def _config_runs(out_dir):
-    """(setup, run) for each policy of the drift and time_sigma configs, read
+    """(setup, run) for each policy of the drift, time_sigma and ties configs, read
     as CLI kcheck reads them off the level walk's solution, and for their
     terminal states."""
-    for cname in ("drift", "time_sigma"):
+    for cname in ("drift", "time_sigma", "ties", "ties_cubic"):
         cfg = cli.load_config(os.path.join(out_dir, "small", f"{cname}.json"))
         sol = gbsde.solve_exact(cfg.problem, cfg.build_grid(), cfg.target_gap).solution
         args = (None, cfg.gparams, 0.0, cfg.problem.T, cfg.mc_dt, cfg.n_paths, cfg.seed)

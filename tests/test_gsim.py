@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import path_oracles as oracles
 from gbsdelab import gsim, pde
@@ -15,7 +19,14 @@ from gbsdelab.gsim import (
     upper_expectation_mc,
     upper_expectation_pde,
 )
-from gbsdelab.pde import CoefficientSet, PdeProblem, build_grid, solve
+from gbsdelab.pde import (
+    CoefficientSet,
+    PdeProblem,
+    PdeSolution,
+    SpaceTimeGrid,
+    build_grid,
+    solve,
+)
 
 GP = GParams(0.5, 1.0)
 ZERO = ScalarGenerator.from_text("0", 0.0, Modulus("linear", c=1.0, growth_L=1.0))
@@ -308,6 +319,121 @@ class TestPathLoopOracle:
     def test_policy_cannot_write_state(self):
         with pytest.raises(ValueError, match="read-only"):
             simulate_paths(Writer(), GP, 0.0, 0.02, 0.01, 3, 1)
+
+
+def layer_policies(grid, layers, sigma=1.0):
+    """FeedbackPolicy and the oracle on a heat problem with this sigma, off
+    a solution that stores the given layers evenly over [0, 1]."""
+    coeffs = CoefficientSet.from_text("0", "0", repr(sigma), "x")
+    prob = PdeProblem(coeffs, ZERO, ZERO, GP, 1.0, 0.0)
+    sol = PdeSolution(grid, np.linspace(0.0, 1.0, len(layers)), np.stack(layers))
+    return FeedbackPolicy(sol, prob), oracles.Feedback(sol, prob)
+
+
+def quiet(fn, *args):
+    """fn(*args) with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return fn(*args)
+
+
+class TestCurvatureTable:
+    """The per-cell table decides most feedback states without a stencil
+    read; every decision is still the exact read's, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x_min=st.floats(-20.0, 5.0), width=st.floats(1e-2, 40.0),
+           nx=st.integers(5, 300), sigma=st.sampled_from([0.7, 1.0, 3.0]),
+           delta=st.sampled_from([0.0, 1e-6, -1e-6, 1e-3, -1e-3, 0.5, -0.5]),
+           offset=st.sampled_from([0.0, 1.0, 1e3]), slope=st.sampled_from([0.0, 1.0, -30.0]),
+           data=st.data())
+    def test_bits_equal_the_exact_read(self, x_min, width, nx, sigma, delta, offset, slope,
+                                       data):
+        grid = SpaceTimeGrid(x_min, x_min + width, nx, 0.1, 1)
+        xs = grid.xs
+        centre = data.draw(st.floats(grid.x_min, grid.x_max))
+        # sigma^2 S / dx^2 at -1e-9 (1 + delta): a tie, or just off one
+        curv = -1e-9 * (1.0 + delta) / sigma**2
+        tie = offset + slope * (xs - centre) + 0.5 * curv * (xs - centre) ** 2
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        other = data.draw(st.sampled_from([
+            rng.standard_normal(nx), (xs - centre) ** 3, -tie, np.cos(xs)]))
+        pol, oracle = layer_policies(grid, [tie, other], sigma)
+        x = np.concatenate((
+            xs, np.nextafter(xs, np.inf), np.nextafter(xs, -np.inf),
+            rng.uniform(grid.x_min, grid.x_max, 50),
+            [grid.x_min - 1.0, grid.x_max + 3.0, -np.inf, np.inf, np.nan, -0.0]))
+        for t in (0.0, data.draw(st.floats(0.0, 1.0)), 1.0):
+            assert oracles.same_bits(quiet(pol.variance, t, x), oracle.variance(t, x))
+
+    def test_ties_at_the_threshold(self):
+        # on a binary grid the reads at nodes are exact: a layer that is 0
+        # but for arg dx^2 at node k + 1 has the argument arg at node k, so
+        # -1e-9 itself is low and the next float up a snapped tie
+        grid = SpaceTimeGrid(0.0, 8.0, 65, 0.1, 1)
+        k = 20
+        for arg, want in ((-1e-9, GP.sigma_low_sq),
+                          (np.nextafter(-1e-9, 0.0), GP.sigma_high_sq),
+                          (np.nextafter(-1e-9, -1.0), GP.sigma_low_sq),
+                          (1e-9, GP.sigma_high_sq)):
+            layer = np.zeros(grid.nx)
+            layer[k + 1] = arg * grid.dx**2
+            pol, oracle = layer_policies(grid, [layer, layer])
+            x = grid.xs[k - 1 : k + 2]
+            got = quiet(pol.variance, 0.0, x)
+            assert got[1] == want
+            assert oracles.same_bits(got, oracle.variance(0.0, x))
+
+    def test_window_spans_a_cell_either_side(self):
+        # the cell of (x - x_min)/dx can be one off, so cell c is decided
+        # only when the interior nodes c - 1 ... c + 2 all agree
+        grid = SpaceTimeGrid(-4.0, 4.0, 81, 0.1, 1)
+        m = 40
+        layer = grid.xs**2
+        layer[m] += 3.0 * grid.dx**2  # the second difference dips below 0 at m alone
+        pol, _ = layer_policies(grid, [layer, layer])
+        table = quiet(pol._table, layer)
+        assert np.flatnonzero(np.isnan(table)).tolist() == [m - 2, m - 1, m, m + 1, grid.nx - 1]
+        assert np.all(np.delete(table, [m - 2, m - 1, m, m + 1, grid.nx - 1]) == GP.sigma_high_sq)
+
+    def test_non_finite_states_and_layers(self):
+        sol, prob = heat_solution("x*x*x", nx=81)
+        pol, oracle = FeedbackPolicy(sol, prob), oracles.Feedback(sol, prob)
+        x = np.array([np.nan, np.inf, -np.inf, 0.5, -0.0, np.nan])
+        got = quiet(pol.variance, 0.3, x)
+        assert got[0] == got[-1] == GP.sigma_low_sq
+        assert oracles.same_bits(got, oracle.variance(0.3, x))
+        for state in (np.nan, np.asarray(np.nan), 2.0, np.asarray(-np.inf)):
+            one = quiet(pol.variance, 0.3, state)
+            assert type(one) is float
+            assert oracles.same_bits(one, oracle.variance(0.3, state))
+        # a layer holding inf or NaN, or one the table would overflow on,
+        # decides no cell and raises nothing: every state takes the exact
+        # read, as it does with the table switched off
+        grid = SpaceTimeGrid(-4.0, 4.0, 41, 0.1, 1)
+        states = np.concatenate((grid.xs, [np.nan, 9.0]))
+        for bad in (np.inf, -np.inf, np.nan, 1e308):
+            layer = grid.xs**2
+            layer[17] = bad
+            pol, _ = layer_policies(grid, [layer, layer])
+            assert np.isnan(quiet(pol._table, layer)).all()
+            off, _ = layer_policies(grid, [layer, layer])
+            off.table_scale = None
+            with np.errstate(all="ignore"):
+                assert oracles.same_bits(pol.variance(0.0, states), off.variance(0.0, states))
+
+    @pytest.mark.parametrize("phi", ["x*x", "-x*x"])
+    def test_exact_read_sees_few_states(self, monkeypatch, phi):
+        # on the heat problem of a convex or concave payoff the table
+        # decides all but at most 1% of the path states
+        seen = []
+        stencil = pde._stencil
+        monkeypatch.setattr(pde, "_stencil",
+                            lambda grid, layer, x: seen.append(x.size) or stencil(grid, layer, x))
+        sol, prob = heat_solution(phi, nx=201)
+        n_paths, dt = 1000, 0.01
+        terminal_states([FeedbackPolicy(sol, prob)], GP, 0.0, 1.0, dt, n_paths, 3)
+        assert sum(seen) <= 0.01 * n_paths * 100
 
 
 class Writer:
