@@ -71,6 +71,11 @@ def envelope_problem(problem: "pde.PdeProblem", n: float, side: str) -> "pde.Pde
 
 @dataclass(frozen=True)
 class Ladder:
+    """One ladder's solutions and reports, per level.  A level's lower and
+    upper solutions may be one object, and so may those of several levels,
+    where their envelope problems step identically (approximation_ladder);
+    PdeSolution arrays are read-only, so none can change through another."""
+
     levels: tuple
     lower_solutions: tuple
     upper_solutions: tuple
@@ -98,11 +103,26 @@ def _level_bound(problem: "pde.PdeProblem", L: float, n: float) -> float:
     return gap_constant(L, problem.gparams, problem.T) * bound
 
 
+def _steps_as(problem: "pde.PdeProblem") -> tuple:
+    """What pde.step_backward and pde.max_stable_dt read of an envelope
+    problem beyond the coeffs, gparams and T of its base problem: f and g
+    as evaluated (the inner generator where the envelope passes it through,
+    the envelope itself where it does not) and lam_z of each.  Two envelope
+    problems of one base problem with equal keys step identically, bit for
+    bit, on the same grid."""
+    f, g = (gen.gen if gen.mode == "passthrough" else gen for gen in (problem.f, problem.g))
+    return f, g, problem.lam_z(problem.f), problem.lam_z(problem.g)
+
+
 def _solve_level(problem, L: float, n: float, grid: "pde.SpaceTimeGrid"):
     """Lower and upper level-n solutions on grid's nodes (one dt: the two
-    envelopes share lip_z and lip_y), their core gap and its modulus bound."""
+    envelopes share lip_z and lip_y), their core gap and its modulus bound.
+    Where the two envelope problems step identically (_steps_as; f and g
+    pass through at level n), one pde.solve serves both sides, and the
+    lower and upper solutions are one object."""
     lower, upper = (envelope_problem(problem, n, side) for side in ("lower", "upper"))
-    lo, up = pde.solve(lower, grid), pde.solve(upper, grid)
+    lo = pde.solve(lower, grid)
+    up = lo if _steps_as(upper) == _steps_as(lower) else pde.solve(upper, grid)
     return lo, up, _core_gap(lo, up), _level_bound(problem, L, n)
 
 
@@ -110,10 +130,12 @@ def approximation_ladder(problem, levels, grid) -> Ladder:
     """Solve lower/upper envelope problems for each level on one grid.
 
     All levels share the spatial nodes of the given grid.  The 2K envelope
-    problems differ only in f and g, so they advance together as one
-    pde.solve_stack, whose time step is the top level's (the smallest);
-    each solution equals what pde.solve gives for its problem alone on that
-    grid, bit for bit.
+    problems differ only in f and g, so the distinct ones among them
+    (_steps_as) advance together as one pde.solve_stack, whose time step is
+    the top level's (the smallest); each solution equals what pde.solve
+    gives for its problem alone on that grid, bit for bit.  Problems that
+    step identically share one solution object: both sides of a level
+    whose envelopes pass f and g through, and such levels among themselves.
     """
     levels = tuple(float(n) for n in levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
@@ -125,7 +147,13 @@ def approximation_ladder(problem, levels, grid) -> Ladder:
         raise ValueError(f"every level must exceed L={L}")
     problems = [envelope_problem(problem, n, side)
                 for n in levels for side in ("lower", "upper")]
-    sols = pde.solve_stack(problems, grid)
+    # each problem's first step-identical problem; keys are compared, not
+    # hashed, since a generator's Modulus may hold lists
+    keys = [_steps_as(p) for p in problems]
+    firsts = [keys.index(k) for k in keys]
+    rows = sorted(set(firsts))
+    stacked = dict(zip(rows, pde.solve_stack([problems[i] for i in rows], grid)))
+    sols = tuple(stacked[i] for i in firsts)
     lowers, uppers = sols[0::2], sols[1::2]
     gaps = tuple(_core_gap(lo, up) for lo, up in zip(lowers, uppers))
     bounds = tuple(_level_bound(problem, L, n) for n in levels)
@@ -135,6 +163,10 @@ def approximation_ladder(problem, levels, grid) -> Ladder:
 
 @dataclass(frozen=True)
 class ExactSolve:
+    """The level solve_exact stopped at.  solution and upper_solution are
+    one object where that level's envelope problems step identically
+    (_solve_level)."""
+
     solution: "pde.PdeSolution"  # lower-envelope solution at the chosen level
     upper_solution: "pde.PdeSolution"
     level: float

@@ -437,7 +437,10 @@ def solve_stack(problems, grid: SpaceTimeGrid) -> tuple:
     on refine_grid(grid, *problems), the grid every solution carries.  All
     P layers advance together as one (P, nx) stack through step_backward.
     Each solution stores at most ~2000 layers (stride-decimated, endpoints
-    always kept), written in place into its own preallocated array.
+    always kept), written in place into its own preallocated array; its
+    values and times are then read-only, as grid.xs is, so a solution that
+    callers share (gbsde's step-identical envelope problems) cannot be
+    changed through one of them.
     """
     problems = tuple(problems)
     first = problems[0]
@@ -466,6 +469,8 @@ def solve_stack(problems, grid: SpaceTimeGrid) -> tuple:
             for values, row in zip(kept, u):
                 values[k // stride] = row
     times = np.asarray(kept_idx, dtype=float) * grid.dt
+    for a in (times, *kept):
+        a.flags.writeable = False
     return tuple(PdeSolution(grid, times, values) for values in kept)
 
 

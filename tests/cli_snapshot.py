@@ -16,7 +16,10 @@ which compare must refuse (horizons); an f in t, y and |z|^(1/2),
 whose envelopes take the direct search (direct); and lattice envelopes
 of f and g under nonzero b and h, with the dissipation on at the top
 ladder level (dissipation), so that every term the solver's step may
-skip is on somewhere.  The heat problem on Phi = abs(x)-1 (ties) and
+skip is on somewhere.  In drift f passes through its envelopes and g
+takes the lattice; in one_side it is the other way round, so each
+level keeps two distinct envelope problems that share one generator.
+The heat problem on Phi = abs(x)-1 (ties) and
 on Phi = x*x*x (ties_cubic), under low, high and feedback, makes
 feedback decisions that the curvature table finds sure high and sure
 low, and others it leaves in doubt, among them snapped ties (flat
@@ -75,6 +78,9 @@ _ROUGH_F = {"body": "-0.5*pow(abs(z),0.8)",
             "modulus": {"kind": "power", "c": 0.5, "alpha": 0.8, "growth_L": 0.5}}
 _DISSIPATION = {"Phi": "x*x", "b": "0.2*x", "h": "0.1", "f": _ROUGH_F, "g": _SQRT_G,
                 "lip_z_bound": 1.0, "T": 0.5}
+_LINEAR_G = {"body": "-0.25*abs(z)",
+             "modulus": {"kind": "linear", "c": 0.25, "growth_L": 0.25}}
+_ONE_SIDE = {"Phi": "x*x", "f": _ROUGH_F, "g": _LINEAR_G, "lip_z_bound": 1.0, "T": 0.5}
 _TIME_SIGMA = {"Phi": "x*x", "sigma": "1+0.5*t", "f": _LINEAR_F,
                "lip_z_bound": 0.5, "T": 0.5}
 
@@ -95,6 +101,7 @@ SMALL_CONFIGS = {
     "direct": dict(_small(_DIRECT, dict(_DIRECT, Phi="x*x+0.2")),
                    grid={"x_min": -3.0, "x_max": 3.0, "nx": 41, "core_fraction": 0.5}),
     "dissipation": _small(_DISSIPATION, dict(_DISSIPATION, Phi="x*x+0.2")),
+    "one_side": _small(_ONE_SIDE, dict(_ONE_SIDE, Phi="x*x+0.2")),
     "ties": _ties("abs(x)-1"),
     "ties_cubic": _ties("x*x*x"),
 }

@@ -101,6 +101,28 @@ def test_install_sees_inner_calls_and_uninstall_restores(tracing, lib):
     assert m["gbsde.repeat_solves"] == 0
 
 
+def test_traced_lipschitz_level_solves_once(tracing, lib):
+    # f Lipschitz in z: both envelopes pass it through, so each level the
+    # walk tries makes one pde.solve of nt steps, where a lattice level
+    # (above) makes two
+    f = ScalarGenerator.from_text(
+        "-0.5*abs(z)", 0.0, Modulus("linear", c=0.5, growth_L=0.5))
+    coeffs = pde.CoefficientSet.from_text("0", "0", "1", "x*x")
+    problem = pde.PdeProblem(coeffs, f, envelope.ZERO_GENERATOR, GP, 0.25, 0.5)
+    grid = pde.build_grid(problem, -2.0, 2.0, 21)
+    tracer = tracing.Tracer(lib)
+    tracer.install()
+    try:
+        ex = gbsde.solve_exact(problem, grid, 10.0)
+        m = tracer.round_metrics(0)
+    finally:
+        tracer.uninstall()
+    assert m["gbsde.levels_tried"] == 1
+    assert m["pde.solves"] == 1
+    assert m["pde.steps"] == ex.solution.grid.nt
+    assert m["gbsde.repeat_solves"] == 0
+
+
 def test_traced_ladder_steps_the_stack_once_per_time_step(tracing, lib):
     # approximation_ladder steps its 2K envelope problems together through
     # pde.solve_stack, never through the wrapped pde.solve

@@ -37,6 +37,20 @@ def problem(phi="x*x", f=ZERO, g=ZERO, lip_z=0.0, T=1.0, growth_q=2):
 SQRT_F = ScalarGenerator.from_text(
     "-sqrt(abs(z))", 0.0, Modulus("power", c=1.0, alpha=0.5, growth_L=0.5)
 )
+# Lipschitz in z: its envelopes pass it through at every level above 0.5
+LIP_F = ScalarGenerator.from_text(
+    "-0.5*abs(z)", 0.0, Modulus("linear", c=0.5, growth_L=0.5)
+)
+# 4-Lipschitz in z: a lattice envelope below level 4, passed through from 4 on
+CAPPED_F = ScalarGenerator.from_text(
+    "min(4*abs(z),1)", 0.0, Modulus("linear", c=4.0, growth_L=1.0)
+)
+
+
+def _same_bits(a, b):
+    return a.grid == b.grid and all(
+        np.array_equal(x.view(np.int64), y.view(np.int64))
+        for x, y in ((a.values, b.values), (a.times, b.times)))
 
 
 # (body, modulus, lip_z): z-free, linear c <= 2, linear 2 < c <= 8, power in z,
@@ -135,6 +149,34 @@ class TestApproximationLadder:
             assert lad.bound_report[i] == bound
         assert lad.tolerance == gbsde.solver_tolerance(lo)
 
+    @pytest.mark.parametrize("f, g, levels, rows", [
+        (LIP_F, ZERO, [1.0, 2.0], 1),  # every problem passes f and g through
+        (CAPPED_F, ZERO, [2.0, 8.0], 3),  # lattice at 2, passthrough at 8
+        (LIP_F, SQRT_F, [1.0, 2.0], 4),  # f passes through, g takes the lattice
+        # a Modulus holding lists makes the generator unhashable
+        (ScalarGenerator.from_text("-sqrt(abs(z))", 0.0, Modulus(
+            "tabulated", rs=[0.0, 1.0, 2.0], values=[0.0, 1.0, 1.5])), ZERO, [2.0, 4.0], 4),
+    ])
+    def test_stack_holds_each_distinct_problem_once(self, monkeypatch, f, g, levels, rows):
+        prob = problem(f=f, g=g, lip_z=1.0)
+        grid = build_grid(prob, -4.0, 4.0, 101)
+        stacked = []
+        real = pde.solve_stack
+
+        def recording(problems, grid):
+            problems = tuple(problems)
+            stacked.append(len(problems))
+            return real(problems, grid)
+
+        monkeypatch.setattr(pde, "solve_stack", recording)
+        lad = approximation_ladder(prob, levels, grid)
+        monkeypatch.undo()
+        assert stacked == [rows]
+        top = lad.lower_solutions[-1].grid
+        for n, lo, up in zip(levels, lad.lower_solutions, lad.upper_solutions):
+            for side, sol in (("lower", lo), ("upper", up)):
+                assert _same_bits(sol, solve(gbsde.envelope_problem(prob, n, side), top))
+
     def test_sandwich_across_levels(self):
         prob = problem(f=SQRT_F, lip_z=1.0)
         grid = build_grid(prob, -4.0, 4.0, 201)
@@ -161,6 +203,34 @@ class TestSolveExact:
         ex = solve_exact(prob, grid, 1e-6)
         assert ex.measured_gap <= 1e-6
         assert ex.level == 2 * problem_growth_L(prob)
+
+    @pytest.mark.parametrize("f, solves", [
+        (LIP_F, [1]),  # both sides pass f through: one solve
+        (CAPPED_F, [2, 1]),  # lattice at level 2, passthrough at level 4
+    ])
+    def test_one_solve_per_distinct_problem(self, monkeypatch, f, solves):
+        prob = problem(f=f, lip_z=1.0)
+        grid = build_grid(prob, -4.0, 4.0, 201)
+        calls = _count_solves(monkeypatch)
+        ex = solve_exact(prob, grid, 1e-6)
+        monkeypatch.undo()
+        assert len(calls) == sum(solves)
+        assert ex.level == gbsde.level_base(problem_growth_L(prob)) * 2 ** (len(solves) - 1)
+        assert ex.upper_solution is ex.solution
+        upper = gbsde.envelope_problem(prob, ex.level, "upper")
+        assert _same_bits(ex.upper_solution, solve(upper, grid))
+        assert ex.measured_gap == 0.0
+
+    def test_lattice_levels_solve_both_sides(self, monkeypatch):
+        prob = problem(f=SQRT_F, lip_z=1.0)
+        grid = build_grid(prob, -4.0, 4.0, 101)
+        calls = _count_solves(monkeypatch)
+        ex = solve_exact(prob, grid, 0.05)
+        monkeypatch.undo()
+        tried = round(np.log2(ex.level / gbsde.level_base(problem_growth_L(prob)))) + 1
+        assert tried > 1
+        assert len(calls) == 2 * tried
+        assert ex.upper_solution is not ex.solution
 
     def test_zero_target_rejected(self):
         prob = problem()
@@ -503,7 +573,8 @@ class TestCompareLevelWalk:
         rep = compare(p1, p2, grid)
         monkeypatch.undo()
         assert rep.level1 == rep.level2
-        assert len(calls) == 4  # lower and upper of each side, once
+        # each side's level passes its f through: one solve serves both envelopes
+        assert len(calls) == 2
         want, _ = _resolved_min_diff(p1, p2, rep.level1, grid)
         assert rep.min_core_diff == want
 
@@ -515,9 +586,10 @@ class TestCompareLevelWalk:
         monkeypatch.undo()
         assert rep.level1 > rep.level2
         want, laggard = _resolved_min_diff(p1, p2, rep.level1, grid)
-        # both searches start at level 1 and solve two problems per level
-        tried = round(np.log2(rep.level1)) + 1 + round(np.log2(rep.level2)) + 1
-        assert len(calls) == 2 * tried + 1
+        # both searches start at level 1; the lattice side solves two
+        # problems per level, the zero generators' side one
+        tried1, tried2 = (round(np.log2(n)) + 1 for n in (rep.level1, rep.level2))
+        assert len(calls) == 2 * tried1 + tried2 + 1
         assert calls[-1] == laggard
         assert len(set(calls)) == len(calls)
         assert rep.min_core_diff == want

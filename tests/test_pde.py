@@ -364,6 +364,16 @@ class TestSolveStack:
         assert got.shape == u.shape
         assert np.array_equal(got, np.asarray(want))
 
+    def test_solutions_are_read_only(self):
+        # a solution that stands for two envelope problems cannot be
+        # changed through one of them
+        prob = heat_problem()
+        for sol in solve_stack((prob, prob), build_grid(prob, -2.0, 2.0, 21)):
+            for a in (sol.values, sol.times):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 1.0
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_row_named(self):
         prob = heat_problem()
