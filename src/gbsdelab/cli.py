@@ -30,9 +30,6 @@ from .envelope import (
 from .expr import ParseError, evaluate, free_vars, parse
 from .gfunction import GParams
 
-_SCHEMA = "# g-bsde-lab schema v1\n"
-
-
 class ConfigError(ValueError):
     """Config validation failure; message carries a JSON pointer."""
 
@@ -231,7 +228,7 @@ def load_config(path) -> RunConfig:
 
 def _write_csv(path, header_cols, rows):
     with open(path, "w") as fh:
-        fh.write(_SCHEMA)
+        fh.write(pde.SCHEMA)
         fh.write(",".join(header_cols) + "\n")
         for row in rows:
             fh.write(",".join(

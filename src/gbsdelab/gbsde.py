@@ -11,15 +11,15 @@ gap clears the requested target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import pde
 from .envelope import EnvelopeGenerator, envelope_gap_bound
-from .expr import free_vars, to_str
+from .expr import free_vars
 from .gfunction import GParams
-from .gsim import PathEnsemble, PathTerms
+from .gsim import PathEnsemble
 
 
 def gap_constant(L: float, gparams: GParams, T: float) -> float:
@@ -61,19 +61,24 @@ def solver_tolerance(sol: "pde.PdeSolution") -> float:
 
 
 def envelope_problem(problem: "pde.PdeProblem", n: float, side: str) -> "pde.PdeProblem":
-    """The level-n problem: f and g replaced by their side-envelopes."""
-    f_env = EnvelopeGenerator(_inner(problem.f), n, side)
-    g_env = EnvelopeGenerator(_inner(problem.g), n, side)
-    return pde.PdeProblem(
-        problem.coeffs, f_env, g_env, problem.gparams, problem.T, float(n)
-    )
+    """The level-n problem: f and g replaced by their side-envelopes as the
+    step evaluates them, the inner generator where the envelope passes it
+    through and the EnvelopeGenerator otherwise, and problem itself where
+    both pass through.  lip_z_bound stays problem's; lam_z never reads it
+    here.  So two envelope problems of one base problem step identically,
+    bit for bit on one grid, exactly when they are ==."""
+    envs = (EnvelopeGenerator(_inner(gen), n, side) for gen in (problem.f, problem.g))
+    f, g = (env.gen if env.mode == "passthrough" else env for env in envs)
+    if f is problem.f and g is problem.g:
+        return problem
+    return replace(problem, f=f, g=g)
 
 
 @dataclass(frozen=True)
 class Ladder:
     """One ladder's solutions and reports, per level.  A level's lower and
     upper solutions may be one object, and so may those of several levels,
-    where their envelope problems step identically (approximation_ladder);
+    where their envelope problems are equal (approximation_ladder);
     PdeSolution arrays are read-only, so none can change through another."""
 
     levels: tuple
@@ -103,26 +108,15 @@ def _level_bound(problem: "pde.PdeProblem", L: float, n: float) -> float:
     return gap_constant(L, problem.gparams, problem.T) * bound
 
 
-def _steps_as(problem: "pde.PdeProblem") -> tuple:
-    """What pde.step_backward and pde.max_stable_dt read of an envelope
-    problem beyond the coeffs, gparams and T of its base problem: f and g
-    as evaluated (the inner generator where the envelope passes it through,
-    the envelope itself where it does not) and lam_z of each.  Two envelope
-    problems of one base problem with equal keys step identically, bit for
-    bit, on the same grid."""
-    f, g = (gen.gen if gen.mode == "passthrough" else gen for gen in (problem.f, problem.g))
-    return f, g, problem.lam_z(problem.f), problem.lam_z(problem.g)
-
-
 def _solve_level(problem, L: float, n: float, grid: "pde.SpaceTimeGrid"):
     """Lower and upper level-n solutions on grid's nodes (one dt: the two
     envelopes share lip_z and lip_y), their core gap and its modulus bound.
-    Where the two envelope problems step identically (_steps_as; f and g
-    pass through at level n), one pde.solve serves both sides, and the
-    lower and upper solutions are one object."""
+    Where the two envelope problems are equal (f and g pass through at
+    level n), one pde.solve serves both sides, and the lower and upper
+    solutions are one object."""
     lower, upper = (envelope_problem(problem, n, side) for side in ("lower", "upper"))
     lo = pde.solve(lower, grid)
-    up = lo if _steps_as(upper) == _steps_as(lower) else pde.solve(upper, grid)
+    up = lo if upper == lower else pde.solve(upper, grid)
     return lo, up, _core_gap(lo, up), _level_bound(problem, L, n)
 
 
@@ -131,11 +125,11 @@ def approximation_ladder(problem, levels, grid) -> Ladder:
 
     All levels share the spatial nodes of the given grid.  The 2K envelope
     problems differ only in f and g, so the distinct ones among them
-    (_steps_as) advance together as one pde.solve_stack, whose time step is
-    the top level's (the smallest); each solution equals what pde.solve
-    gives for its problem alone on that grid, bit for bit.  Problems that
-    step identically share one solution object: both sides of a level
-    whose envelopes pass f and g through, and such levels among themselves.
+    advance together as one pde.solve_stack, whose time step is the top
+    level's (the smallest); each solution equals what pde.solve gives for
+    its problem alone on that grid, bit for bit.  Equal problems share one
+    solution object: both sides of a level whose envelopes pass f and g
+    through, and such levels among themselves.
     """
     levels = tuple(float(n) for n in levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
@@ -147,10 +141,9 @@ def approximation_ladder(problem, levels, grid) -> Ladder:
         raise ValueError(f"every level must exceed L={L}")
     problems = [envelope_problem(problem, n, side)
                 for n in levels for side in ("lower", "upper")]
-    # each problem's first step-identical problem; keys are compared, not
-    # hashed, since a generator's Modulus may hold lists
-    keys = [_steps_as(p) for p in problems]
-    firsts = [keys.index(k) for k in keys]
+    # each problem's first equal problem; compared, not hashed, since a
+    # generator's Modulus may hold lists
+    firsts = [problems.index(p) for p in problems]
     rows = sorted(set(firsts))
     stacked = dict(zip(rows, pde.solve_stack([problems[i] for i in rows], grid)))
     sols = tuple(stacked[i] for i in firsts)
@@ -164,7 +157,7 @@ def approximation_ladder(problem, levels, grid) -> Ladder:
 @dataclass(frozen=True)
 class ExactSolve:
     """The level solve_exact stopped at.  solution and upper_solution are
-    one object where that level's envelope problems step identically
+    one object where that level's envelope problems are equal
     (_solve_level)."""
 
     solution: "pde.PdeSolution"  # lower-envelope solution at the chosen level
@@ -223,11 +216,12 @@ def extract_triple(
     (left-point sums), one time point at a time.
 
     Y and Z come from one pde.stencil_batch read per time point; sigma is
-    a float where gsim.PathTerms finds it free of t and x, and the f and g
-    sums are left out where it finds f or g zero.  The running sum starts
-    at +0.0 and so is never -0.0, and adding a signed zero to it changes
-    nothing: K is the one of every term wherever the increments are
-    finite.  A time of the ensemble outside the solution's [0, T] raises.
+    a float where it is free of t and x (CoefficientSet.floats), and the f
+    and g sums are left out where pde._is_zero finds f or g zero.  The
+    running sum starts at +0.0 and so is never -0.0, and adding a signed
+    zero to it changes nothing: K is the one of every term wherever the
+    increments are finite.  A time of the ensemble outside the solution's
+    [0, T] raises.
     """
     # time-major, as simulate_paths and euler_forward store the paths
     X, B, QV = ensemble.X.T, ensemble.B.T, ensemble.QV.T
@@ -237,18 +231,18 @@ def extract_triple(
     Z = np.empty((m + 1, n))
     K = np.empty((m + 1, n))
     acc = np.zeros(n)
-    terms = PathTerms(problem.coeffs, problem.f, problem.g)
+    f_live, g_live = not pde._is_zero(problem.f), not pde._is_zero(problem.g)
     for k in range(m + 1):
         t, xk = times[k], X[k]
         Y[k], p, _ = pde.stencil_batch(sol, t, xk)
-        Z[k] = terms.coeff("sigma", t, xk) * p
+        Z[k] = problem.coeffs.coeff("sigma", t, xk) * p
         K[k] = Y[k] - Y[0] + acc if k else 0.0
         if k == m:
             break
-        if terms.f_live:
+        if f_live:
             fk = np.asarray(problem.f.eval_grid(t, xk, Y[k], Z[k]), dtype=float)
             acc += fk * dt
-        if terms.g_live:
+        if g_live:
             gk = np.asarray(problem.g.eval_grid(t, xk, Y[k], Z[k]), dtype=float)
             acc += gk * (QV[k + 1] - QV[k])
         acc -= Z[k] * (B[k + 1] - B[k])
@@ -293,7 +287,7 @@ def compare(problem1, problem2, grid, target_gap: float = 0.05) -> CompareReport
     """
     c1, c2 = problem1.coeffs, problem2.coeffs
     for name in ("b", "h", "sigma"):
-        if to_str(getattr(c1, name)) != to_str(getattr(c2, name)):
+        if getattr(c1, name) != getattr(c2, name):
             raise ValueError(f"problems must share coefficient {name}")
     for name in ("T", "gparams"):
         if getattr(problem1, name) != getattr(problem2, name):
@@ -312,19 +306,22 @@ def compare(problem1, problem2, grid, target_gap: float = 0.05) -> CompareReport
     s2 = solve_exact(problem2, grid, target_gap)
     # lower envelopes at a common level are ordered whenever the
     # generators are; re-solve the laggard if the searches stopped at
-    # different levels or on different grids
+    # different problems or on different grids
     n = max(s1.level, s2.level)
     p1 = envelope_problem(problem1, n, "lower")
     p2 = envelope_problem(problem2, n, "lower")
     grid_n = pde.refine_grid(grid, p1, p2)
 
-    def at_common_level(s, p):
-        if s.level == n and s.solution.grid == grid_n:
+    def at_common_level(s, problem, p):
+        # s solved p at level n, or at its own level where f and g pass
+        # through, and so at n too (p is then problem itself)
+        solved_p = s.level == n or envelope_problem(problem, s.level, "lower") is problem
+        if solved_p and s.solution.grid == grid_n:
             return s.solution
         return pde.solve(p, grid_n)
 
-    u1 = at_common_level(s1, p1)
-    u2 = at_common_level(s2, p2)
+    u1 = at_common_level(s1, problem1, p1)
+    u2 = at_common_level(s2, problem2, p2)
     core = grid_n.core_mask()
     diff = u2.values[:, core] - u1.values[:, core]
     min_diff = float(np.min(diff))

@@ -58,33 +58,6 @@ class ConstantPolicy:
         return f"constant({self.var:g})"
 
 
-class PathTerms:
-    """What a read of one problem along paths needs, decided once.
-
-    floats holds each of b, h and sigma that is free of t and x as its
-    float; coeff(name, t, x) returns that float, or else evaluates the
-    coefficient on the states x.  h_live, f_live and g_live are False
-    where that term is zero: h when its float is 0, and f and g by
-    pde._is_zero, the rule the lean backward step drops g by.
-    """
-
-    def __init__(self, coeffs: "pde.CoefficientSet", f=ZERO_GENERATOR, g=ZERO_GENERATOR):
-        self.coeffs = coeffs
-        self.floats = {name: float(evaluate(e, {})) for name in ("b", "h", "sigma")
-                       if not free_vars(e := getattr(coeffs, name))}
-        self.h_live = self.floats.get("h") != 0.0
-        self.f_live, self.g_live = not pde._is_zero(f), not pde._is_zero(g)
-
-    def coeff(self, name, t, x):
-        """Coefficient name at time t on the states x: its float, or an
-        array of x's shape."""
-        value = self.floats.get(name)
-        if value is not None:
-            return value
-        return pde._as_field(evaluate(getattr(self.coeffs, name), {"t": t, "x": x}),
-                             np.shape(x))
-
-
 class FeedbackPolicy:
     """Worst-case feedback law read off a solved value function.
 
@@ -93,7 +66,8 @@ class FeedbackPolicy:
     from u, its central gradient and its second difference as
     pde.stencil_batch reads them, off one time blend L of the stored
     layers.  b is never read, and the h and g terms are left out where
-    PathTerms finds them zero: each is a signed zero, and the tie snap
+    they are zero (h a float 0 in coeffs.floats, g by pde._is_zero, as
+    the backward step drops g): each is a signed zero, and the tie snap
     (an argument within 1e-9 of 0 is 0) sends both zeros to 0.  So the
     variance is sigma_high_sq exactly where the computed argument exceeds
     -1e-9, and sigma_low_sq elsewhere, NaN included.  States less than
@@ -135,14 +109,16 @@ class FeedbackPolicy:
     def __init__(self, sol: "pde.PdeSolution", problem: "pde.PdeProblem"):
         self.sol = sol
         self.problem = problem
-        self.terms = terms = PathTerms(problem.coeffs, problem.f, problem.g)
+        floats = problem.coeffs.floats
+        self.h_live = floats.get("h") != 0.0
+        self.g_live = not pde._is_zero(problem.g)
         grid = sol.grid
         self.lo, self.hi = grid.x_min + grid.dx, grid.x_max - grid.dx
         gp = problem.gparams
         self.high, self.low = float(gp.sigma_high_sq), float(gp.sigma_low_sq)
-        sigma, dx2 = terms.floats.get("sigma"), grid.dx * grid.dx
+        sigma, dx2 = floats.get("sigma"), grid.dx * grid.dx
         self.table_scale = None  # sigma^2/dx^2, where the table applies
-        if sigma is not None and not (terms.h_live or terms.g_live) and dx2 > 0.0:
+        if sigma is not None and not (self.h_live or self.g_live) and dx2 > 0.0:
             k = sigma * sigma / dx2
             self.table_scale = k if k < math.inf else None
 
@@ -173,12 +149,12 @@ class FeedbackPolicy:
 
     def _exact(self, t, x, layer):
         """The variance at the clamped states x, from one stencil read."""
-        problem, terms = self.problem, self.terms
+        problem, coeffs = self.problem, self.problem.coeffs
         u, p, d2 = pde._stencil(self.sol.grid, layer, x)
-        sigma = terms.coeff("sigma", t, x)
-        h2 = 2.0 * terms.coeff("h", t, x) if terms.h_live else None
+        sigma = coeffs.coeff("sigma", t, x)
+        h2 = 2.0 * coeffs.coeff("h", t, x) if self.h_live else None
         gval = (np.asarray(problem.g.eval_grid(t, x, u, sigma * p), dtype=float)
-                if terms.g_live else None)
+                if self.g_live else None)
         ham = pde._hamiltonian(np.square(sigma), h2, p, d2, gval)
         # sub-rounding curvature is a tie, resolved like the exact tie at 0
         ham = np.where(np.abs(ham) < 1e-9, 0.0, ham)
@@ -308,7 +284,7 @@ def terminal_states(policies, gparams: GParams, t0, T, dt, n_paths, seed) -> np.
 def euler_forward(coeffs: "pde.CoefficientSet", ensemble: PathEnsemble, x0):
     """Fill the forward state: dX = b dt + h dQV + sigma dB, X[:,0]=x0.
 
-    b, h and sigma are PathTerms floats where they are free of t and x.
+    b, h and sigma are coeffs.floats where they are free of t and x.
     Every term is kept, even a zero one: the state can be -0.0, and a +0.0
     term turns it into +0.0, as the sum of every term does."""
     n, m = ensemble.n_paths, ensemble.n_steps
@@ -316,11 +292,10 @@ def euler_forward(coeffs: "pde.CoefficientSet", ensemble: PathEnsemble, x0):
     X = np.empty((m + 1, n))
     X[0] = x0
     t0, dt = ensemble.t0, ensemble.dt
-    terms = PathTerms(coeffs)
     for k in range(m):
         t = t0 + k * dt
         xk = X[k]
-        b, h, s = (terms.coeff(name, t, xk) for name in ("b", "h", "sigma"))
+        b, h, s = (coeffs.coeff(name, t, xk) for name in ("b", "h", "sigma"))
         dqv = QV[k + 1] - QV[k]
         db = B[k + 1] - B[k]
         X[k + 1] = xk + b * dt + h * dqv + s * db

@@ -7,10 +7,10 @@ parabolic terminal-value problem
 with G the scalar worst-case variance functional.  The scheme steps
 backward in time with central second differences, drift upwinding, and a
 per-node Lax-Friedrichs dissipation that is switched on only where the
-parabolic term fails to dominate the z-sensitivity of f and g.  On grids
-where diffusion dominates (every problem this package targets at desk
-scale) the dissipation is identically zero and the scheme recovers
-second-order spatial accuracy while staying provably monotone.
+parabolic term fails to dominate the z-sensitivity of f and g.  Where
+diffusion dominates on every node (the condition is in _dissipation),
+the dissipation is zero and the scheme keeps second-order spatial
+accuracy while staying provably monotone.
 """
 
 from __future__ import annotations
@@ -45,10 +45,10 @@ def _as_field(value, shape) -> np.ndarray:
 class CoefficientSet:
     """Forward coefficients b, h, sigma (in t,x) and terminal Phi (in x).
 
-    fields and eval_phi are the one place they are evaluated: each returns
-    float arrays of x's shape, whether or not the expression reads x.
-    lip_const and growth_q are declared metadata for the Lipschitz and
-    polynomial-growth bounds; check_lipschitz samples them.
+    coeff and eval_phi are the one place they are evaluated; fields and
+    eval_phi return float arrays of x's shape, whether or not the
+    expression reads x.  lip_const and growth_q are declared metadata for
+    the Lipschitz and polynomial-growth bounds; check_lipschitz samples them.
     """
 
     b: Expr
@@ -75,17 +75,30 @@ class CoefficientSet:
             parse(b), parse(h), parse(sigma), parse(Phi), lip_const, growth_q
         )
 
+    @cached_property
+    def floats(self) -> dict:
+        """Each of b, h and sigma that is free of t and x, as its float."""
+        return {name: float(evaluate(e, {})) for name in ("b", "h", "sigma")
+                if not free_vars(e := getattr(self, name))}
+
+    def coeff(self, name, t, x):
+        """Coefficient name at time t on the points x: its float, or an
+        array of x's shape."""
+        value = self.floats.get(name)
+        if value is not None:
+            return value
+        return _as_field(evaluate(getattr(self, name), {"t": t, "x": x}), np.shape(x))
+
     def fields(self, t, x):
-        """(b, h, sigma) at time t on the points x."""
-        env, shape = {"t": t, "x": x}, np.shape(x)
-        return tuple(_as_field(evaluate(e, env), shape)
-                     for e in (self.b, self.h, self.sigma))
+        """(b, h, sigma) at time t on the points x, as arrays of x's shape."""
+        return tuple(_as_field(self.coeff(name, t, x), np.shape(x))
+                     for name in ("b", "h", "sigma"))
 
     def eval_phi(self, x):
         """Phi on the points x."""
         return _as_field(evaluate(self.Phi, {"x": x}), np.shape(x))
 
-    @property
+    @cached_property
     def time_free(self) -> bool:
         """True when none of b, h, sigma depends on t."""
         return not any("t" in free_vars(e) for e in (self.b, self.h, self.sigma))
@@ -113,8 +126,7 @@ class CoefficientSet:
 class PdeProblem:
     """Terminal-value problem data: coefficients, generators f and g,
     the variance-uncertainty interval, horizon, and the z-Lipschitz bound
-    the scheme may assume for f and g (the envelope level n on ladder
-    solves)."""
+    the scheme assumes for a generator whose lip_z is unknown (lam_z)."""
 
     coeffs: CoefficientSet
     f: object  # ScalarGenerator or EnvelopeGenerator
@@ -203,8 +215,8 @@ def _dissipation(problem: PdeProblem, sigma, h, dx):
     With D = sigma^2/dx - |h| - sigma*Lam_g, every subgradient of the
     update is nonnegative in each neighbor value provided
     theta >= sigma*Lam_f - sigma_low_sq*D (D >= 0) or
-    theta >= sigma*Lam_f + 2*sigma_high_sq*(-D) (D < 0).  Zero whenever
-    diffusion dominates, which holds on all target problems.
+    theta >= sigma*Lam_f + 2*sigma_high_sq*(-D) (D < 0).  Zero at a node
+    exactly where diffusion dominates: D >= 0 and sigma*Lam_f <= sigma_low_sq*D.
     """
     lam_f = problem.lam_z(problem.f)
     lam_g = problem.lam_z(problem.g)
@@ -439,7 +451,7 @@ def solve_stack(problems, grid: SpaceTimeGrid) -> tuple:
     Each solution stores at most ~2000 layers (stride-decimated, endpoints
     always kept), written in place into its own preallocated array; its
     values and times are then read-only, as grid.xs is, so a solution that
-    callers share (gbsde's step-identical envelope problems) cannot be
+    callers share (gbsde's equal envelope problems) cannot be
     changed through one of them.
     """
     problems = tuple(problems)
@@ -586,6 +598,9 @@ def eval_u(sol: PdeSolution, t, x) -> float:
     return float(eval_u_batch(sol, t, x))
 
 
+SCHEMA = "# g-bsde-lab schema v1\n"  # first line of every CSV the package writes
+
+
 def solution_to_csv(sol: PdeSolution, path) -> None:
     """CSV export: schema comment, x-node header, one row per stored layer.
     Each line is one % of a %.17g row template; rows become Python floats one
@@ -593,7 +608,7 @@ def solution_to_csv(sol: PdeSolution, path) -> None:
     cells = ",".join(["%.17g"] * sol.grid.nx) + "\n"
     line = "%.17g," + cells
     with open(path, "w") as fh:
-        fh.write("# g-bsde-lab schema v1\n")
+        fh.write(SCHEMA)
         fh.write("t," + cells % tuple(sol.grid.xs.tolist()))
         for t, row in zip(sol.times.tolist(), sol.values):
             fh.write(line % (t, *row.tolist()))

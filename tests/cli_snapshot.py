@@ -19,6 +19,9 @@ ladder level (dissipation), so that every term the solver's step may
 skip is on somewhere.  In drift f passes through its envelopes and g
 takes the lattice; in one_side it is the other way round, so each
 level keeps two distinct envelope problems that share one generator.
+In laggard, problem2's f passes through at every level and its level
+walk stops below problem1's on the same grid, so compare reads its
+stop-level solution as the solution at problem1's level.
 The heat problem on Phi = abs(x)-1 (ties) and
 on Phi = x*x*x (ties_cubic), under low, high and feedback, makes
 feedback decisions that the curvature table finds sure high and sure
@@ -81,6 +84,9 @@ _DISSIPATION = {"Phi": "x*x", "b": "0.2*x", "h": "0.1", "f": _ROUGH_F, "g": _SQR
 _LINEAR_G = {"body": "-0.25*abs(z)",
              "modulus": {"kind": "linear", "c": 0.25, "growth_L": 0.25}}
 _ONE_SIDE = {"Phi": "x*x", "f": _ROUGH_F, "g": _LINEAR_G, "lip_z_bound": 1.0, "T": 0.5}
+_ROOT_F = {"body": "-sqrt(abs(z))",
+           "modulus": {"kind": "power", "c": 1.0, "alpha": 0.5, "growth_L": 0.5}}
+_ABS_F = {"body": "0.5*abs(z)", "modulus": {"kind": "linear", "c": 0.5, "growth_L": 0.5}}
 _TIME_SIGMA = {"Phi": "x*x", "sigma": "1+0.5*t", "f": _LINEAR_F,
                "lip_z_bound": 0.5, "T": 0.5}
 
@@ -102,6 +108,9 @@ SMALL_CONFIGS = {
                    grid={"x_min": -3.0, "x_max": 3.0, "nx": 41, "core_fraction": 0.5}),
     "dissipation": _small(_DISSIPATION, dict(_DISSIPATION, Phi="x*x+0.2")),
     "one_side": _small(_ONE_SIDE, dict(_ONE_SIDE, Phi="x*x+0.2")),
+    "laggard": dict(_small({"Phi": "x*x", "f": _ROOT_F, "lip_z_bound": 1.0, "T": 0.5},
+                           {"Phi": "x*x+0.2", "f": _ABS_F, "T": 0.5}),
+                    ladder={"levels": [1.0, 2.0, 4.0], "target_gap": 0.02}),
     "ties": _ties("abs(x)-1"),
     "ties_cubic": _ties("x*x*x"),
 }

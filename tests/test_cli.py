@@ -277,6 +277,13 @@ class TestMainErrors:
         assert "--levels" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_numeric_levels_override_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert main(["run", path, "ladder", "--out", str(out), "--levels", "a,b"]) == 2
+        assert "--levels: not a list of numbers: 'a,b'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_mc_dt_exits_2(self, tmp_path, capsys):
         raw = base_config()
         raw["mc"]["dt"] = 0

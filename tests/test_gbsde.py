@@ -72,9 +72,14 @@ def test_lip_z_rule(body, modulus, lip_z, n):
     prob = problem(f=gen, lip_z=0.75)
     assert prob.lam_z(gen) == (0.75 if lip_z is None else lip_z)
     want = n if lip_z is None else min(lip_z, n)
+    passes = lip_z is not None and lip_z <= n
     for side in ("lower", "upper"):
         level = gbsde.envelope_problem(prob, n, side)
-        assert (level.f.mode == "passthrough") == (lip_z is not None and lip_z <= n)
+        # the envelope that passes gen through is gen itself, and a problem
+        # whose f and g both pass through is the base problem
+        assert (level.f is gen) == passes
+        assert (level is prob) == passes
+        assert passes or level.f.mode != "passthrough"
         assert level.lam_z(level.f) == level.f.lip_z == want
 
 
@@ -131,6 +136,11 @@ class TestApproximationLadder:
         grid = build_grid(prob, -2.0, 2.0, 101)
         with pytest.raises(ValueError):
             approximation_ladder(prob, [0.25, 2.0], grid)
+
+    def test_no_levels(self):
+        prob = problem(f=SQRT_F, lip_z=1.0)
+        grid = build_grid(prob, -2.0, 2.0, 101)
+        assert approximation_ladder(prob, [], grid) == gbsde.Ladder((), (), (), (), (), 0.0)
 
     def test_stack_equals_level_solves(self):
         prob = problem(f=SQRT_F, g=SQRT_F, lip_z=1.0)
@@ -231,6 +241,16 @@ class TestSolveExact:
         assert tried > 1
         assert len(calls) == 2 * tried
         assert ex.upper_solution is not ex.solution
+
+    def test_understated_modulus_fails_certification(self):
+        # the measured gap of -sqrt|z| exceeds the bound of a modulus
+        # declared 1000 times too small
+        liar = ScalarGenerator.from_text(
+            "-sqrt(abs(z))", 0.0, Modulus("power", c=1e-3, alpha=0.5, growth_L=0.5))
+        prob = problem(f=liar, lip_z=1.0)
+        grid = build_grid(prob, -2.0, 2.0, 201)
+        with pytest.raises(RuntimeError, match="certification failed at level n=1"):
+            solve_exact(prob, grid, 0.01)
 
     def test_zero_target_rejected(self):
         prob = problem()
@@ -578,21 +598,47 @@ class TestCompareLevelWalk:
         want, _ = _resolved_min_diff(p1, p2, rep.level1, grid)
         assert rep.min_core_diff == want
 
-    def test_only_the_laggard_is_resolved(self, monkeypatch):
-        p1, p2 = problem(f=SQRT_F, lip_z=1.0), problem()
+    def _laggard_calls(self, monkeypatch, f2):
+        """pde.solve calls of compare(p1, p2) where p2, with f2, stops at a
+        lower level than p1, and the laggard's (fingerprint, grid) at p1's
+        level; checks compare's result against a fresh solve of both."""
+        p1, p2 = problem(f=SQRT_F, lip_z=1.0), problem(f=f2, lip_z=1.0)
         grid = build_grid(p1, -4.0, 4.0, 101)
         calls = _count_solves(monkeypatch)
         rep = compare(p1, p2, grid)
         monkeypatch.undo()
         assert rep.level1 > rep.level2
         want, laggard = _resolved_min_diff(p1, p2, rep.level1, grid)
-        # both searches start at level 1; the lattice side solves two
-        # problems per level, the zero generators' side one
-        tried1, tried2 = (round(np.log2(n)) + 1 for n in (rep.level1, rep.level2))
-        assert len(calls) == 2 * tried1 + tried2 + 1
-        assert calls[-1] == laggard
-        assert len(set(calls)) == len(calls)
         assert rep.min_core_diff == want
+        # the laggard's level-n problem is solved once: by its level walk,
+        # or last, by compare
+        assert laggard in calls
+        assert len(set(calls)) == len(calls)
+        # both searches start at level 1
+        tried = tuple(round(np.log2(n)) + 1 for n in (rep.level1, rep.level2))
+        return calls, laggard, tried
+
+    def test_only_the_laggard_is_resolved(self, monkeypatch):
+        # the zero generators pass through at every level, so the
+        # laggard's stop-level problem is its level-n one, on the same grid
+        calls, _, (tried1, tried2) = self._laggard_calls(monkeypatch, ZERO)
+        # the lattice side solves two problems per level, the zero
+        # generators' side one
+        assert len(calls) == 2 * tried1 + tried2
+
+    @pytest.mark.parametrize("f2", [
+        # a lattice at the laggard's level: its level-n problem is new
+        ScalarGenerator.from_text("-0.1*sqrt(abs(z))", 0.0, Modulus(
+            "power", c=0.1, alpha=0.5, growth_L=0.5)),
+        # a lattice at the laggard's level 1 that passes through at level 4:
+        # its level-n problem is the base problem, which it never solved
+        ScalarGenerator.from_text("min(4*abs(z),0.01)", 0.0, Modulus(
+            "linear", c=4.0, growth_L=0.5)),
+    ])
+    def test_a_lattice_laggard_is_resolved_once(self, monkeypatch, f2):
+        calls, laggard, (tried1, tried2) = self._laggard_calls(monkeypatch, f2)
+        assert len(calls) == 2 * tried1 + 2 * tried2 + 1
+        assert calls[-1] == laggard
 
     def test_solve_exact_through_module_attribute(self, monkeypatch):
         calls = []

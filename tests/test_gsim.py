@@ -88,6 +88,11 @@ class TestSimulatePaths:
         assert ens.X is not ens.B
         assert np.all(ens.X[:, 0] == 1.0) and np.all(ens.B[:, 0] == 0.0)
 
+    @pytest.mark.parametrize("n_paths", [0, -1])
+    def test_needs_a_path(self, n_paths):
+        with pytest.raises(ValueError, match="n_paths must be at least 1"):
+            simulate_paths(ConstantPolicy(1.0, GP), GP, 0.0, 1.0, 0.01, n_paths, 1)
+
     def test_dt_must_divide_horizon(self):
         with pytest.raises(ValueError):
             simulate_paths(ConstantPolicy(1.0, GP), GP, 0.0, 1.0, 0.3, 2, 1)

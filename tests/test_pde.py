@@ -77,6 +77,11 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(heat_problem(), -1.0, 1.0, 2)
 
+    def test_degenerate_problem(self):
+        # no diffusion, drift or y-dependence: no step size is bounded
+        with pytest.raises(ValueError, match="degenerate problem"):
+            max_stable_dt(heat_problem(sigma="0"), -1.0, 1.0, 11)
+
     def test_non_finite_coefficient(self):
         prob = heat_problem(sigma="1/x")
         with pytest.raises(ValueError):
@@ -194,6 +199,14 @@ class TestStepBackward:
         with pytest.raises(SchemeError, match="node 7"):
             step_backward(u[None], 0.5, [self.prob], self.grid)
 
+    def test_non_finite_update_named(self):
+        # a finite layer whose second difference overflows, first at node 6
+        u = np.zeros(self.grid.nx)
+        u[7], u[8] = 1e308, -1e308
+        with np.errstate(over="ignore"), pytest.raises(
+                SchemeError, match="non-finite update at node 6"):
+            step_backward(u[None], 0.5, [self.prob], self.grid)
+
     def test_monotone_in_every_node(self):
         # every interior output is nondecreasing in each input node, also
         # with drift, quadratic-variation coupling, and z-dependent
@@ -261,6 +274,13 @@ class TestSolve:
             assert sol.grid == build_grid(prob, -6.0, 6.0, 301)
             assert sol.times[-1] == T
             assert eval_u(sol, 0.0, 0.0) == pytest.approx(GP.sigma_high_sq * T, abs=1e-6)
+
+    def test_non_finite_terminal_value_named(self):
+        prob = heat_problem(phi="exp(1000*x)")  # inf from x = 0.8 on
+        grid = build_grid(prob, -1.0, 1.0, 11)
+        with np.errstate(over="ignore"), pytest.raises(
+                SchemeError, match=r"non-finite terminal value at node 9 \(x=0.8\)"):
+            solve(prob, grid)
 
     def test_layer_decimation_bounds_memory(self):
         prob = heat_problem()
