@@ -266,12 +266,38 @@ def _finite_abs_max(v, name="z") -> float:
     return _finite(np.max(np.abs(v)) if np.size(v) else 0.0, name)
 
 
-class EnvelopeGenerator:
-    """Lipschitz envelope of a generator at level n, usable by the PDE solver.
+def _check_level(gen: ScalarGenerator, n: float, side: str):
+    """Raise unless side is 'lower' or 'upper' and the level n is finite
+    and exceeds gen's growth constant; a body free of z, which the
+    convolution leaves untouched, needs only n >= 0."""
+    if side not in ("lower", "upper"):
+        raise ValueError("side must be 'lower' or 'upper'")
+    if not math.isfinite(n):
+        raise ValueError(f"envelope level n must be finite, got {n}")
+    if "z" not in free_vars(gen.body):
+        if n < 0.0:
+            raise ValueError(f"envelope level n={n} of a z-free body must be nonnegative")
+    elif n <= gen.growth_L:
+        raise ValueError(f"envelope level n={n} must exceed the growth constant "
+                         f"L={gen.growth_L}")
 
-    Three evaluation modes, chosen automatically:
-      * passthrough - the generator is already n-Lipschitz in z (its
-        lip_z is known and at most n); envelope equals generator.
+
+def envelope_of(gen: ScalarGenerator, n: float, side: str):
+    """gen's level-n side-envelope as the PDE step evaluates it: gen itself
+    where its lip_z is known and at most n (an n-Lipschitz generator is
+    its own inf- and sup-convolution), its EnvelopeGenerator otherwise.
+    n and side are checked on both branches."""
+    if gen.lip_z is not None and gen.lip_z <= n:
+        _check_level(gen, n, side)
+        return gen
+    return EnvelopeGenerator(gen, n, side)
+
+
+class EnvelopeGenerator:
+    """Lipschitz envelope of a generator at level n, usable by the PDE solver;
+    envelope_of passes a generator already n-Lipschitz in z through instead.
+
+    Two evaluation modes, chosen automatically:
       * lattice - the body depends on z only; values are precomputed on a
         symmetric log-spaced z-lattice as the exact inf-convolution over the
         lattice points and linearly interpolated (error <= n * local
@@ -289,40 +315,17 @@ class EnvelopeGenerator:
     _RATIO = 1.005  # relative lattice spacing away from zero
 
     def __init__(self, gen: ScalarGenerator, n: float, side: str, z_max: float = 16.0):
-        if side not in ("lower", "upper"):
-            raise ValueError("side must be 'lower' or 'upper'")
+        _check_level(gen, n, side)
         # the lattice doubles z_max until it covers |z|
         if not (math.isfinite(z_max) and z_max > 0.0):
             raise ValueError(f"z_max must be finite and positive, got {z_max}")
-        if not math.isfinite(n):
-            raise ValueError(f"envelope level n must be finite, got {n}")
-        # the growth constraint only matters when the inf/sup-convolution is
-        # actually taken over z; z-free bodies pass through untouched, which
-        # a nonnegative level ensures (their lip_z is 0)
-        if "z" in free_vars(gen.body):
-            if n <= gen.growth_L:
-                raise ValueError(
-                    f"envelope level n={n} must exceed the growth constant "
-                    f"L={gen.growth_L}"
-                )
-        elif n < 0.0:
-            raise ValueError(f"envelope level n={n} of a z-free body must be nonnegative")
         self.gen = gen
-        self.n = float(n)
+        self.n = self.lip_z = float(n)
         self.side = side
         self.lip_y = gen.lip_y
-        if gen.lip_z is not None and gen.lip_z <= n:
-            self.mode = "passthrough"
-            self.lip_z = gen.lip_z
-        elif free_vars(gen.body) <= {"z"}:
-            self.mode = "lattice"
-            self.lip_z = self.n
-            self._lattice = None
-            self._values = None
-            self._z_max = float(z_max)
-        else:
-            self.mode = "direct"
-            self.lip_z = self.n
+        self.mode = "lattice" if free_vars(gen.body) <= {"z"} else "direct"
+        self._lattice = self._values = None  # built by the first lattice lookup
+        self._z_max = float(z_max)
 
     # -- lattice construction ------------------------------------------------
 
@@ -358,8 +361,6 @@ class EnvelopeGenerator:
     def eval_grid(self, t, x, y, z, zabs=None):
         """The envelope at the broadcast points.  zabs, when given, is
         max|z| over them; a lattice then checks it instead of reducing z."""
-        if self.mode == "passthrough":
-            return self.gen.eval_grid(t, x, y, z)
         if self.mode == "lattice":
             z = np.asarray(z, dtype=float)
             self._ensure_range(_finite_abs_max(z) if zabs is None else _finite(zabs))
@@ -370,7 +371,7 @@ class EnvelopeGenerator:
         return env(self.gen, self.n, t, x, y, z)
 
     def interp_error_bound(self, z) -> float:
-        """Bound on the lattice interpolation error near |z| (0 if exact
+        """Bound on the lattice interpolation error near |z| (0 in direct
         mode); n * _Z_RES, the innermost bound, for no points."""
         if self.mode != "lattice" or self._lattice is None:
             return 0.0

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import pde
-from .envelope import EnvelopeGenerator, envelope_gap_bound
+from .envelope import envelope_gap_bound, envelope_of
 from .expr import free_vars
 from .gfunction import GParams
 from .gsim import PathEnsemble
@@ -27,10 +27,6 @@ def gap_constant(L: float, gparams: GParams, T: float) -> float:
     if L <= 0:
         raise ValueError("L must be positive")
     return 2.0 * np.exp(L * (1.0 + gparams.sigma_high_sq) * T) / L
-
-
-def _inner(gen):
-    return gen.gen if isinstance(gen, EnvelopeGenerator) else gen
 
 
 def problem_growth_L(problem: "pde.PdeProblem") -> float:
@@ -44,7 +40,7 @@ def problem_growth_L(problem: "pde.PdeProblem") -> float:
             return 0.0
         return max(gen.growth_L, gen.lip_y)
 
-    return max(gen_L(_inner(problem.f)), gen_L(_inner(problem.g)))
+    return max(gen_L(problem.f), gen_L(problem.g))
 
 
 def level_base(L: float) -> float:
@@ -61,14 +57,13 @@ def solver_tolerance(sol: "pde.PdeSolution") -> float:
 
 
 def envelope_problem(problem: "pde.PdeProblem", n: float, side: str) -> "pde.PdeProblem":
-    """The level-n problem: f and g replaced by their side-envelopes as the
-    step evaluates them, the inner generator where the envelope passes it
-    through and the EnvelopeGenerator otherwise, and problem itself where
-    both pass through.  lip_z_bound stays problem's; lam_z never reads it
-    here.  So two envelope problems of one base problem step identically,
-    bit for bit on one grid, exactly when they are ==."""
-    envs = (EnvelopeGenerator(_inner(gen), n, side) for gen in (problem.f, problem.g))
-    f, g = (env.gen if env.mode == "passthrough" else env for env in envs)
+    """The level-n problem: f and g replaced by their side-envelopes
+    (envelope_of: the generator itself where it is n-Lipschitz in z), and
+    problem itself where both pass through.  lip_z_bound stays problem's;
+    lam_z never reads it here.  So two envelope problems of one base
+    problem step identically, bit for bit on one grid, exactly when they
+    are ==."""
+    f, g = (envelope_of(gen, n, side) for gen in (problem.f, problem.g))
     if f is problem.f and g is problem.g:
         return problem
     return replace(problem, f=f, g=g)
@@ -96,8 +91,7 @@ def _core_gap(lower: "pde.PdeSolution", upper: "pde.PdeSolution") -> float:
 
 def _level_bound(problem: "pde.PdeProblem", L: float, n: float) -> float:
     """Modulus-based gap bound combining the f and g envelopes."""
-    f, g = _inner(problem.f), _inner(problem.g)
-    shs = problem.gparams.sigma_high_sq
+    f, g, shs = problem.f, problem.g, problem.gparams.sigma_high_sq
     bound = 0.0
     if "z" in free_vars(f.body):
         bound += envelope_gap_bound(f.modulus_z, L, n)
@@ -300,8 +294,8 @@ def compare(problem1, problem2, grid, target_gap: float = 0.05) -> CompareReport
             f"terminal ordering violated at x={xs[bad]:g}: "
             f"{phi1[bad]:g} > {phi2[bad]:g}"
         )
-    _check_generator_order(_inner(problem1.f), _inner(problem2.f), problem1.T, xs, "f")
-    _check_generator_order(_inner(problem1.g), _inner(problem2.g), problem1.T, xs, "g")
+    _check_generator_order(problem1.f, problem2.f, problem1.T, xs, "f")
+    _check_generator_order(problem1.g, problem2.g, problem1.T, xs, "g")
     s1 = solve_exact(problem1, grid, target_gap)
     s2 = solve_exact(problem2, grid, target_gap)
     # lower envelopes at a common level are ordered whenever the

@@ -232,14 +232,11 @@ def _dissipation(problem: PdeProblem, sigma, h, dx):
 
 
 def _is_zero(gen) -> bool:
-    """True when gen is 0 wherever it is evaluated: a body free of every
-    variable that evaluates to 0, evaluated as it stands (a plain
-    generator, or an envelope that passes it through)."""
-    if isinstance(gen, EnvelopeGenerator):
-        if gen.mode != "passthrough":
-            return False
-        gen = gen.gen
-    return not free_vars(gen.body) and evaluate(gen.body, {}) == 0.0
+    """True when gen is 0 wherever it is evaluated: a plain generator whose
+    body is free of every variable and evaluates to 0.  An EnvelopeGenerator
+    never is: envelope_of passes such a generator through."""
+    return (not isinstance(gen, EnvelopeGenerator) and not free_vars(gen.body)
+            and evaluate(gen.body, {}) == 0.0)
 
 
 def _step_fields(problems, t, grid: SpaceTimeGrid):
@@ -267,17 +264,14 @@ def _step_fields(problems, t, grid: SpaceTimeGrid):
     return b, None if b is None else b >= 0.0, h2, sigma, sigma**2, g_live, theta
 
 
-def max_stable_dt(problem: PdeProblem, x_min, x_max, nx) -> float:
+def max_stable_dt(problem: PdeProblem, grid: SpaceTimeGrid) -> float:
     """Largest dt satisfying the recorded monotonicity bound
       dt * [ shs*sig_max^2/dx^2
              + (|b|_max + shs*(2|h|_max + theta_cap*sig_max) + theta_cap)/dx
              + lip_y(f) + shs*lip_y(g) ] <= 0.9
-    with shs = sigma_high_sq and maxima sampled over the grid and horizon.
+    with shs = sigma_high_sq and maxima sampled over grid's nodes and T.
     """
-    if nx < 3:
-        raise ValueError(f"nx must be at least 3, got {nx}")
-    dx = (x_max - x_min) / (nx - 1)
-    xs = np.linspace(x_min, x_max, nx)
+    dx, xs = grid.dx, grid.xs
     # every time sample is the same when the coefficients are free of t
     ts = np.linspace(0.0, problem.T, 1 if problem.coeffs.time_free else _T_SAMPLES)
     b_max = h_max = s_max = th_max = 0.0
@@ -315,7 +309,7 @@ def refine_grid(grid: SpaceTimeGrid, *problems) -> SpaceTimeGrid:
     a grid built for the base problem can violate their monotonicity
     bound; the spatial nodes are kept and only dt is refined.
     """
-    dt = min(max_stable_dt(p, grid.x_min, grid.x_max, grid.nx) for p in problems)
+    dt = min(max_stable_dt(p, grid) for p in problems)
     T = problems[0].T
     if grid.dt <= dt * (1.0 + 1e-12) and spans(grid.nt, grid.dt, T):
         return grid

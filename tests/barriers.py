@@ -4,7 +4,7 @@ tests that check the bracket, and the variable substitution they use."""
 from gbsdelab import pde
 from gbsdelab.envelope import Modulus, ScalarGenerator
 from gbsdelab.expr import Bin, Call, Expr, Neg, Num, Var, parse
-from gbsdelab.gbsde import _inner, problem_growth_L
+from gbsdelab.gbsde import problem_growth_L
 
 
 def substitute(e: Expr, mapping: dict) -> Expr:
@@ -38,9 +38,8 @@ def barrier_problems(problem: pde.PdeProblem):
             body = Bin("+", w, body)
         return ScalarGenerator(body, lip_y=L, modulus_z=mod, growth_L=max(L, 1.0))
 
-    f, g = _inner(problem.f), _inner(problem.g)
     lo, hi = (
-        pde.PdeProblem(problem.coeffs, barrier(f, sign), barrier(g, sign),
+        pde.PdeProblem(problem.coeffs, barrier(problem.f, sign), barrier(problem.g, sign),
                        problem.gparams, problem.T, L)
         for sign in (-1, +1)
     )

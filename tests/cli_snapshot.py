@@ -21,7 +21,10 @@ takes the lattice; in one_side it is the other way round, so each
 level keeps two distinct envelope problems that share one generator.
 In laggard, problem2's f passes through at every level and its level
 walk stops below problem1's on the same grid, so compare reads its
-stop-level solution as the solution at problem1's level.
+stop-level solution as the solution at problem1's level.  In crossing,
+f = min(4*abs(z),1) takes the lattice at level 2 and is its own
+envelope at levels 4 and 8, so ladder, solve, compare and
+envelope-report each see both sides of that rule.
 The heat problem on Phi = abs(x)-1 (ties) and
 on Phi = x*x*x (ties_cubic), under low, high and feedback, makes
 feedback decisions that the curvature table finds sure high and sure
@@ -87,6 +90,9 @@ _ONE_SIDE = {"Phi": "x*x", "f": _ROUGH_F, "g": _LINEAR_G, "lip_z_bound": 1.0, "T
 _ROOT_F = {"body": "-sqrt(abs(z))",
            "modulus": {"kind": "power", "c": 1.0, "alpha": 0.5, "growth_L": 0.5}}
 _ABS_F = {"body": "0.5*abs(z)", "modulus": {"kind": "linear", "c": 0.5, "growth_L": 0.5}}
+_CAPPED_F = {"body": "min(4*abs(z),1)",
+             "modulus": {"kind": "linear", "c": 4.0, "growth_L": 1.0}}
+_CROSSING = {"Phi": "x*x", "f": _CAPPED_F, "T": 0.5}
 _TIME_SIGMA = {"Phi": "x*x", "sigma": "1+0.5*t", "f": _LINEAR_F,
                "lip_z_bound": 0.5, "T": 0.5}
 
@@ -111,6 +117,9 @@ SMALL_CONFIGS = {
     "laggard": dict(_small({"Phi": "x*x", "f": _ROOT_F, "lip_z_bound": 1.0, "T": 0.5},
                            {"Phi": "x*x+0.2", "f": _ABS_F, "T": 0.5}),
                     ladder={"levels": [1.0, 2.0, 4.0], "target_gap": 0.02}),
+    "crossing": dict(_small(_CROSSING, dict(_CROSSING, Phi="x*x+0.2",
+                                            f=dict(_CAPPED_F, body="min(4*abs(z),1)+0.1"))),
+                     ladder={"levels": [2.0, 4.0, 8.0], "target_gap": 0.02}),
     "ties": _ties("abs(x)-1"),
     "ties_cubic": _ties("x*x*x"),
 }

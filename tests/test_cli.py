@@ -284,6 +284,36 @@ class TestMainErrors:
         assert "--levels: not a list of numbers: 'a,b'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("path, message", [
+        (("problem", "f", "modulus"), "modulus must be an object"),
+        (("problem", "f"), "generator must be an object"),
+        (("problem",), "problem must be an object"),
+        ((), "top-level config must be an object"),
+    ])
+    def test_non_object_exits_2_with_pointer(self, tmp_path, capsys, path, message):
+        raw = base_config()
+        if path:
+            node = raw
+            for k in path[:-1]:
+                node = node[k]
+            node[path[-1]] = [1]
+        else:
+            raw = [raw]
+        pointer = "".join(f"/{k}" for k in path)
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, raw), "solve", "--out", str(out)]) == 2
+        assert f"error: {pointer}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_lipschitz_f_without_lip_z_bound_exits_2(self, tmp_path, capsys):
+        raw = base_config()
+        del raw["problem"]["lip_z_bound"]
+        raw["problem"]["f"] = {"body": "-sqrt(abs(z))",
+                               "modulus": {"kind": "power", "c": 1.0, "alpha": 0.5}}
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, raw), "solve", "--out", str(out)]) == 2
+        assert "error: lip_z_bound must be positive" in capsys.readouterr().err
+
     def test_zero_mc_dt_exits_2(self, tmp_path, capsys):
         raw = base_config()
         raw["mc"]["dt"] = 0

@@ -10,6 +10,7 @@ from gbsdelab.envelope import (
     ScalarGenerator,
     envelope_gap_bound,
     envelope_grid_error,
+    envelope_of,
     lower_envelope,
     modulus_eval,
     search_radius,
@@ -66,6 +67,17 @@ class TestModulus:
     def test_tabulated_monotone(self):
         with pytest.raises(ValueError):
             Modulus("tabulated", rs=(0.0, 1.0, 2.0), values=(0.0, 1.0, 0.5))
+
+    @pytest.mark.parametrize("rs, values", [((0.0, 1.0, 2.0), (0.0, 1.0)), ((0.0,), (0.0,))],
+                             ids=["mismatched", "one_point"])
+    def test_tabulated_needs_matching_rs_values(self, rs, values):
+        with pytest.raises(ValueError, match="matching rs/values"):
+            Modulus("tabulated", rs=rs, values=values)
+
+    @pytest.mark.parametrize("L", [0.0, -1.0])
+    def test_growth_must_be_positive(self, L):
+        with pytest.raises(ValueError, match="growth_L must be positive"):
+            Modulus("linear", c=1.0, growth_L=L)
 
     @given(st.floats(min_value=0, max_value=100), st.floats(min_value=0, max_value=100))
     @settings(max_examples=100, deadline=None)
@@ -242,15 +254,38 @@ class TestEnvelopeLaws:
 
 class TestEnvelopeGenerator:
     def test_mode_passthrough_z_free(self):
+        # a body free of z is its own envelope at every level n >= 0
         gen = ScalarGenerator.from_text("x+y", 1.0, Modulus("linear", c=1.0))
-        eg = EnvelopeGenerator(gen, 4.0, "lower")
-        assert eg.mode == "passthrough" and eg.lip_z == 0.0
-        assert eg.eval_grid(0, 2.0, 3.0, 99.0) == 5.0
+        assert gen.lip_z == 0.0
+        for side in ("lower", "upper"):
+            assert envelope_of(gen, 4.0, side) is gen
 
     def test_mode_passthrough_lipschitz(self):
+        # abs(z) is 1-Lipschitz in z: its own envelope from level 1 on
+        for side in ("lower", "upper"):
+            assert envelope_of(ABS, 2.0, side) is ABS
+        assert envelope_of(ABS, 1.0 + 1e-9, "lower") is ABS
+
+    @pytest.mark.parametrize("gen, n, mode", [(ABS, 2.0, None), (POWER, 8.0, "lattice"),
+                                              (XYZ, 8.0, "direct")], ids=["abs", "power", "xyz"])
+    def test_envelope_of_checks_level_and_side_on_both_branches(self, gen, n, mode):
+        # ABS passes through (mode None); the side and level checks hold either way
+        with pytest.raises(ValueError, match="side must be"):
+            envelope_of(gen, n, "middle")
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="level n must be finite"):
+                envelope_of(gen, bad, "lower")
+        with pytest.raises(ValueError, match="must exceed the growth constant"):
+            envelope_of(gen, gen.growth_L, "upper")
+        env = envelope_of(gen, n, "upper")
+        assert env is gen if mode is None else env.mode == mode
+
+    def test_constructed_envelope_is_n_lipschitz(self):
+        # EnvelopeGenerator itself never passes through: on a generator
+        # already n-Lipschitz it still takes the lattice, at lip_z = n
         eg = EnvelopeGenerator(ABS, 2.0, "lower")
-        assert eg.mode == "passthrough"
-        assert eg.eval_grid(0, 0, 0, -0.7) == pytest.approx(0.7)
+        assert eg.mode == "lattice" and eg.lip_z == 2.0
+        assert eg.eval_grid(0, 0, 0, -0.7) == pytest.approx(0.7, abs=1e-6)
 
     def test_mode_lattice_matches_direct(self):
         for side in ("lower", "upper"):
@@ -329,10 +364,10 @@ class TestEnvelopeGenerator:
     def test_z_free_level_must_be_nonnegative(self, body):
         # "1" at n = -1 took the lattice and gave [-15.06, -18.06]
         gen = ScalarGenerator.from_text(body, 0.0, Modulus("linear", c=1.0))
-        with pytest.raises(ValueError, match="must be nonnegative"):
-            EnvelopeGenerator(gen, -1.0, "lower")
-        eg = EnvelopeGenerator(gen, 0.0, "upper")
-        assert eg.mode == "passthrough" and eg.lip_z == 0.0
+        for make in (envelope_of, EnvelopeGenerator):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                make(gen, -1.0, "lower")
+        assert envelope_of(gen, 0.0, "upper") is gen
 
     def test_bad_side(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import path_oracles as oracles
 from gbsdelab import pde as pde_module
-from gbsdelab.envelope import EnvelopeGenerator, Modulus, ScalarGenerator
+from gbsdelab.envelope import EnvelopeGenerator, Modulus, ScalarGenerator, envelope_of
 from gbsdelab.gfunction import GParams, g_value
 from gbsdelab.pde import (
     CoefficientSet,
@@ -80,12 +80,38 @@ class TestBuildGrid:
     def test_degenerate_problem(self):
         # no diffusion, drift or y-dependence: no step size is bounded
         with pytest.raises(ValueError, match="degenerate problem"):
-            max_stable_dt(heat_problem(sigma="0"), -1.0, 1.0, 11)
+            max_stable_dt(heat_problem(sigma="0"), SpaceTimeGrid(-1.0, 1.0, 11, 1.0, 1))
 
     def test_non_finite_coefficient(self):
         prob = heat_problem(sigma="1/x")
         with pytest.raises(ValueError):
             build_grid(prob, -1.0, 1.0, 11)  # hits x=0
+
+    @pytest.mark.parametrize("name", ["b", "h", "sigma"])
+    def test_overflowing_coefficient(self, name):
+        # exp(x) is inf at x = 800 and raises nothing, where 1/x raises first
+        prob = heat_problem(**{name: "exp(x)"})
+        grid = SpaceTimeGrid(-800.0, 800.0, 11, 1.0, 1)
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="non-finite coefficient sample at t=0.0"):
+            max_stable_dt(prob, grid)
+
+
+class TestPdeProblem:
+    @pytest.mark.parametrize("T", [0.0, -1.0, np.nan])
+    def test_horizon_must_be_positive(self, T):
+        with pytest.raises(ValueError, match="horizon T must be positive"):
+            heat_problem(T=T)
+
+    def test_lip_z_bound_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="lip_z_bound must be nonnegative"):
+            heat_problem(lip_z=-0.5)
+
+    def test_lam_z_of_a_non_lipschitz_generator_needs_a_bound(self):
+        assert ROUGH.lip_z is None
+        assert heat_problem(f=ROUGH, lip_z=0.75).lam_z(ROUGH) == 0.75
+        with pytest.raises(ValueError, match="lip_z_bound must be positive"):
+            heat_problem(f=ROUGH).lam_z(ROUGH)
 
 
 class TestRefineGrid:
@@ -100,7 +126,7 @@ class TestRefineGrid:
         slow, fast = heat_problem(), heat_problem(sigma="2", b="0.5*x")
         grid = build_grid(slow, *self.ARGS, core_fraction=0.25)
         out = refine_grid(grid, slow, fast)
-        dt = min(max_stable_dt(p, *self.ARGS) for p in (slow, fast))
+        dt = min(max_stable_dt(p, grid) for p in (slow, fast))
         assert out.nt > grid.nt
         assert out.dt == slow.T / out.nt
         assert slow.T / out.nt <= dt * (1.0 + 1e-12) < slow.T / (out.nt - 1)
@@ -117,7 +143,7 @@ class TestRefineGrid:
     def test_solve_steps_what_refine_grid_gives(self, factor, nt, kept):
         # one rule: solve steps a stable grid that spans T as given and
         # any other grid as refine_grid gives it
-        dt = max_stable_dt(heat_problem(), *self.ARGS) * factor
+        dt = max_stable_dt(heat_problem(), SpaceTimeGrid(*self.ARGS, 1.0, 1)) * factor
         prob = heat_problem(T=50 * dt)
         grid = SpaceTimeGrid(*self.ARGS, dt, nt, 0.5)
         refined = refine_grid(grid, prob)
@@ -156,6 +182,11 @@ class TestSpaceTimeGrid:
             SpaceTimeGrid(-1.0, 1.0, 11, 1e-4, 100, core_fraction=1.5)
         with pytest.raises(ValueError):
             SpaceTimeGrid(1.0, -1.0, 11, 1e-4, 100)
+
+    @pytest.mark.parametrize("dt, nt", [(0.0, 10), (-1e-4, 10), (1e-4, 0)])
+    def test_needs_positive_dt_and_a_step(self, dt, nt):
+        with pytest.raises(ValueError, match="need dt > 0 and nt >= 1"):
+            SpaceTimeGrid(-1.0, 1.0, 11, dt, nt)
 
     def test_xs_cached_read_only(self):
         grid = SpaceTimeGrid(-4.0, 4.0, 801, 1e-4, 10000)
@@ -342,13 +373,14 @@ LINEAR = ScalarGenerator.from_text(
 
 def _stack_problems(sigma="1+0.2*x*x/(1+x*x)"):
     """Fresh problems sharing coefficients and differing in f and g: a
-    lattice, a passthrough and a direct envelope, and a plain generator.
+    lattice, a passed-through (envelope_of) and a direct envelope, and a
+    plain generator.
     At level 8 on dx=0.1 the dissipation theta is on at every node of the
     lattice and direct rows and off on the plain row."""
     coeffs = CoefficientSet.from_text("0.3*x", "0.1", sigma, "x*x*x/3")
     gens = [
         (EnvelopeGenerator(ROUGH, 8.0, "lower"), EnvelopeGenerator(ROUGH, 8.0, "upper")),
-        (EnvelopeGenerator(LINEAR, 8.0, "upper"), ZERO),
+        (envelope_of(LINEAR, 8.0, "upper"), ZERO),
         (EnvelopeGenerator(DIRECT, 8.0, "lower"), EnvelopeGenerator(ROUGH, 8.0, "upper")),
         (LINEAR, LINEAR),
     ]
@@ -453,7 +485,7 @@ def _heat_stack():
     coeffs = CoefficientSet.from_text("0", "0", "1", "x*x*x/3")
     gens = [EnvelopeGenerator(ROUGH, 4.0, "lower"), EnvelopeGenerator(ROUGH, 4.0, "upper"),
             half_abs, ZERO]
-    g = EnvelopeGenerator(ZERO, 4.0, "lower")
+    g = envelope_of(ZERO, 4.0, "lower")
     return [PdeProblem(coeffs, f, g, GP, 0.05, 4.0) for f in gens]
 
 
