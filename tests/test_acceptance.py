@@ -366,48 +366,55 @@ def test_10_deterministic_outputs(tmp_path):
     _report(10, "byte-identical reruns", ok)
 
 
-# -- manufactured solution: u = (1+t) exp(-x^2/2) solves the PDE exactly ------
+# -- manufactured solutions: each u solves its PDE exactly --------------------
 
 _E = "exp(-0.5*x*x)"
-_U, _U_T = f"(1+t)*{_E}", _E
-_U_X, _U_XX = f"(-(1+t)*x*{_E})", f"((1+t)*(x*x-1)*{_E})"
 _SIGMA, _H = "(1+0.25*x*x/(1+x*x))", "0.2"
+# (Phi, u, u_t, u_x, u_xx) of u = (1+t) exp(-x^2/2) and of
+# u = exp(2(0.5-t)) exp(-x^2/2), whose u_tt is not 0
+_LINEAR_T = (f"1.5*{_E}", f"(1+t)*{_E}", _E, f"(-(1+t)*x*{_E})", f"((1+t)*(x*x-1)*{_E})")
+_V = f"exp(2*(0.5-t))*{_E}"
+_EXP_T = (_E, _V, f"(-2*{_V})", f"(-x*{_V})", f"((x*x-1)*{_V})")
 
 
-def _manufactured_problem(b):
-    """f = A(t,x) - 0.5|z| and g = 0.25|z| on T = 0.5, where
-    A = -u_t - G(sigma^2 u_xx + 2h u_x + 2g) - b u_x + 0.5|sigma u_x| at
-    z = sigma u_x, with G written with max as g_value computes it; so u
-    solves u_t + G(sigma^2 u_xx + 2h u_x + 2g) + b u_x + f = 0, u(T) = Phi."""
-    a = f"({_SIGMA}*{_SIGMA}*{_U_XX}+2*{_H}*{_U_X}+0.5*abs({_SIGMA}*{_U_X}))"
+def _manufactured_problem(b, phi, u, u_t, u_x, u_xx, lip_y=0.0):
+    """f = A(t,x) + lip_y*y - 0.5|z| and g = 0.25|z| on T = 0.5, where
+    A = -u_t - G(sigma^2 u_xx + 2h u_x + 2g) - b u_x - lip_y*u + 0.5|sigma u_x|
+    at z = sigma u_x, with G written with max as g_value computes it; so u
+    solves u_t + G(sigma^2 u_xx + 2h u_x + 2g) + b u_x + f = 0, u(T) = Phi.
+    The y terms are left out where lip_y is 0."""
+    a = f"({_SIGMA}*{_SIGMA}*{u_xx}+2*{_H}*{u_x}+0.5*abs({_SIGMA}*{u_x}))"
     G = f"0.5*({GP.sigma_high_sq!r}*max({a},0)-{GP.sigma_low_sq!r}*max(-{a},0))"
-    A = f"-{_U_T}-{G}-({b})*{_U_X}+0.5*abs({_SIGMA}*{_U_X})"
-    f = ScalarGenerator.from_text(f"{A}-0.5*abs(z)", 0.0,
+    A = f"-{u_t}-{G}-({b})*{u_x}+0.5*abs({_SIGMA}*{u_x})"
+    y = f"-{lip_y!r}*{u}+{lip_y!r}*y" if lip_y else ""
+    f = ScalarGenerator.from_text(f"{A}{y}-0.5*abs(z)", lip_y,
                                   Modulus("linear", c=0.5, growth_L=0.5))
     g = ScalarGenerator.from_text("0.25*abs(z)", 0.0,
                                   Modulus("linear", c=0.25, growth_L=0.25))
-    coeffs = pde.CoefficientSet.from_text(b, _H, _SIGMA, f"1.5*{_E}")
+    coeffs = pde.CoefficientSet.from_text(b, _H, _SIGMA, phi)
     return pde.PdeProblem(coeffs, f, g, GP, 0.5, 0.0)
 
 
 # max core error over the stored layers at nx = 61/121/241, each bound
 # 1.1 times the measured value (6.20e-3, 2.95e-3, 1.41e-3 with the drift;
-# 1.43e-3, 3.78e-4, 9.94e-5 without), and the least observed order: the
+# 1.43e-3, 3.78e-4, 9.94e-5 without; 4.22e-2, 1.09e-2, 2.77e-3 for the u
+# with u_tt != 0, whose f is in y too), and the least observed order: the
 # upwinded drift is first order, the rest of the step second order
-@pytest.mark.parametrize("b, bounds, order", [
-    ("0.5*x/(1+x*x)", (6.82e-3, 3.25e-3, 1.55e-3), 0.9),
-    ("0", (1.58e-3, 4.16e-4, 1.09e-4), 1.8),
-], ids=["drift", "no_drift"])
-def test_11_manufactured_solution(b, bounds, order):
+@pytest.mark.parametrize("b, solution, lip_y, bounds, order", [
+    ("0.5*x/(1+x*x)", _LINEAR_T, 0.0, (6.82e-3, 3.25e-3, 1.55e-3), 0.9),
+    ("0", _LINEAR_T, 0.0, (1.58e-3, 4.16e-4, 1.09e-4), 1.8),
+    ("0", _EXP_T, 0.3, (4.64e-2, 1.20e-2, 3.05e-3), 1.8),
+], ids=["drift", "no_drift", "time"])
+def test_11_manufactured_solution(b, solution, lip_y, bounds, order):
     # f and g are Lipschitz in z, so each is its own envelope from level 1
     # (= 2L) on: the walk stops there with one solution for both sides
     errors = []
     for nx in (61, 121, 241):
-        problem = _manufactured_problem(b)
+        problem = _manufactured_problem(b, *solution, lip_y=lip_y)
         ex = gbsde.solve_exact(problem, pde.build_grid(problem, -6.0, 6.0, nx), 0.05)
         assert ex.level == 1.0 and ex.solution is ex.upper_solution
         sol, core = ex.solution, ex.solution.grid.core_mask()
-        u = evaluate(parse(_U), {"t": sol.times[:, None], "x": sol.grid.xs[core]})
+        u = evaluate(parse(solution[1]), {"t": sol.times[:, None], "x": sol.grid.xs[core]})
         errors.append(float(np.max(np.abs(sol.values[:, core] - u))))
     orders = np.log2(np.divide(errors[:-1], errors[1:]))
     print(f"errors {errors}, orders {orders}")

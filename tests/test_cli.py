@@ -212,6 +212,53 @@ class TestConfigTypes:
         assert cfg.policies == ["low", 0.75]
 
 
+def rough_config():
+    """A small config whose f = -sqrt|z| takes the lattice envelope at every
+    level."""
+    return base_config(
+        problem={"Phi": "x*x", "T": 0.25, "lip_z_bound": 1.0,
+                 "f": {"body": "-sqrt(abs(z))", "modulus": {
+                     "kind": "power", "c": 1.0, "alpha": 0.5, "growth_L": 0.5}}},
+        grid={"x_min": -3.0, "x_max": 3.0, "nx": 41},
+        ladder={"levels": [4.0, 8.0], "target_gap": 0.05})
+
+
+class TestNonFinite:
+    """NaN and the infinities, which Python's JSON reader accepts, are
+    refused at their pointer.  Unrefused, a NaN modulus made solve pass on
+    a NaN bound, an infinite T overflowed in refine_grid, and a NaN
+    lip_z_bound was taken silently."""
+
+    @pytest.mark.parametrize("path, value", [
+        (("problem", "f", "modulus", "growth_L"), float("nan")),
+        (("problem", "f", "modulus", "c"), float("nan")),
+        (("problem", "T"), float("inf")),
+        (("problem", "f", "lip_y"), float("nan")),
+        (("grid", "x_max"), float("inf")),
+        (("problem", "lip_z_bound"), float("nan")),
+    ], ids=["growth_L", "c", "T", "lip_y", "x_max", "lip_z_bound"])
+    @pytest.mark.parametrize("experiment", ["solve", "ladder"])
+    def test_refused_with_pointer_and_exit_2(self, tmp_path, capsys, path, value,
+                                             experiment):
+        raw = rough_config()
+        node = raw
+        for k in path[:-1]:
+            node = node[k]
+        node[path[-1]] = value
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, raw), experiment, "--out", str(out)]) == 2
+        pointer = "".join(f"/{k}" for k in path)
+        assert f"error: {pointer}: must be finite, not {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_levels_override(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, rough_config())
+        assert main(["run", path, "ladder", "--out", str(out), "--levels", "4,nan"]) == 2
+        assert "error: --levels/1: must be finite, not nan" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestPolicies:
     """Policy entries are checked at load, each at its own pointer."""
 

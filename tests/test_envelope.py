@@ -74,7 +74,7 @@ class TestModulus:
         with pytest.raises(ValueError, match="matching rs/values"):
             Modulus("tabulated", rs=rs, values=values)
 
-    @pytest.mark.parametrize("L", [0.0, -1.0])
+    @pytest.mark.parametrize("L", [0.0, -1.0, np.nan])
     def test_growth_must_be_positive(self, L):
         with pytest.raises(ValueError, match="growth_L must be positive"):
             Modulus("linear", c=1.0, growth_L=L)
@@ -299,10 +299,10 @@ class TestEnvelopeGenerator:
             assert np.max(np.abs(got - want)) <= tol
 
     def test_lattice_extends_range(self):
-        eg = EnvelopeGenerator(POWER, 8.0, "lower", z_max=1.0)
+        eg = EnvelopeGenerator(POWER, 8.0, "lower")
         v = eg.eval_grid(0, 0, 0, 50.0)
         assert np.isfinite(v)
-        assert eg._z_max >= 50.0
+        assert eg._z_max == 64.0 and eg._lattice[-1] >= 50.0
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_z_leaves_lattice_intact(self, bad):
@@ -314,17 +314,19 @@ class TestEnvelopeGenerator:
         after = eg.eval_grid(0, 0, 0, zs)
         assert np.array_equal(after.view(np.int64), before.view(np.int64))
 
-    @pytest.mark.parametrize("z_max", [0.0, -1.0, np.nan, np.inf])
-    def test_z_max_must_be_finite_and_positive(self, z_max):
-        # 0 and -1 doubled forever; NaN built a three-point lattice
-        with pytest.raises(ValueError, match="z_max must be finite and positive"):
-            EnvelopeGenerator(POWER, 8.0, "lower", z_max=z_max)
-
     @pytest.mark.parametrize("points", [np.array([]), np.zeros((2, 0))], ids=["1d", "2d"])
     def test_interp_error_bound_without_points(self, points):
         eg = EnvelopeGenerator(POWER, 8.0, "lower")
         eg.eval_grid(0, 0, 0, 0.5)
         assert eg.interp_error_bound(points) == 8.0 * EnvelopeGenerator._Z_RES
+
+    def test_interp_error_bound_is_zero_in_direct_mode(self):
+        # a direct envelope searches at each point and interpolates nothing;
+        # CLI envelope-report takes this bound as its slack
+        eg = EnvelopeGenerator(XYZ, 8.0, "lower")
+        zs = np.array([0.3, 5.0])
+        eg.eval_grid(0.0, 0.5, 0.2, zs)
+        assert eg.mode == "direct" and eg.interp_error_bound(zs) == 0.0
 
     def test_mode_direct(self):
         gen = ScalarGenerator.from_text(
@@ -446,6 +448,28 @@ class TestGridSearchBits:
             got = env(XYZ, n, 0.4, -1.2, 0.7, z, step=step)
             want = _linspace_search(XYZ, n, 0.4, -1.2, 0.7, z, step, sign)
             assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("z, L", [(2.0**-1020, 5e-324), (2.0**-1018, 2e-323)])
+    def test_denormal_spacing(self, z, L):
+        # a tiny growth_L and a step of one denormal unit give a denormal
+        # radius whose spacing 2r/(npts - 1) rounds to 0, where np.linspace
+        # multiplies k/(npts - 1) by 2r instead; the coarse pass sees every
+        # point of this grid
+        seen = []
+
+        class Recording(ScalarGenerator):
+            def eval_grid(self, t, x, y, z, zabs=None):
+                seen.append(np.array(z, dtype=float))
+                return super().eval_grid(t, x, y, z)
+
+        gen = Recording(ABS.body, 0.0, Modulus("linear", c=1.0, growth_L=L))
+        radius, step = search_radius(L, 1.0, 0.0, z), 5e-324
+        npts = int(np.ceil(2.0 * radius / step)) + 1 | 1
+        start, stop = z - radius, z + radius
+        assert 0.0 < stop - start and (stop - start) / (npts - 1) == 0.0
+        lower_envelope(gen, 1.0, 0.0, 0.0, 0.0, z, step=step)
+        want = np.linspace(start, stop, npts)
+        assert np.array_equal(_bits(seen[0].ravel()[:npts]), _bits(want))
 
     def test_eval_grid_2d(self):
         rng = np.random.default_rng(21)
@@ -570,14 +594,15 @@ class TestLatticeTransform:
                                        ("SQRT", SQRT, (1.0, 4.0)))
              for n in levels]
 
-    @pytest.mark.parametrize("z_max", [16.0, 16384.0])
+    @pytest.mark.parametrize("reach", [16.0, 16384.0])
     @pytest.mark.parametrize("side", ["lower", "upper"])
     @pytest.mark.parametrize("gen, n", CASES)
-    def test_matches_brute_force(self, gen, n, side, z_max):
-        eg = EnvelopeGenerator(gen, n, side, z_max=z_max)
-        eg.eval_grid(0.0, 0.0, 0.0, 0.0)
+    def test_matches_brute_force(self, gen, n, side, reach):
+        # a lookup at |z| = 16384 doubles the first reach of 16 ten times
+        eg = EnvelopeGenerator(gen, n, side)
+        eg.eval_grid(0.0, 0.0, 0.0, reach)
         lat, got = eg._lattice, eg._values
-        assert lat[-1] >= z_max and np.all(np.diff(lat) > 0)
+        assert eg._z_max == reach and lat[-1] >= reach and np.all(np.diff(lat) > 0)
         want = _brute_lattice(eg)
         assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
         # the envelope stays on its side of f at every lattice point

@@ -252,6 +252,16 @@ class TestSolveExact:
         with pytest.raises(RuntimeError, match="certification failed at level n=1"):
             solve_exact(prob, grid, 0.01)
 
+    def test_nan_bound_fails_certification(self):
+        # a NaN modulus constant gives a NaN bound, which certifies nothing
+        nan_c = ScalarGenerator.from_text(
+            "-sqrt(abs(z))", 0.0, Modulus("power", c=np.nan, alpha=0.5, growth_L=0.5))
+        prob = problem(f=nan_c, lip_z=1.0)
+        grid = build_grid(prob, -2.0, 2.0, 41)
+        with pytest.raises(RuntimeError, match="certification failed at level n=1.0: "
+                           "measured gap .* exceeds bound nan"):
+            solve_exact(prob, grid, 0.05)
+
     def test_zero_target_rejected(self):
         prob = problem()
         grid = build_grid(prob, -2.0, 2.0, 101)
@@ -539,8 +549,8 @@ def test_level_walks_span_the_problem_horizon(T, grid_T):
 
 
 def test_stable_dt_runs_once_per_problem(monkeypatch):
-    # two max_stable_dt calls per solve_exact level and 2K per ladder: the
-    # solver alone picks the time step
+    # two max_stable_dt calls per solve_exact level and one per ladder,
+    # on its stack: the solver alone picks the time step
     prob = problem(f=SQRT_F, lip_z=1.0)
     grid = build_grid(prob, -4.0, 4.0, 101)
     calls = []
@@ -557,7 +567,7 @@ def test_stable_dt_runs_once_per_problem(monkeypatch):
     assert len(calls) == 2 * tried
     calls.clear()
     approximation_ladder(prob, [1.0, 2.0, 4.0], grid)
-    assert len(calls) == 2 * 3
+    assert len(calls) == 1 and len(calls[0]) == 2 * 3
 
 
 def _count_solves(monkeypatch):

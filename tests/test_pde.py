@@ -80,7 +80,7 @@ class TestBuildGrid:
     def test_degenerate_problem(self):
         # no diffusion, drift or y-dependence: no step size is bounded
         with pytest.raises(ValueError, match="degenerate problem"):
-            max_stable_dt(heat_problem(sigma="0"), SpaceTimeGrid(-1.0, 1.0, 11, 1.0, 1))
+            max_stable_dt((heat_problem(sigma="0"),), SpaceTimeGrid(-1.0, 1.0, 11, 1.0, 1))
 
     def test_non_finite_coefficient(self):
         prob = heat_problem(sigma="1/x")
@@ -94,7 +94,7 @@ class TestBuildGrid:
         grid = SpaceTimeGrid(-800.0, 800.0, 11, 1.0, 1)
         with np.errstate(over="ignore"), pytest.raises(
                 ValueError, match="non-finite coefficient sample at t=0.0"):
-            max_stable_dt(prob, grid)
+            max_stable_dt((prob,), grid)
 
 
 class TestPdeProblem:
@@ -106,6 +106,10 @@ class TestPdeProblem:
     def test_lip_z_bound_must_be_nonnegative(self):
         with pytest.raises(ValueError, match="lip_z_bound must be nonnegative"):
             heat_problem(lip_z=-0.5)
+
+    def test_nan_lip_z_bound_refused(self):
+        with pytest.raises(ValueError, match="lip_z_bound must be nonnegative"):
+            heat_problem(lip_z=np.nan)
 
     def test_lam_z_of_a_non_lipschitz_generator_needs_a_bound(self):
         assert ROUGH.lip_z is None
@@ -123,10 +127,14 @@ class TestRefineGrid:
         assert refine_grid(grid, prob) is grid
 
     def test_fewest_stable_steps(self):
-        slow, fast = heat_problem(), heat_problem(sigma="2", b="0.5*x")
+        # a high envelope level switches the dissipation on and shrinks dt;
+        # the stack's bound is its least row's, bit for bit
+        slow = heat_problem(sigma="2", b="0.5*x")
+        fast = heat_problem(sigma="2", b="0.5*x", f=EnvelopeGenerator(ROUGH, 64.0, "lower"))
         grid = build_grid(slow, *self.ARGS, core_fraction=0.25)
         out = refine_grid(grid, slow, fast)
-        dt = min(max_stable_dt(p, grid) for p in (slow, fast))
+        dt = max_stable_dt((slow, fast), grid)
+        assert dt == min(max_stable_dt((p,), grid) for p in (slow, fast))
         assert out.nt > grid.nt
         assert out.dt == slow.T / out.nt
         assert slow.T / out.nt <= dt * (1.0 + 1e-12) < slow.T / (out.nt - 1)
@@ -143,7 +151,7 @@ class TestRefineGrid:
     def test_solve_steps_what_refine_grid_gives(self, factor, nt, kept):
         # one rule: solve steps a stable grid that spans T as given and
         # any other grid as refine_grid gives it
-        dt = max_stable_dt(heat_problem(), SpaceTimeGrid(*self.ARGS, 1.0, 1)) * factor
+        dt = max_stable_dt((heat_problem(),), SpaceTimeGrid(*self.ARGS, 1.0, 1)) * factor
         prob = heat_problem(T=50 * dt)
         grid = SpaceTimeGrid(*self.ARGS, dt, nt, 0.5)
         refined = refine_grid(grid, prob)
@@ -322,7 +330,7 @@ class TestSolve:
 
 
 class TestSolveFields:
-    """solve evaluates t-free coefficient fields once; the layers it
+    """solve steps t-free coefficient fields evaluated once; the layers it
     returns equal a plain loop of public step_backward calls."""
 
     F = ScalarGenerator.from_text(
@@ -360,7 +368,9 @@ class TestSolveFields:
         monkeypatch.setattr(pde_module, "_step_fields", counting)
         sol = solve(prob, grid)
         assert np.array_equal(sol.values, want)
-        assert len(calls) == (1 if time_free else grid.nt)
+        # max_stable_dt reads the fields at its time samples too
+        samples = 1 if time_free else pde_module._T_SAMPLES
+        assert len(calls) == samples + (1 if time_free else grid.nt)
 
 
 ROUGH = ScalarGenerator.from_text(
@@ -449,10 +459,16 @@ class TestSolveStack:
 
 def _full_step(u, t, problems, grid):
     """Oracle: step_backward as it was before vanishing terms were dropped,
-    every term evaluated on every row."""
+    every term evaluated on every row, with its own dissipation theta."""
     xs, dx = grid.xs, grid.dx
     b, h, sigma = problems[0].coeffs.fields(t, xs)
-    theta = np.stack([pde_module._dissipation(p, sigma, h, dx) for p in problems])
+    gp, sig = problems[0].gparams, np.abs(sigma)
+    theta = np.empty_like(u)
+    for r, p in enumerate(problems):
+        lam_f, lam_g = p.lam_z(p.f), p.lam_z(p.g)
+        d = sig**2 / dx - np.abs(h) - sig * lam_g
+        theta[r] = np.where(d >= 0.0, np.maximum(0.0, sig * lam_f - gp.sigma_low_sq * d),
+                            sig * lam_f + 2.0 * gp.sigma_high_sq * (-d))
     lap = np.zeros_like(u)
     lap[:, 1:-1] = u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]
     d2 = lap / dx**2
