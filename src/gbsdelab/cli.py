@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -54,12 +53,12 @@ _JSON_TYPES = {bool: "a boolean", type(None): "null", str: "a string",
 def _number(value, pointer, integral=False):
     """A JSON number as a float, or as an int where integral is set (an
     integral float such as 801.0 passes); bools, null, strings, arrays and
-    objects are refused rather than coerced, and so are NaN and the
-    infinities, which Python's JSON reader accepts."""
+    objects are refused, not coerced, and so are NaN, the infinities and
+    ints beyond the float range, all of which Python's JSON reader accepts."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         got = _JSON_TYPES.get(type(value), type(value).__name__)
         raise ConfigError(pointer, f"must be a number, not {got}")
-    if isinstance(value, float) and not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # NaN, an infinity, an int past the floats
         raise ConfigError(pointer, f"must be finite, not {value!r}")
     if not integral:
         return float(value)
@@ -199,7 +198,8 @@ class RunConfig:
             raise ConfigError("/mc/n_paths", "n_paths must be at least 1")
         if not self.mc_dt > 0.0:
             raise ConfigError("/mc/dt", "dt must be positive")
-        self.seed = _num(mc, "seed", "/mc", 1234, integral=True)
+        self.seed = _build("/mc/seed", gsim.check_seed,
+                           _num(mc, "seed", "/mc", 1234, integral=True))
         self.policies = list(_array(_get(mc, "policies", "/mc", ["low", "high"]),
                                     "/mc/policies"))
         for i, name in enumerate(self.policies):
@@ -302,7 +302,7 @@ def _exp_envelope_report(cfg: RunConfig, out_dir):
         fv, lov, upv = (pde._as_field(gen.eval_grid(0.0, 0.0, 0.0, zs), zs.shape)
                         for gen in (f, lo, up))
         gap = float(max(np.max(fv - lov), np.max(upv - fv)))
-        bound = envelope_gap_bound(f.modulus_z, L, n) if "z" in free_vars(f.body) else 0.0
+        bound = envelope_gap_bound(f, L, n)
         # no interpolation error where the envelope is f itself
         slack = (0.0 if lo is f else lo.interp_error_bound(zs)) + 1e-9
         level_reports.append({"level": n, "max_gap": gap, "bound": bound,
@@ -314,24 +314,9 @@ def _exp_envelope_report(cfg: RunConfig, out_dir):
 
 
 def _exp_ladder(cfg: RunConfig, out_dir):
-    grid = cfg.build_grid()
-    lad = gbsde.approximation_ladder(cfg.problem, cfg.levels, grid)
-    tol = lad.tolerance
-    core = grid.core_mask()
-    reports = []
-    for i, n in enumerate(lad.levels):
-        ok = lad.gap_report[i] <= lad.bound_report[i] + 2.0 * tol
-        if i > 0:
-            # each side moves toward the solution: lower up, upper down,
-            # within tol on the core over every stored layer
-            lo = lad.lower_solutions[i].values[:, core]
-            plo = lad.lower_solutions[i - 1].values[:, core]
-            up = lad.upper_solutions[i].values[:, core]
-            pup = lad.upper_solutions[i - 1].values[:, core]
-            ok = (ok and lad.gap_report[i] <= lad.gap_report[i - 1]
-                  and bool(np.all(plo <= lo + tol)) and bool(np.all(up <= pup + tol)))
-        reports.append({"level": n, "gap": lad.gap_report[i],
-                        "bound": lad.bound_report[i], "pass": ok})
+    lad = gbsde.approximation_ladder(cfg.problem, cfg.levels, cfg.build_grid())
+    reports = [{"level": n, "gap": gap, "bound": bound, "pass": ok} for n, gap, bound, ok
+               in zip(lad.levels, lad.gap_report, lad.bound_report, lad.passed)]
     _write_records(os.path.join(out_dir, "ladder.csv"),
                    ["level", "gap", "bound", "pass"], reports)
     return {"experiment": "ladder", "tolerance": lad.tolerance,
@@ -485,7 +470,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = _build("--seed", gsim.check_seed, args.seed)
         if args.levels is not None:
             try:
                 levels = [float(v) for v in args.levels.split(",")] if args.levels else []

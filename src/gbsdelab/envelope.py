@@ -245,11 +245,13 @@ def envelope_grid_error(gen: ScalarGenerator, n, step) -> float:
     return float(modulus_eval(gen.modulus_z, step) + n * step)
 
 
-def envelope_gap_bound(m: Modulus, L: float, n: float) -> float:
-    """Pointwise bound phi(2L/(n-L)) for generator-minus-envelope."""
+def envelope_gap_bound(gen: ScalarGenerator, L: float, n: float) -> float:
+    """Pointwise bound phi(2L/(n-L)) for gen minus its envelope; 0 if z-free."""
+    if "z" not in free_vars(gen.body):
+        return 0.0
     if n <= L:
         raise ValueError(f"envelope level n={n} must exceed L={L}")
-    return float(modulus_eval(m, 2.0 * L / (n - L)))
+    return float(modulus_eval(gen.modulus_z, 2.0 * L / (n - L)))
 
 
 def _finite(vabs, name="z") -> float:

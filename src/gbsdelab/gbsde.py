@@ -81,6 +81,7 @@ class Ladder:
     upper_solutions: tuple
     gap_report: tuple  # measured max core gap per level
     bound_report: tuple  # gap_constant * phi(2L/(n-L)) per level
+    passed: tuple  # per level: its certificate holds (approximation_ladder)
     tolerance: float  # solver tolerance entering certification
 
 
@@ -89,14 +90,21 @@ def _core_gap(lower: "pde.PdeSolution", upper: "pde.PdeSolution") -> float:
     return float(np.max(upper.values[:, core] - lower.values[:, core]))
 
 
+def _certified(gap: float, bound: float, tol: float) -> bool:
+    """A level's gap within its bound up to 2 tol; a NaN bound certifies nothing."""
+    return gap <= bound + 2.0 * tol
+
+
+def _rises(a: "pde.PdeSolution", b: "pde.PdeSolution", tol: float) -> bool:
+    """b is not below a by more than tol on the core over every stored layer."""
+    core = a.grid.core_mask()
+    return bool(np.all(a.values[:, core] <= b.values[:, core] + tol))
+
+
 def _level_bound(problem: "pde.PdeProblem", L: float, n: float) -> float:
     """Modulus-based gap bound combining the f and g envelopes."""
-    f, g, shs = problem.f, problem.g, problem.gparams.sigma_high_sq
-    bound = 0.0
-    if "z" in free_vars(f.body):
-        bound += envelope_gap_bound(f.modulus_z, L, n)
-    if "z" in free_vars(g.body):
-        bound += shs * envelope_gap_bound(g.modulus_z, L, n)
+    shs = problem.gparams.sigma_high_sq
+    bound = envelope_gap_bound(problem.f, L, n) + shs * envelope_gap_bound(problem.g, L, n)
     if bound == 0.0:
         return 0.0
     return gap_constant(L, problem.gparams, problem.T) * bound
@@ -130,7 +138,7 @@ def approximation_ladder(problem, levels, grid) -> Ladder:
         raise ValueError("levels must be strictly increasing")
     L = problem_growth_L(problem)
     if not levels:
-        return Ladder((), (), (), (), (), 0.0)
+        return Ladder((), (), (), (), (), (), 0.0)
     if levels[0] <= L:
         raise ValueError(f"every level must exceed L={L}")
     problems = [envelope_problem(problem, n, side)
@@ -145,7 +153,11 @@ def approximation_ladder(problem, levels, grid) -> Ladder:
     gaps = tuple(_core_gap(lo, up) for lo, up in zip(lowers, uppers))
     bounds = tuple(_level_bound(problem, L, n) for n in levels)
     tol = solver_tolerance(lowers[-1])
-    return Ladder(levels, lowers, uppers, gaps, bounds, tol)
+    # from the second level on, no wider gap, lower rising and upper falling
+    passed = tuple(_certified(gaps[i], bounds[i], tol) and (i == 0 or (
+        gaps[i] <= gaps[i - 1] and _rises(lowers[i - 1], lowers[i], tol)
+        and _rises(uppers[i], uppers[i - 1], tol))) for i in range(len(levels)))
+    return Ladder(levels, lowers, uppers, gaps, bounds, passed, tol)
 
 
 @dataclass(frozen=True)
@@ -177,7 +189,7 @@ def solve_exact(problem, grid, target_gap, max_doublings: int = 8) -> ExactSolve
         n = level_base(L) * 2.0**k
         lo, up, gap, bound = _solve_level(problem, L, n, grid)
         tol = solver_tolerance(lo)
-        if not gap <= bound + 2.0 * tol:  # a NaN bound certifies nothing
+        if not _certified(gap, bound, tol):
             raise RuntimeError(
                 f"certification failed at level n={n}: measured gap {gap:g} "
                 f"exceeds bound {bound:g} + 2*{tol:g}"

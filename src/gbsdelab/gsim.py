@@ -206,9 +206,17 @@ class PathEnsemble:
         return self.t0 + self.dt * np.arange(self.n_steps + 1)
 
 
+def check_seed(seed) -> int:
+    """seed, an int in [0, 2^63): numpy reads a larger Philox key as a float."""
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**63):
+        raise ValueError(f"seed must be an integer in [0, 2^63), not {seed!r}")
+    return int(seed)
+
+
 def _batches(t0, T, dt, n_paths, seed):
     """The step count of dt on [t0, T], which dt must divide, and each
     batch's columns and normals xi (nb, n_steps) from its Philox stream."""
+    seed = check_seed(seed)
     span = T - t0
     n_steps = int(round(span / dt))
     if n_steps < 1 or not pde.spans(n_steps, dt, span):

@@ -24,7 +24,10 @@ walk stops below problem1's on the same grid, so compare reads its
 stop-level solution as the solution at problem1's level.  In crossing,
 f = min(4*abs(z),1) takes the lattice at level 2 and is its own
 envelope at levels 4 and 8, so ladder, solve, compare and
-envelope-report each see both sides of that rule.
+envelope-report each see both sides of that rule.  In resolve, both
+f are |z|^(1/2) and take the lattice, and the level walks stop at
+levels 2 and 1, so compare solves problem2 again at level 2: the one
+config whose compare re-solves a side.
 time_golden is test_11's manufactured solution with time in it
 (u = exp(2(0.5-t)) exp(-x^2/2), f in t, x, y and |z|), with u as its
 reference, so that golden diffs one run against an exact answer.
@@ -98,6 +101,8 @@ _CAPPED_F = {"body": "min(4*abs(z),1)",
 _CROSSING = {"Phi": "x*x", "f": _CAPPED_F, "T": 0.5}
 _TIME_SIGMA = {"Phi": "x*x", "sigma": "1+0.5*t", "f": _LINEAR_F,
                "lip_z_bound": 0.5, "T": 0.5}
+_QUARTER_ROOT_F = dict(_ROOT_F, body="-0.25*sqrt(abs(z))",
+                       modulus=dict(_ROOT_F["modulus"], c=0.25))
 
 
 def _time_golden():
@@ -144,6 +149,10 @@ SMALL_CONFIGS = {
     "crossing": dict(_small(_CROSSING, dict(_CROSSING, Phi="x*x+0.2",
                                             f=dict(_CAPPED_F, body="min(4*abs(z),1)+0.1"))),
                      ladder={"levels": [2.0, 4.0, 8.0], "target_gap": 0.02}),
+    "resolve": dict(_small({"Phi": "x*x", "f": _ROOT_F, "lip_z_bound": 1.0, "T": 0.5},
+                           {"Phi": "x*x", "f": _QUARTER_ROOT_F, "lip_z_bound": 1.0,
+                            "T": 0.5}),
+                    ladder={"levels": [1.0, 2.0, 4.0], "target_gap": 0.05}),
     "time_golden": _time_golden(),
     "ties": _ties("abs(x)-1"),
     "ties_cubic": _ties("x*x*x"),

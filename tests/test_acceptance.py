@@ -126,7 +126,7 @@ def test_02_envelope_regularization():
             lov = lo.eval_grid(0.0, 0.0, 0.0, zs)
             upv = up.eval_grid(0.0, 0.0, 0.0, zs)
             slack = lo.interp_error_bound(zs) + up.interp_error_bound(zs) + 1e-9
-            gap = envelope_gap_bound(gen.modulus_z, L, n)
+            gap = envelope_gap_bound(gen, L, n)
             ok = ok and bool(
                 # sandwich and gap bound
                 np.all(lov <= fv + slack)

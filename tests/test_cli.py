@@ -224,10 +224,10 @@ def rough_config():
 
 
 class TestNonFinite:
-    """NaN and the infinities, which Python's JSON reader accepts, are
-    refused at their pointer.  Unrefused, a NaN modulus made solve pass on
-    a NaN bound, an infinite T overflowed in refine_grid, and a NaN
-    lip_z_bound was taken silently."""
+    """NaN, the infinities and ints beyond the float range, which Python's
+    JSON reader accepts, are refused at their pointer.  Unrefused, a NaN
+    modulus made solve pass on a NaN bound, an infinite T overflowed in
+    refine_grid, and a NaN lip_z_bound was taken silently."""
 
     @pytest.mark.parametrize("path, value", [
         (("problem", "f", "modulus", "growth_L"), float("nan")),
@@ -236,7 +236,10 @@ class TestNonFinite:
         (("problem", "f", "lip_y"), float("nan")),
         (("grid", "x_max"), float("inf")),
         (("problem", "lip_z_bound"), float("nan")),
-    ], ids=["growth_L", "c", "T", "lip_y", "x_max", "lip_z_bound"])
+        # ints that float() overflowed: a traceback and exit 1
+        (("problem", "T"), 10**400),
+        (("grid", "nx"), 10**400),
+    ], ids=["growth_L", "c", "T", "lip_y", "x_max", "lip_z_bound", "T_int", "nx_int"])
     @pytest.mark.parametrize("experiment", ["solve", "ladder"])
     def test_refused_with_pointer_and_exit_2(self, tmp_path, capsys, path, value,
                                              experiment):
@@ -257,6 +260,41 @@ class TestNonFinite:
         assert main(["run", path, "ladder", "--out", str(out), "--levels", "4,nan"]) == 2
         assert "error: --levels/1: must be finite, not nan" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestSeedRange:
+    """A seed is an integer in [0, 2^63), gsim's rule, checked at load for
+    /mc/seed and for --seed.  Past 2^63 numpy read the Philox key as a
+    float: 2^64 - 1 wrote seed 0's estimates, 2^63 + 1 and 2^63 + 2 wrote
+    one another's, and 10^25 ended in an OverflowError (exit 1)."""
+
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**63 + 1, 2**64 - 1, 10**25])
+    def test_config_seed_refused(self, tmp_path, capsys, seed):
+        raw = base_config()
+        raw["mc"]["seed"] = seed
+        with pytest.raises(ConfigError) as err:
+            RunConfig(raw)
+        assert err.value.pointer == "/mc/seed"
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, raw), "upper-expectation",
+                     "--out", str(out)]) == 2
+        assert "error: /mc/seed: seed must be an integer in [0, 2^63)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**63), str(10**25)])
+    def test_override_refused(self, tmp_path, capsys, seed):
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, base_config()), "upper-expectation",
+                     "--out", str(out), "--seed", seed]) == 2
+        assert "error: --seed: seed must be an integer in [0, 2^63)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        raw = base_config()
+        raw["mc"]["seed"] = 2**63 - 1
+        assert RunConfig(raw).seed == 2**63 - 1
+        out = str(tmp_path / "out")
+        assert main(["run", write_config(tmp_path, raw), "upper-expectation", "--out", out]) == 0
 
 
 class TestPolicies:

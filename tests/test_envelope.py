@@ -151,22 +151,27 @@ class TestEnvelopeValues:
 
 
 class TestGapBound:
+    # the bound reads growth_L from its argument, never from the generator
     def test_linear(self):
-        assert envelope_gap_bound(Modulus("linear", c=1.0), 1.0, 3.0) == 1.0
+        assert envelope_gap_bound(ABS, 1.0, 3.0) == 1.0
 
     def test_power(self):
-        m = Modulus("power", c=2.5, alpha=0.8)
-        assert envelope_gap_bound(m, 1.0, 5.0) == pytest.approx(2.5 * 0.5**0.8)
+        assert envelope_gap_bound(POWER, 1.0, 5.0) == pytest.approx(2.5 * 0.5**0.8)
 
     def test_vanishes_as_n_grows(self):
-        m = Modulus("power", c=2.5, alpha=0.8)
-        vals = [envelope_gap_bound(m, 1.0, n) for n in (2, 4, 8, 1e6)]
+        vals = [envelope_gap_bound(POWER, 1.0, n) for n in (2, 4, 8, 1e6)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-4
 
     def test_requires_n_above_l(self):
         with pytest.raises(ValueError):
-            envelope_gap_bound(Modulus("linear", c=1.0), 1.0, 1.0)
+            envelope_gap_bound(ABS, 1.0, 1.0)
+
+    def test_zero_for_a_body_free_of_z(self):
+        # such a body is its own envelope at every level, n <= L included
+        gen = ScalarGenerator.from_text("x+sqrt(abs(y))", 1.0, Modulus("power", alpha=0.5))
+        for n in (0.5, 1.0, 3.0):
+            assert envelope_gap_bound(gen, 1.0, n) == 0.0
 
 
 def _panel(rng, size):
@@ -242,7 +247,7 @@ class TestEnvelopeLaws:
         for gen in self.GENS:
             L = gen.growth_L
             for n in (2 * L, 4 * L, 8 * L):
-                bound = envelope_gap_bound(gen.modulus_z, L, n)
+                bound = envelope_gap_bound(gen, L, n)
                 err = envelope_grid_error(gen, n, 1e-3)
                 for z in rng.uniform(-3, 3, 30):
                     fz = gen.eval_grid(0, 0, 0, z)

@@ -140,7 +140,7 @@ class TestApproximationLadder:
     def test_no_levels(self):
         prob = problem(f=SQRT_F, lip_z=1.0)
         grid = build_grid(prob, -2.0, 2.0, 101)
-        assert approximation_ladder(prob, [], grid) == gbsde.Ladder((), (), (), (), (), 0.0)
+        assert approximation_ladder(prob, [], grid) == gbsde.Ladder((), (), (), (), (), (), 0.0)
 
     def test_stack_equals_level_solves(self):
         prob = problem(f=SQRT_F, g=SQRT_F, lip_z=1.0)
@@ -201,6 +201,28 @@ class TestApproximationLadder:
             assert np.all(lo_n <= lo_n1 + tol)
             assert np.all(up_n1 <= up_n + tol)
             assert np.all(lo_n <= up_n1 + tol)
+
+    def test_certificate_fails_where_a_side_moves_the_wrong_way(self):
+        # x^6/6 solves this problem exactly; on 601 nodes the dissipation
+        # is on at level 32, whose upper solution rises above level 16's
+        # on the core by more than the tolerance (test_cli runs the same)
+        f = ScalarGenerator.from_text(
+            "-2.5*pow(abs(z),0.8)", 0.0, Modulus("power", c=2.5, alpha=0.8, growth_L=2.5)
+        )
+        prob = problem("x*x*x*x*x*x/6", f=f, lip_z=2.5)
+        grid = build_grid(prob, -6.0, 6.0, 601, core_fraction=0.25)
+        lad = approximation_ladder(prob, [4.0, 8.0, 16.0, 32.0], grid)
+        assert lad.passed == (True, True, True, False)
+        tol = lad.tolerance
+        # every gap is certified and none grows: only the per-side rule fails
+        for gap, bound in zip(lad.gap_report, lad.bound_report):
+            assert gbsde._certified(gap, bound, tol)
+        assert all(b <= a for a, b in zip(lad.gap_report, lad.gap_report[1:]))
+        core = grid.core_mask()
+        lo16, lo32, up16, up32 = (sols[i].values[:, core] for sols in
+                                  (lad.lower_solutions, lad.upper_solutions) for i in (2, 3))
+        assert np.all(lo16 <= lo32 + tol)
+        assert not np.all(up32 <= up16 + tol)
 
 
 class TestSolveExact:

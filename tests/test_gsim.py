@@ -73,6 +73,23 @@ class TestSimulatePaths:
         b = simulate_paths(ConstantPolicy(1.0, GP), GP, 0.0, 1.0, 0.01, 12_000, 5)
         assert np.array_equal(a.B, b.B) and np.array_equal(a.QV, b.QV)
 
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**63 + 1, 2**64 - 1, 10**25, 7.0, None])
+    def test_seed_outside_the_key_range_raises(self, seed):
+        # numpy read [seed, start] as a float key past 2^63: 2^63 + 1 and
+        # 2^63 + 2 drew one stream, and 2^64 - 1 drew seed 0's
+        pol = ConstantPolicy(1.0, GP)
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^63\)"):
+            simulate_paths(pol, GP, 0.0, 0.05, 0.01, 4, seed)
+        with pytest.raises(ValueError, match="seed must be"):
+            terminal_states([pol], GP, 0.0, 0.05, 0.01, 4, seed)
+
+    def test_seed_range_ends(self):
+        pol = ConstantPolicy(1.0, GP)
+        ends = [terminal_states([pol], GP, 0.0, 0.05, 0.01, 4, s) for s in (0, 2**63 - 1)]
+        assert not np.array_equal(*ends)
+        assert np.array_equal(ends[1], terminal_states([pol], GP, 0.0, 0.05, 0.01, 4,
+                                                       np.uint64(2**63 - 1)))
+
     def test_batching_invisible(self):
         # the first 5000 paths of a large ensemble equal a small ensemble
         big = simulate_paths(ConstantPolicy(1.0, GP), GP, 0.0, 0.1, 0.01, 6000, 9)
