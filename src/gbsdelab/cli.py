@@ -5,8 +5,10 @@ Usage: gbsde run <config.json> <experiment> [--out DIR] [--seed N]
 
 Experiments: upper-expectation, envelope-report, ladder, solve, golden,
 compare, kcheck.  Every run writes summary.json (all measured
-quantities, bounds, pass/fail flags) plus experiment CSVs; the exit
-status is 0 exactly when every certified bound holds.  Outputs are
+quantities, bounds, pass/fail flags) plus experiment CSVs.  The exit
+status is 0 exactly when every certified bound holds and 1 when one
+fails; 2 means the run stopped on a bad config or argument, or on a
+config or output path it could not read or write.  Outputs are
 byte-identical across reruns with the same config and seed.
 """
 
@@ -225,7 +227,9 @@ def load_config(path) -> RunConfig:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError("", f"config file not found: {path}") from None
-    except json.JSONDecodeError as e:
+    except OSError as e:  # a directory, a file without read permission
+        raise ConfigError("", f"cannot read config file {path}: {e.strerror}") from None
+    except ValueError as e:  # bad syntax, bytes that are not UTF-8, an int of 4,300+ digits
         raise ConfigError("", f"invalid JSON: {e}") from None
     return RunConfig(raw)
 
@@ -478,7 +482,7 @@ def main(argv=None) -> int:
                 raise ConfigError("--levels", f"not a list of numbers: {args.levels!r}") from None
             cfg.levels = _levels(levels, "--levels")
         return run(cfg, args.experiment, args.out)
-    except (ConfigError, ValueError, RuntimeError) as e:
+    except (ConfigError, ValueError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

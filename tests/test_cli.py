@@ -336,6 +336,26 @@ class TestMainErrors:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read config file"),  # a directory: a traceback and exit 1
+        (b'{"gparams": "\xff"}', "invalid JSON"),  # not UTF-8
+        (b'{"grid": {"nx": ' + b"1" * 5001 + b"}}", "invalid JSON"),  # past 4,300 digits
+    ], ids=["directory", "not_utf8", "long_int"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, content, message):
+        path = tmp_path / "config.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        assert main(["run", str(path), "solve", "--out", str(tmp_path / "out")]) == 2
+        assert f"error: : {message}" in capsys.readouterr().err
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("")
+        assert main(["run", write_config(tmp_path, base_config()), "solve", "--out", str(out)]) == 2
+        assert "error: [Errno 17] File exists" in capsys.readouterr().err
+
     def test_unknown_experiment_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())
         rc = main(["run", path, "frobnicate"])

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -901,3 +903,60 @@ def test_csv_bytes_match_per_value_format(tmp_path):
     assert path.read_bytes() == _old_csv_bytes(sol)
     assert (b"\n0,-0,4.9406564584124654e-324,1.0000000000000001e-05,0.10000000000000001,"
             b"10000000000000000,-1.0000000000000001e+300,3,-7,0\n") in path.read_bytes()
+
+
+class TestSplitWriter:
+    """A table of n * 2^18 values is formatted in up to n parts, one per
+    usable CPU, all but the first in forked children; every split writes the
+    bytes of the serial writer."""
+
+    @staticmethod
+    def table(nt, nx):
+        rng = np.random.default_rng(nt)
+        grid = SpaceTimeGrid(-2.0, 3.0, nx, 0.1, nt)
+        return pde_module.PdeSolution(grid, np.sort(rng.random(nt)),
+                                      rng.standard_normal((nt, nx)) * 1e3)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The fork calls of the test, counted in the parent."""
+        calls, fork = [], os.fork
+        monkeypatch.setattr(pde_module.os, "fork", lambda: calls.append(1) or fork())
+        return calls
+
+    @pytest.mark.parametrize("nt, nx, cpus, parts", [
+        (395, 1991, 3, 3),  # parts end after rows 131 and 263 of 395
+        (1, 1 << 19, 2, 2),  # one layer: the parent's part is the header alone
+        (174_763, 3, 2, 2),
+        (395, 1991, 1, 1),  # one usable CPU: no fork
+    ], ids=["odd_layers", "one_layer", "nx_3", "one_cpu"])
+    def test_bytes_match_per_value_format(self, tmp_path, monkeypatch, forks, nt, nx, cpus,
+                                          parts):
+        monkeypatch.setattr(pde_module.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        sol = self.table(nt, nx)
+        path = tmp_path / "sol.csv"
+        solution_to_csv(sol, path)
+        assert len(forks) == parts - 1
+        assert path.read_bytes() == _old_csv_bytes(sol)
+
+    def test_failed_child_raises_and_is_reaped(self, tmp_path, monkeypatch):
+        parent, write_rows = os.getpid(), pde_module._write_rows
+
+        def failing(fh, *args):
+            if os.getpid() != parent:
+                raise MemoryError("no room in the child")
+            write_rows(fh, *args)
+
+        monkeypatch.setattr(pde_module, "_write_rows", failing)
+        monkeypatch.setattr(pde_module.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        with pytest.raises(OSError, match="part 1 of 3 failed"):
+            solution_to_csv(self.table(395, 1991), tmp_path / "sol.csv")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_bad_path_raises_before_any_fork(self, tmp_path, forks):
+        with pytest.raises(FileNotFoundError):
+            solution_to_csv(self.table(395, 1991), tmp_path / "no_dir" / "sol.csv")
+        assert forks == []
