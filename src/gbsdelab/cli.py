@@ -129,9 +129,18 @@ def _generator(d, pointer):
         raise ConfigError(pointer, "generator must be an object")
     body = _expr(_get(d, "body", pointer, required=True), f"{pointer}/body")
     mod = _modulus(_get(d, "modulus", pointer, required=True), f"{pointer}/modulus")
-    return _build(pointer, ScalarGenerator, body, modulus_z=mod,
-                  lip_y=_num(d, "lip_y", pointer, 0.0),
-                  growth_L=_num(d, "growth_L", pointer, 0.0))
+    gen = _build(pointer, ScalarGenerator, body, modulus_z=mod,
+                 lip_y=_num(d, "lip_y", pointer, 0.0),
+                 growth_L=_num(d, "growth_L", pointer, 0.0))
+    found = gen.refute(np.random.default_rng(0))  # fixed: one verdict per config
+    if found:
+        name, point, left, right = found
+        field = {"modulus_z": "modulus", "lip_y": "lip_y"}.get(
+            name, "growth_L" if d.get("growth_L") else "modulus/growth_L")
+        at = ", ".join(f"{k}={v:.17g}" for k, v in point.items())
+        raise ConfigError(f"{pointer}/{field}", f"the declaration is false at {at}: "
+                          f"{left:.17g} exceeds its bound {right:.17g}")
+    return gen
 
 
 def _problem(d, gparams, pointer="/problem"):

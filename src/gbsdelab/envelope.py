@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Expr, evaluate, free_vars, parse
+from .expr import EvalError, Expr, evaluate, free_vars, parse
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,8 @@ def modulus_eval(m: Modulus, r):
 class ScalarGenerator:
     """Generator f(t,x,y,z): Lipschitz in y, modulus-continuous in z.
 
-    Metadata (lip_y, modulus_z, growth_L) is user-declared; sampling
-    cross-checks live in check_growth and the test suite.
+    Metadata (lip_y, modulus_z, growth_L) is user-declared; refute samples
+    it for a counterexample.
     """
 
     body: Expr
@@ -120,16 +120,47 @@ class ScalarGenerator:
         """f(t,x,0,0), the baseline value at the origin of the (y, z) plane."""
         return self.eval_grid(t, x, 0.0, 0.0)
 
+    def refute(self, rng, n_samples=256, span=8.0,
+               names=("modulus_z", "lip_y", "growth_L")):
+        """A sampled counterexample to the declarations named, or None.
+
+        At t in [0, 1] and x, y, y2, z, z2 in [-span, span] it tests, in
+        this order, |f(y, z) - f(y, z2)| <= phi(|z - z2|) (modulus_z),
+        |f(y, z) - f(y2, z)| <= lip_y |y - y2| (lip_y) and |f(y, z)| <=
+        growth_L (1 + |y| + |z|) + |f(0, 0)| (growth_L), each with a
+        rounding slack of 1e-9 of the values compared: -0.5*y meets lip_y
+        0.5 with equality.  Returns (declaration, point, left, right) at
+        the first sample that breaks one; None also where f cannot be
+        evaluated at the samples, or is not finite there.
+        """
+        t = rng.uniform(0.0, 1.0, n_samples)
+        x, y, z, y2, z2 = rng.uniform(-span, span, (5, n_samples))
+        zero = np.zeros(n_samples)
+        try:
+            with np.errstate(all="ignore"):  # f at (y, z), (y, z2), (y2, z), (0, 0)
+                fv, fz, fy, f0 = np.broadcast_to(np.asarray(self.eval_grid(
+                    t, x, np.stack((y, y, y2, zero)), np.stack((z, z2, z, zero))),
+                    dtype=float), (4, n_samples))
+                tests = (
+                    ("modulus_z", np.abs(fv - fz),
+                     modulus_eval(self.modulus_z, np.abs(z - z2)), fz, {"z2": z2}),
+                    ("lip_y", np.abs(fv - fy), self.lip_y * np.abs(y - y2), fy, {"y2": y2}),
+                    ("growth_L", np.abs(fv), self.growth_L * (1.0 + np.abs(y) + np.abs(z))
+                     + np.abs(f0), f0, {}))
+        except EvalError:
+            return None
+        for name, left, right, other, more in tests:
+            bad = left > right + 1e-9 * (right + np.abs(fv) + np.abs(other))
+            if name in names and bad.any():
+                i = int(np.argmax(bad))
+                at = dict(t=t, x=x, y=y, z=z, **more)
+                point = {k: float(v[i]) for k, v in at.items()}
+                return name, point, float(left[i]), float(right[i])
+        return None
+
     def check_growth(self, rng, n_samples=256, span=8.0):
         """Sampled consistency check of the declared linear-growth constant."""
-        t = rng.uniform(0.0, 1.0, n_samples)
-        x = rng.uniform(-span, span, n_samples)
-        y = rng.uniform(-span, span, n_samples)
-        z = rng.uniform(-span, span, n_samples)
-        vals = np.abs(self.eval_grid(t, x, y, z))
-        base = np.abs(self.eval_grid(t, x, 0.0, 0.0))
-        bound = self.growth_L * (1.0 + np.abs(y) + np.abs(z)) + base
-        return bool(np.all(vals <= bound + 1e-9))
+        return self.refute(rng, n_samples, span, ("growth_L",)) is None
 
 
 ZERO_GENERATOR = ScalarGenerator(parse("0"), 0.0, Modulus("linear", c=1.0, growth_L=1.0))

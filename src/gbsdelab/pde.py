@@ -12,6 +12,8 @@ diffusion dominates on every node (the condition is in _step_fields),
 the dissipation is zero and the monotone scheme is second order in space
 without drift, first order with it, since the drift is upwinded (the
 manufactured solution of test_11 measures about 2 and 1.04-1.07).
+Large independent work (solve_stack's rows, gsim.terminal_states' batches,
+solution_to_csv's rows) runs on every usable CPU, with the serial bytes.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .gfunction import GParams, g_value
 _CFL_SAFETY = 0.9
 _MAX_STORED_LAYERS = 2001
 _T_SAMPLES = 33
+_SPLIT_WORK = 1 << 21  # node-steps (or path-steps) of work per forked part
 
 
 class SchemeError(RuntimeError):
@@ -340,14 +343,15 @@ def _hamiltonian(s2, h2, p, d2, gval):
     return ham
 
 
-def _non_finite(a, grid: SpaceTimeGrid) -> str:
-    """Where the first non-finite entry of a (P, nx) array sits."""
+def _non_finite(a, grid: SpaceTimeGrid, first=None) -> str:
+    """Where the first non-finite entry of a (P, nx) array sits; first is
+    as in step_backward."""
     r, j = divmod(int(np.argmin(np.isfinite(a))), grid.nx)
     where = f"node {j} (x={grid.xs[j]:g}"
-    return where if len(a) == 1 else f"row {r}, {where}"
+    return where if first is None and len(a) == 1 else f"row {r + (first or 0)}, {where}"
 
 
-def step_backward(u, t, problems, grid: SpaceTimeGrid, fields=None):
+def step_backward(u, t, problems, grid: SpaceTimeGrid, fields=None, first=None):
     """One explicit Euler step from the layers at t+dt down to t.
 
     u is a stack of P layers, shape (P, nx), and problems a sequence of P
@@ -372,8 +376,9 @@ def step_backward(u, t, problems, grid: SpaceTimeGrid, fields=None):
 
     Only the output is checked for non-finite values: it is non-finite
     wherever the input is, so the input is searched only on that failure
-    path and a non-finite input node is still named as such.  An envelope
-    evaluated at a non-finite z raises its own ValueError first.
+    path and a non-finite input node is still named as such; first, where
+    u is rows first, first + 1, ... of a larger stack, names the row in it.
+    An envelope evaluated at a non-finite z raises its own ValueError first.
     """
     xs = grid.xs
     dx = grid.dx
@@ -412,9 +417,9 @@ def step_backward(u, t, problems, grid: SpaceTimeGrid, fields=None):
     out = u + grid.dt * upd
     if not np.isfinite(out).all():
         if not np.isfinite(u).all():
-            raise SchemeError(f"non-finite input at {_non_finite(u, grid)})")
+            raise SchemeError(f"non-finite input at {_non_finite(u, grid, first)})")
         raise SchemeError(
-            f"non-finite update at {_non_finite(out, grid)}, t={t:g}); "
+            f"non-finite update at {_non_finite(out, grid, first)}, t={t:g}); "
             "the time step likely violates the monotonicity bound"
         )
     return out
@@ -433,6 +438,23 @@ class PdeSolution:
     values: np.ndarray  # len(times) x nx
 
 
+def _sweep(problems, grid: SpaceTimeGrid, kept, stride, first) -> None:
+    """Step problems from their terminal layers, the last rows of kept, to 0,
+    writing each stride-th layer into kept (solve_stack); first is as in
+    step_backward.  A failing step's error carries the step's k as step."""
+    fields = _step_fields(problems, 0.0, grid) if problems[0].coeffs.time_free else None
+    u = np.array([values[-1] for values in kept])
+    try:
+        for k in range(grid.nt - 1, -1, -1):
+            u = step_backward(u, k * grid.dt, problems, grid, fields, first)
+            if k % stride == 0:
+                for values, row in zip(kept, u):
+                    values[k // stride] = row
+    except (SchemeError, ValueError) as exc:
+        exc.step = k
+        raise
+
+
 def solve_stack(problems, grid: SpaceTimeGrid) -> tuple:
     """Backward sweeps from Phi over [0, T] for P problems at once, one
     PdeSolution per problem, in order.
@@ -446,6 +468,10 @@ def solve_stack(problems, grid: SpaceTimeGrid) -> tuple:
     values and times are then read-only, as grid.xs is, so a solution that
     callers share (gbsde's equal envelope problems) cannot be
     changed through one of them.
+
+    A row reads only its own layer, f, g and max|z|, so n * 2^21 node-steps
+    (P * nx * nt) take up to n blocks of rows (_forked), each a _sweep, with
+    the same bytes; a failure is the serial sweep's first one.
     """
     problems = tuple(problems)
     first = problems[0]
@@ -464,15 +490,21 @@ def solve_stack(problems, grid: SpaceTimeGrid) -> tuple:
     # one array per problem: P blocks of one solve's size reuse freed
     # heap memory where one (P, n_kept, nx) block would be mapped afresh
     kept = [np.empty((len(kept_idx), grid.nx)) for _ in problems]
-    u = np.repeat(phi[None, :], len(problems), axis=0)
-    for values, row in zip(kept, u):
-        values[-1] = row
-    fields = _step_fields(problems, 0.0, grid) if first.coeffs.time_free else None
-    for k in range(grid.nt - 1, -1, -1):
-        u = step_backward(u, k * grid.dt, problems, grid, fields)
-        if k % stride == 0:
-            for values, row in zip(kept, u):
-                values[k // stride] = row
+    for values in kept:
+        values[-1] = phi
+    P = len(problems)
+
+    def run(rows, fh):
+        _sweep(problems[rows], grid, kept[rows], stride, rows.start if P > 1 else None)
+        for values in kept[rows] if fh else ():
+            fh.write(values)
+
+    # the serial sweep meets the first failing step first, and at one step
+    # an evaluation's ValueError before the update's SchemeError
+    _forked(P, min(P, P * grid.nx * grid.nt // _SPLIT_WORK), run,
+            lambda rows, fh: [fh.readinto(values) for values in kept[rows]], "solve_stack",
+            hands=(SchemeError, ValueError),
+            rank=lambda exc: (-exc.step, isinstance(exc, SchemeError)))
     times = np.asarray(kept_idx, dtype=float) * grid.dt
     for a in (times, *kept):
         a.flags.writeable = False
@@ -599,35 +631,72 @@ def _write_rows(fh, line, sol: PdeSolution, rows: slice) -> None:
         fh.write(line % (t, *row.tolist()))
 
 
-def solution_to_csv(sol: PdeSolution, path) -> None:
-    """CSV export: schema line, x-node header, one %.17g row template per layer.
-    With os.fork and sched_getaffinity, n * 2^18 values (0.12 s of formatting
-    per 2^18) use up to n usable CPUs: forked children put later row blocks
-    through the same template into temporary files appended in row order."""
-    cells = ",".join(["%.17g"] * sol.grid.nx) + "\n"
-    line = "%.17g," + cells
+def _forked(count, most, run, read, what, mode="w+b", hands=(), rank=None) -> None:
+    """run(rows, fh) on up to `most` contiguous parts of range(count), one per
+    usable CPU (one without os.fork or os.sched_getaffinity), then read(rows,
+    fh) on the file of each part after the first, rewound.  The first part
+    runs here (fh None), the others in forked children writing unnamed
+    temporary files opened in mode; all are reaped in a finally.  A fork
+    copies only this thread, so run makes no BLAS call.  A child's part
+    that raises one of the exception types hands runs again here, and the
+    least such error by rank, else the first, is raised; a child failing
+    otherwise raises OSError naming its part."""
     forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    n = max(1, min(len(os.sched_getaffinity(0)) if forks else 1, sol.values.size >> 18))
-    ends = [len(sol.times) * k // n for k in range(n + 1)]
-    with open(path, "w") as fh, ExitStack() as stack:  # a bad path raises before any fork
-        parts = [stack.enter_context(tempfile.TemporaryFile("w+")) for _ in range(1, n)]
+    n = max(1, min(len(os.sched_getaffinity(0)) if forks else 1, most))
+    parts = [slice(count * k // n, count * (k + 1) // n) for k in range(n)]
+    errors = []
+
+    def attempt(rows):
+        try:
+            run(rows, None)
+        except hands as exc:
+            errors.append(exc)
+
+    with ExitStack() as stack:
+        files = [stack.enter_context(tempfile.TemporaryFile(mode)) for _ in parts[1:]]
         pids = []
         try:
-            for k, part in enumerate(parts, 1):
+            for rows, fh in zip(parts[1:], files):
                 pids.append(os.fork())
-                if pids[-1] == 0:  # the child formats part k and never returns
+                if pids[-1] == 0:  # the child runs its part and never returns
+                    code = 1
                     try:
-                        _write_rows(part, line, sol, slice(ends[k], ends[k + 1]))
-                        part.flush()
-                        os._exit(0)
+                        run(rows, fh)
+                        fh.flush()
+                        code = 0
+                    except hands:
+                        code = 3
                     finally:
-                        os._exit(1)
-            fh.write(SCHEMA + "t," + cells % tuple(sol.grid.xs.tolist()))
-            _write_rows(fh, line, sol, slice(0, ends[1]))
+                        os._exit(code)
+            attempt(parts[0])
         finally:
-            failed = [k for k, pid in enumerate(pids, 1) if os.waitpid(pid, 0)[1]]
-        if failed:
-            raise OSError(f"{path}: formatting the rows of part {failed[0]} of {n} failed")
-        for part in parts:
-            part.seek(0)
-            shutil.copyfileobj(part, fh)
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        for k, code in enumerate(codes, 1):
+            if code == 3:
+                attempt(parts[k])
+            elif code:
+                raise OSError(f"{what}: part {k} of {n} failed (exit status {code})")
+        if errors:
+            raise min(errors, key=rank) if rank else errors[0]
+        for rows, fh in zip(parts[1:], files):
+            fh.seek(0)
+            read(rows, fh)
+
+
+def solution_to_csv(sol: PdeSolution, path) -> None:
+    """CSV export: schema line, x-node header, one %.17g row template per layer.
+    n * 2^18 values (0.12 s of formatting per 2^18) take up to n parts,
+    formatted by the same template (_forked) and appended in row order."""
+    cells = ",".join(["%.17g"] * sol.grid.nx) + "\n"
+    line = "%.17g," + cells
+    with open(path, "w") as fh:  # a bad path raises before any fork
+
+        def run(rows, part):
+            if part is None:
+                part = fh
+                fh.write(SCHEMA + "t," + cells % tuple(sol.grid.xs.tolist()))
+            _write_rows(part, line, sol, rows)
+
+        _forked(len(sol.times), sol.values.size >> 18, run,
+                lambda rows, part: shutil.copyfileobj(part, fh),
+                f"{path}: formatting the rows", "w+")

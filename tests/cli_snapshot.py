@@ -35,7 +35,9 @@ The heat problem on Phi = abs(x)-1 (ties) and
 on Phi = x*x*x (ties_cubic), under low, high and feedback, makes
 feedback decisions that the curvature table finds sure high and sure
 low, and others it leaves in doubt, among them snapped ties (flat
-stretches, where its error bound exceeds 1e-9).
+stretches, where its error bound exceeds 1e-9).  false_modulus declares
+f = -8|z| linear with c = 0.5, which every experiment refuses at load
+(exit 2); it once certified u(0, 0) = -3.19 although u >= 0.
 
 The CLI summaries sample the paths (a max uptick, a mean), so
 OUT_DIR/path_digests.txt also lists the SHA-256 of every array the path
@@ -156,6 +158,9 @@ SMALL_CONFIGS = {
     "time_golden": _time_golden(),
     "ties": _ties("abs(x)-1"),
     "ties_cubic": _ties("x*x*x"),
+    "false_modulus": {"gparams": _GPARAMS, "problem": {
+        "Phi": "abs(x)", "f": {"body": "-8*abs(z)", "modulus": dict(_ABS_F["modulus"])}},
+        "grid": {"x_min": -6.0, "x_max": 6.0, "nx": 41, "core_fraction": 0.5}},
 }
 
 

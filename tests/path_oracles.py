@@ -92,7 +92,8 @@ class Feedback:
         u, p, d2 = stencil(sol, t, x)
         _, h, sigma = problem.coeffs.fields(t, x)
         gval = np.asarray(problem.g.eval_grid(t, x, u, sigma * p), dtype=float)
-        ham = sigma**2 * d2 + 2.0 * h * p + 2.0 * gval
+        # a zero h adds nothing, also where the gradient overflows (0 * inf)
+        ham = sigma**2 * d2 + 2.0 * np.where(h == 0.0, 0.0, h * p) + 2.0 * gval
         ham = np.where(np.abs(ham) < 1e-9, 0.0, ham)
         return worst_case_q(problem.gparams, ham)
 

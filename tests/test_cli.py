@@ -130,8 +130,10 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("L", [0.3, 1.0 / 3.0, 7.1, 1e-300])
     def test_default_levels_are_2L_to_32L(self, L):
+        # f = -L|z| meets a growth_L of L, which the load checks
         raw = base_config()
-        raw["problem"]["f"]["modulus"]["growth_L"] = L
+        raw["problem"]["f"] = {"body": f"-{L!r}*abs(z)",
+                               "modulus": {"kind": "linear", "c": L, "growth_L": L}}
         del raw["ladder"]
         assert RunConfig(raw).levels == [2 * L, 4 * L, 8 * L, 16 * L, 32 * L]
 
@@ -426,6 +428,60 @@ class TestMainErrors:
         rc = main(["run", path, "upper-expectation", "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "/mc/dt" in capsys.readouterr().err
+
+
+_LINEAR_HALF = {"kind": "linear", "c": 0.5, "growth_L": 0.5}
+
+
+class TestFalseDeclarations:
+    """A generator declaration that a sample refutes stops the load, exit 2,
+    with the field's pointer and the witness point."""
+
+    def test_false_modulus_exits_2(self, tmp_path, capsys):
+        # Phi = |x| and f = -8|z| declared linear with c = 0.5: solve
+        # certified u(0, 0) = -3.19 with "passed": true, though u >= 0
+        raw = base_config(grid={"x_min": -6.0, "x_max": 6.0, "nx": 41})
+        raw["problem"] = {"Phi": "abs(x)", "f": {"body": "-8*abs(z)", "modulus": _LINEAR_HALF}}
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, raw), "solve", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: /problem/f/modulus: the declaration is false at t=")
+        assert ", z2=" in err and "exceeds its bound" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, gen, pointer", [
+        ("f", {"body": "-0.5*abs(z)+y", "lip_y": 0.5, "modulus": _LINEAR_HALF},
+         "/problem/f/lip_y"),
+        ("f", {"body": "-pow(abs(z),0.5)",
+               "modulus": {"kind": "power", "c": 0.5, "alpha": 0.5, "growth_L": 1.0}},
+         "/problem/f/modulus"),
+        ("f", {"body": "2*abs(z)", "modulus": {"kind": "linear", "c": 2.0, "growth_L": 2.0},
+               "growth_L": 0.5}, "/problem/f/growth_L"),
+        ("g", {"body": "0.25*abs(z)+3",
+               "modulus": {"kind": "linear", "c": 0.25, "growth_L": 0.1}},
+         "/problem/g/modulus/growth_L"),
+    ], ids=["lip_y", "power_modulus", "growth_L", "modulus_growth_L"])
+    def test_refuted_with_pointer(self, key, gen, pointer):
+        raw = base_config()
+        raw["problem"][key] = gen
+        with pytest.raises(ConfigError, match="the declaration is false at t=") as err:
+            RunConfig(raw)
+        assert err.value.pointer == pointer
+
+    @pytest.mark.parametrize("gen", [
+        {"body": "-0.5*y-abs(z)", "lip_y": 0.5,
+         "modulus": {"kind": "linear", "c": 1.0, "growth_L": 1.0}},
+        # sqrt(r) = 0.5 (1 + r) at r = 1
+        {"body": "-sqrt(abs(z))", "modulus": {"kind": "power", "c": 1.0, "alpha": 0.5,
+                                              "growth_L": 0.5}},
+        # true where f is defined, which is not at every sample: nothing to
+        # refute, as a domain error stops the sampling
+        {"body": "0.1*sqrt(x+3)*abs(z)", "modulus": _LINEAR_HALF},
+    ], ids=["lip_y_equality", "growth_equality", "domain"])
+    def test_true_or_untestable_declarations_load(self, gen):
+        raw = base_config()
+        raw["problem"]["f"] = gen
+        RunConfig(raw)
 
 
 def read_summary(out_dir):

@@ -636,6 +636,9 @@ class TestScalarGenerator:
             "10*z", 0.0, Modulus("linear", c=10.0, growth_L=0.1), growth_L=0.1
         )
         assert not liar.check_growth(rng)
+        # its modulus is refuted first, which must not hide its growth
+        assert not ScalarGenerator.from_text("10*z", 0.0, Modulus(
+            "linear", c=1.0, growth_L=0.1)).check_growth(np.random.default_rng(0))
 
     def test_phi0(self):
         gen = ScalarGenerator.from_text("x+abs(z)", 0.0, Modulus("linear", c=1.0))

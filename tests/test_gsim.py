@@ -431,18 +431,16 @@ class TestCurvatureTable:
             assert oracles.same_bits(one, oracle.variance(0.3, state))
         # a layer holding inf or NaN, or one the table would overflow on,
         # decides no cell and raises nothing: every state takes the exact
-        # read, as it does with the table switched off
+        # read, which the oracle gives
         grid = SpaceTimeGrid(-4.0, 4.0, 41, 0.1, 1)
         states = np.concatenate((grid.xs, [np.nan, 9.0]))
         for bad in (np.inf, -np.inf, np.nan, 1e308):
             layer = grid.xs**2
             layer[17] = bad
-            pol, _ = layer_policies(grid, [layer, layer])
+            pol, oracle = layer_policies(grid, [layer, layer])
             assert np.isnan(quiet(pol._table, layer)).all()
-            off, _ = layer_policies(grid, [layer, layer])
-            off.table_scale = None
             with np.errstate(all="ignore"):
-                assert oracles.same_bits(pol.variance(0.0, states), off.variance(0.0, states))
+                assert oracles.same_bits(pol.variance(0.0, states), oracle.variance(0.0, states))
 
     @pytest.mark.parametrize("phi", ["x*x", "-x*x"])
     def test_exact_read_sees_few_states(self, monkeypatch, phi):
@@ -517,6 +515,49 @@ class TestTerminalStates:
     def test_empty_policy_list_raises(self):
         with pytest.raises(ValueError, match="at least one policy"):
             terminal_states([], GP, 0.0, 0.05, 0.01, 4, 1)
+
+
+@pytest.mark.usefixtures("same_fds")
+class TestSplitBatches:
+    """n * 2^21 path-steps of all policies step in up to n contiguous groups
+    of batches, one per usable CPU, all but the first in forked children;
+    a batch's noise is keyed by (seed, start), so the bits are the serial
+    ones."""
+
+    @pytest.mark.parametrize("n_cpus, parts", [(1, 1), (2, 2), (3, 2)])
+    def test_bits_match_serial(self, forks, cpus, n_cpus, parts):
+        # three batches (5,000, 5,000 and 2,000 paths) of 120 steps under
+        # three policies: 4,320,000 path-steps, past 2 * 2^21 but not 3 * 2^21
+        sol, prob = heat_solution("x*x*x")
+        policies = [ConstantPolicy(GP.sigma_low_sq, GP), ConstantPolicy(GP.sigma_high_sq, GP),
+                    FeedbackPolicy(sol, prob)]
+        args = (policies, GP, 0.0, 0.96, 0.008, 12_000, 21)
+        cpus(1)
+        want = terminal_states(*args)
+        cpus(n_cpus)
+        forks.clear()
+        got = terminal_states(*args)
+        assert len(forks) == parts - 1
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_one_batch_never_splits(self, monkeypatch, forks, cpus):
+        monkeypatch.setattr(pde, "_SPLIT_WORK", 1)
+        cpus(4)
+        got = terminal_states([ConstantPolicy(1.0, GP)], GP, 0.0, 0.05, 0.01, gsim._BATCH, 1)
+        assert forks == [] and got.shape == (1, gsim._BATCH)
+
+    def test_child_error_is_the_serial_one(self, monkeypatch, forks, cpus):
+        class LastBatchBad:
+            """Inadmissible on the last, short batch alone."""
+
+            def variance(self, t, state):
+                return np.full(state.shape, 0.75 if len(state) == gsim._BATCH else 2.0)
+
+        monkeypatch.setattr(pde, "_SPLIT_WORK", 1)
+        cpus(2)
+        with pytest.raises(ValueError, match="inadmissible"):
+            terminal_states([LastBatchBad()], GP, 0.0, 0.02, 0.01, 2 * gsim._BATCH + 1, 1)
+        assert len(forks) == 1
 
 
 class TestStackedLoop:

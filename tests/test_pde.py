@@ -1,4 +1,5 @@
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -905,6 +906,7 @@ def test_csv_bytes_match_per_value_format(tmp_path):
             b"10000000000000000,-1.0000000000000001e+300,3,-7,0\n") in path.read_bytes()
 
 
+@pytest.mark.usefixtures("same_fds")
 class TestSplitWriter:
     """A table of n * 2^18 values is formatted in up to n parts, one per
     usable CPU, all but the first in forked children; every split writes the
@@ -916,13 +918,6 @@ class TestSplitWriter:
         grid = SpaceTimeGrid(-2.0, 3.0, nx, 0.1, nt)
         return pde_module.PdeSolution(grid, np.sort(rng.random(nt)),
                                       rng.standard_normal((nt, nx)) * 1e3)
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """The fork calls of the test, counted in the parent."""
-        calls, fork = [], os.fork
-        monkeypatch.setattr(pde_module.os, "fork", lambda: calls.append(1) or fork())
-        return calls
 
     @pytest.mark.parametrize("nt, nx, cpus, parts", [
         (395, 1991, 3, 3),  # parts end after rows 131 and 263 of 395
@@ -960,3 +955,112 @@ class TestSplitWriter:
         with pytest.raises(FileNotFoundError):
             solution_to_csv(self.table(395, 1991), tmp_path / "no_dir" / "sol.csv")
         assert forks == []
+
+
+def _blowing_up(*bodies):
+    """Heat problems whose f, a body in t alone, passes through the step."""
+    coeffs = CoefficientSet.from_text("0", "0", "1", "x*x")
+    return [PdeProblem(coeffs, ScalarGenerator.from_text(body, 0.0, ZERO.modulus_z), ZERO,
+                       GP, 1.0, 0.0) for body in bodies]
+
+
+@pytest.mark.usefixtures("same_fds")
+class TestSplitSolve:
+    """A stack of n * 2^21 node-steps is stepped in up to n blocks of rows,
+    one per usable CPU, all but the first in forked children, with the
+    bytes of the serial sweep, and failing as it fails."""
+
+    @staticmethod
+    def serial(problems, grid, cpus):
+        cpus(1)
+        return solve_stack(problems, grid)
+
+    @pytest.mark.parametrize("rows, n_cpus, parts", [
+        (4, 1, 1), (4, 2, 2), (4, 3, 3),  # four mixed rows
+        (3, 2, 2),  # row 0 here, rows 1 and 2 in a child
+        (8, 3, 3),  # blocks of 2, 3 and 3 rows
+    ])
+    @pytest.mark.parametrize("sigma", ["1+0.2*x*x/(1+x*x)", "1+0.5*t"])
+    def test_bytes_match_serial(self, monkeypatch, forks, cpus, rows, n_cpus, parts, sigma):
+        # a threshold of 1 splits these small stacks; test_threshold tests
+        # the real one
+        monkeypatch.setattr(pde_module, "_SPLIT_WORK", 1)
+
+        def fresh():
+            return [p for _ in range(2) for p in _stack_problems(sigma)][:rows]
+
+        grid = build_grid(fresh()[0], -2.0, 2.0, 41)
+        want = self.serial(fresh(), grid, cpus)
+        cpus(n_cpus)
+        forks.clear()
+        got = solve_stack(fresh(), grid)
+        assert len(forks) == parts - 1
+        for sol, ref in zip(got, want, strict=True):
+            assert sol.grid == ref.grid
+            assert sol.values.tobytes() == ref.values.tobytes()
+            assert sol.times.tobytes() == ref.times.tobytes()
+            assert not sol.values.flags.writeable
+
+    @pytest.mark.parametrize("T, parts", [(0.5, 2), (0.45, 1)])
+    def test_threshold(self, forks, cpus, T, parts):
+        # two heat rows at nx = 401 and dt = 9e-5: 5,556 steps make
+        # 4,455,912 node-steps, past 2 * 2^21; 5,000 steps make 4,010,000
+        problems = [heat_problem(T=T), heat_problem(T=T)]
+        grid = build_grid(problems[0], -2.0, 2.0, 401)
+        want = self.serial(problems, grid, cpus)
+        cpus(2)
+        forks.clear()
+        got = solve_stack(problems, grid)
+        assert len(forks) == parts - 1
+        assert [s.values.tobytes() for s in got] == [s.values.tobytes() for s in want]
+
+    def test_one_row_never_splits(self, monkeypatch, forks, cpus):
+        monkeypatch.setattr(pde_module, "_SPLIT_WORK", 1)
+        cpus(4)
+        prob = heat_problem()
+        solve(prob, build_grid(prob, -2.0, 2.0, 41))
+        assert forks == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bodies, error, match", [
+        # the child's row 1 fails at t < 0.75, before the parent's row 0
+        (("exp(1e300*max(0.5-t,0))", "exp(1e300*max(0.75-t,0))"),
+         SchemeError, r"non-finite update at row 1, node 0 \(x=-2, t=0\.74"),
+        # both fail at the first step below t = 0.5: the evaluation's error
+        # comes before the update's, whichever part holds it
+        (("exp(1e300*max(0.5-t,0))", "sqrt(t-0.5)"), ValueError, "sqrt of negative"),
+        (("sqrt(t-0.5)", "exp(1e300*max(0.5-t,0))"), ValueError, "sqrt of negative"),
+        (("1", "1", "exp(1e300*max(0.5-t,0))"), SchemeError, "row 2, node 0"),
+    ], ids=["earlier_step_in_child", "value_error_in_child", "value_error_here",
+            "last_of_three_rows"])
+    def test_failure_is_the_serial_one(self, monkeypatch, forks, cpus, bodies, error,
+                                       match):
+        monkeypatch.setattr(pde_module, "_SPLIT_WORK", 1)
+        grid = build_grid(_blowing_up("1")[0], -2.0, 2.0, 41)
+        cpus(1)
+        with pytest.raises(error, match=match) as serial:
+            solve_stack(_blowing_up(*bodies), grid)
+        cpus(2)
+        forks.clear()
+        with pytest.raises(error, match=match) as split:
+            solve_stack(_blowing_up(*bodies), grid)
+        assert len(forks) == 1
+        assert type(split.value) is type(serial.value)
+        assert str(split.value) == str(serial.value)
+
+    def test_killed_child_raises_and_is_reaped(self, monkeypatch, cpus):
+        parent, sweep = os.getpid(), pde_module._sweep
+
+        def killed(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            sweep(*args)
+
+        monkeypatch.setattr(pde_module, "_sweep", killed)
+        monkeypatch.setattr(pde_module, "_SPLIT_WORK", 1)
+        cpus(3)
+        problems = _stack_problems()
+        with pytest.raises(OSError, match=r"solve_stack: part 1 of 3 failed \(exit status -9\)"):
+            solve_stack(problems, build_grid(problems[0], -2.0, 2.0, 41))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
