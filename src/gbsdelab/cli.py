@@ -124,7 +124,7 @@ def _modulus(d, pointer):
     )
 
 
-def _generator(d, pointer):
+def _generator(d, pointer, T=1.0):
     if not isinstance(d, dict):
         raise ConfigError(pointer, "generator must be an object")
     body = _expr(_get(d, "body", pointer, required=True), f"{pointer}/body")
@@ -132,7 +132,7 @@ def _generator(d, pointer):
     gen = _build(pointer, ScalarGenerator, body, modulus_z=mod,
                  lip_y=_num(d, "lip_y", pointer, 0.0),
                  growth_L=_num(d, "growth_L", pointer, 0.0))
-    found = gen.refute(np.random.default_rng(0))  # fixed: one verdict per config
+    found = gen.refute(np.random.default_rng(0), T)  # fixed: one verdict per config
     if found:
         name, point, left, right = found
         field = {"modulus_z": "modulus", "lip_y": "lip_y"}.get(
@@ -156,10 +156,10 @@ def _problem(d, gparams, pointer="/problem"):
         lip_const=_num(d, "lip_const", pointer, 1.0),
         growth_q=_num(d, "growth_q", pointer, 2, integral=True),
     )
-    f, g = (_generator(d[k], f"{pointer}/{k}") if k in d else ZERO_GENERATOR
+    T = _num(d, "T", pointer, 1.0)  # the generators are sampled on [0, T]
+    f, g = (_generator(d[k], f"{pointer}/{k}", T) if k in d else ZERO_GENERATOR
             for k in ("f", "g"))
-    return _build(pointer, pde.PdeProblem, coeffs, f, g, gparams,
-                  T=_num(d, "T", pointer, 1.0),
+    return _build(pointer, pde.PdeProblem, coeffs, f, g, gparams, T=T,
                   lip_z_bound=_num(d, "lip_z_bound", pointer, 0.0))
 
 

@@ -120,11 +120,11 @@ class ScalarGenerator:
         """f(t,x,0,0), the baseline value at the origin of the (y, z) plane."""
         return self.eval_grid(t, x, 0.0, 0.0)
 
-    def refute(self, rng, n_samples=256, span=8.0,
+    def refute(self, rng, T=1.0, n_samples=256, span=8.0,
                names=("modulus_z", "lip_y", "growth_L")):
         """A sampled counterexample to the declarations named, or None.
 
-        At t in [0, 1] and x, y, y2, z, z2 in [-span, span] it tests, in
+        At t in [0, T] and x, y, y2, z, z2 in [-span, span] it tests, in
         this order, |f(y, z) - f(y, z2)| <= phi(|z - z2|) (modulus_z),
         |f(y, z) - f(y2, z)| <= lip_y |y - y2| (lip_y) and |f(y, z)| <=
         growth_L (1 + |y| + |z|) + |f(0, 0)| (growth_L), each with a
@@ -133,7 +133,7 @@ class ScalarGenerator:
         the first sample that breaks one; None also where f cannot be
         evaluated at the samples, or is not finite there.
         """
-        t = rng.uniform(0.0, 1.0, n_samples)
+        t = T * rng.uniform(0.0, 1.0, n_samples)
         x, y, z, y2, z2 = rng.uniform(-span, span, (5, n_samples))
         zero = np.zeros(n_samples)
         try:
@@ -160,7 +160,7 @@ class ScalarGenerator:
 
     def check_growth(self, rng, n_samples=256, span=8.0):
         """Sampled consistency check of the declared linear-growth constant."""
-        return self.refute(rng, n_samples, span, ("growth_L",)) is None
+        return self.refute(rng, 1.0, n_samples, span, ("growth_L",)) is None
 
 
 ZERO_GENERATOR = ScalarGenerator(parse("0"), 0.0, Modulus("linear", c=1.0, growth_L=1.0))

@@ -214,9 +214,8 @@ def check_seed(seed) -> int:
 
 
 def _batches(t0, T, dt, n_paths, seed):
-    """The step count of dt on [t0, T], which dt must divide, the batch
-    starts, and draw(start): the batch's columns and its normals xi
-    (nb, n_steps) from its Philox stream."""
+    """The step count of dt on [t0, T], which dt must divide, and each
+    batch's columns and normals xi (nb, n_steps) from its Philox stream."""
     seed = check_seed(seed)
     span = T - t0
     n_steps = int(round(span / dt))
@@ -230,7 +229,7 @@ def _batches(t0, T, dt, n_paths, seed):
         rng = np.random.Generator(np.random.Philox(key=[seed, start]))
         return slice(start, start + nb), rng.standard_normal((nb, n_steps))
 
-    return n_steps, range(0, n_paths, _BATCH), draw
+    return n_steps, map(draw, range(0, n_paths, _BATCH))
 
 
 def _advance(policies, gparams, t0, dt, xi, B, QV):
@@ -261,11 +260,11 @@ def simulate_paths(policy, gparams: GParams, t0, T, dt, n_paths, seed) -> PathEn
     dt must divide T - t0 within rounding; increments are Gaussian
     conditional on the control, dB = sqrt(var*dt)*xi, dQV = var*dt.
     """
-    n_steps, starts, draw = _batches(t0, T, dt, n_paths, seed)
+    n_steps, batches = _batches(t0, T, dt, n_paths, seed)
     # time-major storage; the ensemble holds transposed views
     B = np.empty((n_steps + 1, n_paths))
     QV = np.empty((n_steps + 1, n_paths))
-    for cols, xi in map(draw, starts):
+    for cols, xi in batches:
         _advance((policy,), gparams, t0, dt, xi, B[:, None, cols], QV[:, None, cols])
     B = B.T  # one view, shared by B and X
     return PathEnsemble(
@@ -278,29 +277,15 @@ def simulate_paths(policy, gparams: GParams, t0, T, dt, n_paths, seed) -> PathEn
 def terminal_states(policies, gparams: GParams, t0, T, dt, n_paths, seed) -> np.ndarray:
     """B_T under each policy, shape (len(policies), n_paths): each batch's
     noise is drawn once and every policy steps it together on one two-row
-    ring.  Row i is simulate_paths(policies[i], ...).X[:, -1], bit for bit.
-    A batch's key is (seed, start), so n * 2^21 path-steps of all policies
-    take up to n groups of batches (pde._forked), with the same bits."""
+    ring.  Row i is simulate_paths(policies[i], ...).X[:, -1], bit for bit."""
     if not policies:
         raise ValueError("need at least one policy")
-    n_steps, starts, draw = _batches(t0, T, dt, n_paths, seed)
+    n_steps, batches = _batches(t0, T, dt, n_paths, seed)
     out = np.empty((len(policies), n_paths))
-
-    def run(batches, fh):
-        for cols, xi in map(draw, starts[batches]):
-            B, QV = np.empty((2, 2, len(policies), xi.shape[0]))
-            _advance(policies, gparams, t0, dt, xi, B, QV)
-            out[:, cols] = B[n_steps % 2]
-        if fh:
-            fh.write(out[:, batches.start * _BATCH:batches.stop * _BATCH].copy())
-
-    def read(batches, fh):
-        out[:, batches.start * _BATCH:batches.stop * _BATCH] = np.frombuffer(
-            fh.read()).reshape(len(policies), -1)
-
-    work = len(policies) * n_paths * n_steps
-    pde._forked(len(starts), min(len(starts), work // pde._SPLIT_WORK), run, read,
-                "terminal_states", hands=(ValueError,))
+    for cols, xi in batches:
+        B, QV = np.empty((2, 2, len(policies), xi.shape[0]))
+        _advance(policies, gparams, t0, dt, xi, B, QV)
+        out[:, cols] = B[n_steps % 2]
     return out
 
 

@@ -12,8 +12,8 @@ diffusion dominates on every node (the condition is in _step_fields),
 the dissipation is zero and the monotone scheme is second order in space
 without drift, first order with it, since the drift is upwinded (the
 manufactured solution of test_11 measures about 2 and 1.04-1.07).
-Large independent work (solve_stack's rows, gsim.terminal_states' batches,
-solution_to_csv's rows) runs on every usable CPU, with the serial bytes.
+Large independent work (solve_stack's rows, solution_to_csv's rows) runs
+on every usable CPU, with the serial bytes.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .gfunction import GParams, g_value
 _CFL_SAFETY = 0.9
 _MAX_STORED_LAYERS = 2001
 _T_SAMPLES = 33
-_SPLIT_WORK = 1 << 21  # node-steps (or path-steps) of work per forked part
+_SPLIT_WORK = 1 << 21  # node-steps of work per forked part of solve_stack
 
 
 class SchemeError(RuntimeError):
@@ -343,15 +343,14 @@ def _hamiltonian(s2, h2, p, d2, gval):
     return ham
 
 
-def _non_finite(a, grid: SpaceTimeGrid, first=None) -> str:
-    """Where the first non-finite entry of a (P, nx) array sits; first is
-    as in step_backward."""
+def _non_finite(a, grid: SpaceTimeGrid) -> str:
+    """Where the first non-finite entry of a (P, nx) array sits."""
     r, j = divmod(int(np.argmin(np.isfinite(a))), grid.nx)
     where = f"node {j} (x={grid.xs[j]:g}"
-    return where if first is None and len(a) == 1 else f"row {r + (first or 0)}, {where}"
+    return where if len(a) == 1 else f"row {r}, {where}"
 
 
-def step_backward(u, t, problems, grid: SpaceTimeGrid, fields=None, first=None):
+def step_backward(u, t, problems, grid: SpaceTimeGrid, fields=None):
     """One explicit Euler step from the layers at t+dt down to t.
 
     u is a stack of P layers, shape (P, nx), and problems a sequence of P
@@ -376,9 +375,8 @@ def step_backward(u, t, problems, grid: SpaceTimeGrid, fields=None, first=None):
 
     Only the output is checked for non-finite values: it is non-finite
     wherever the input is, so the input is searched only on that failure
-    path and a non-finite input node is still named as such; first, where
-    u is rows first, first + 1, ... of a larger stack, names the row in it.
-    An envelope evaluated at a non-finite z raises its own ValueError first.
+    path and a non-finite input node is still named as such.  An envelope
+    evaluated at a non-finite z raises its own ValueError first.
     """
     xs = grid.xs
     dx = grid.dx
@@ -417,9 +415,9 @@ def step_backward(u, t, problems, grid: SpaceTimeGrid, fields=None, first=None):
     out = u + grid.dt * upd
     if not np.isfinite(out).all():
         if not np.isfinite(u).all():
-            raise SchemeError(f"non-finite input at {_non_finite(u, grid, first)})")
+            raise SchemeError(f"non-finite input at {_non_finite(u, grid)})")
         raise SchemeError(
-            f"non-finite update at {_non_finite(out, grid, first)}, t={t:g}); "
+            f"non-finite update at {_non_finite(out, grid)}, t={t:g}); "
             "the time step likely violates the monotonicity bound"
         )
     return out
@@ -438,23 +436,6 @@ class PdeSolution:
     values: np.ndarray  # len(times) x nx
 
 
-def _sweep(problems, grid: SpaceTimeGrid, kept, stride, first) -> None:
-    """Step problems from their terminal layers, the last rows of kept, to 0,
-    writing each stride-th layer into kept (solve_stack); first is as in
-    step_backward.  A failing step's error carries the step's k as step."""
-    fields = _step_fields(problems, 0.0, grid) if problems[0].coeffs.time_free else None
-    u = np.array([values[-1] for values in kept])
-    try:
-        for k in range(grid.nt - 1, -1, -1):
-            u = step_backward(u, k * grid.dt, problems, grid, fields, first)
-            if k % stride == 0:
-                for values, row in zip(kept, u):
-                    values[k // stride] = row
-    except (SchemeError, ValueError) as exc:
-        exc.step = k
-        raise
-
-
 def solve_stack(problems, grid: SpaceTimeGrid) -> tuple:
     """Backward sweeps from Phi over [0, T] for P problems at once, one
     PdeSolution per problem, in order.
@@ -470,8 +451,9 @@ def solve_stack(problems, grid: SpaceTimeGrid) -> tuple:
     changed through one of them.
 
     A row reads only its own layer, f, g and max|z|, so n * 2^21 node-steps
-    (P * nx * nt) take up to n blocks of rows (_forked), each a _sweep, with
-    the same bytes; a failure is the serial sweep's first one.
+    (P * nx * nt) take up to n blocks of rows (_forked), with the bytes and,
+    rerun serially on failure, the error of one sweep; not where rows share
+    an EnvelopeGenerator, whose lattice grows with every |z| it meets.
     """
     problems = tuple(problems)
     first = problems[0]
@@ -494,17 +476,27 @@ def solve_stack(problems, grid: SpaceTimeGrid) -> tuple:
         values[-1] = phi
     P = len(problems)
 
-    def run(rows, fh):
-        _sweep(problems[rows], grid, kept[rows], stride, rows.start if P > 1 else None)
-        for values in kept[rows] if fh else ():
+    def run(rows, fh):  # step rows from phi down to 0, then write them to fh
+        part, out = problems[rows], kept[rows]
+        fields = _step_fields(part, 0.0, grid) if first.coeffs.time_free else None
+        u = np.repeat(phi[None, :], len(part), axis=0)
+        for k in range(grid.nt - 1, -1, -1):
+            u = step_backward(u, k * grid.dt, part, grid, fields)
+            if k % stride == 0:
+                for values, row in zip(out, u):
+                    values[k // stride] = row
+        for values in out if fh else ():
             fh.write(values)
 
-    # the serial sweep meets the first failing step first, and at one step
-    # an evaluation's ValueError before the update's SchemeError
-    _forked(P, min(P, P * grid.nx * grid.nt // _SPLIT_WORK), run,
-            lambda rows, fh: [fh.readinto(values) for values in kept[rows]], "solve_stack",
-            hands=(SchemeError, ValueError),
-            rank=lambda exc: (-exc.step, isinstance(exc, SchemeError)))
+    envs = [id(g) for p in problems for g in (p.f, p.g) if isinstance(g, EnvelopeGenerator)]
+    most = min(P, P * grid.nx * grid.nt // _SPLIT_WORK) if len(set(envs)) == len(envs) else 1
+    parts = _parts(P, most)
+    try:
+        _forked(parts, run, lambda rows, fh: [fh.readinto(v) for v in kept[rows]], "solve_stack")
+    except Exception as exc:  # a killed child is no row's failure
+        if len(parts) > 1 and not isinstance(exc, ChildProcessError):
+            run(slice(0, P), None)
+        raise
     times = np.asarray(kept_idx, dtype=float) * grid.dt
     for a in (times, *kept):
         a.flags.writeable = False
@@ -631,53 +623,45 @@ def _write_rows(fh, line, sol: PdeSolution, rows: slice) -> None:
         fh.write(line % (t, *row.tolist()))
 
 
-def _forked(count, most, run, read, what, mode="w+b", hands=(), rank=None) -> None:
-    """run(rows, fh) on up to `most` contiguous parts of range(count), one per
-    usable CPU (one without os.fork or os.sched_getaffinity), then read(rows,
-    fh) on the file of each part after the first, rewound.  The first part
-    runs here (fh None), the others in forked children writing unnamed
-    temporary files opened in mode; all are reaped in a finally.  A fork
-    copies only this thread, so run makes no BLAS call.  A child's part
-    that raises one of the exception types hands runs again here, and the
-    least such error by rank, else the first, is raised; a child failing
-    otherwise raises OSError naming its part."""
+def _parts(count, most) -> list:
+    """Up to `most` contiguous parts of range(count), one per usable CPU;
+    one part without os.fork or os.sched_getaffinity."""
     forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     n = max(1, min(len(os.sched_getaffinity(0)) if forks else 1, most))
-    parts = [slice(count * k // n, count * (k + 1) // n) for k in range(n)]
-    errors = []
+    return [slice(count * k // n, count * (k + 1) // n) for k in range(n)]
 
-    def attempt(rows):
-        try:
-            run(rows, None)
-        except hands as exc:
-            errors.append(exc)
 
+def _forked(parts, run, read, what, mode="w+b") -> None:
+    """run(rows, fh) on each of parts, then read(rows, fh) on each later
+    part's file, rewound.  Part 0 runs here (fh None), the others in forked
+    children writing unnamed temporary files opened in mode, or here where
+    a fork fails; every child is reaped in a finally, and a fork copies
+    only this thread, so run makes no BLAS call.  A failed child raises
+    OSError naming its part, ChildProcessError where it was killed."""
     with ExitStack() as stack:
         files = [stack.enter_context(tempfile.TemporaryFile(mode)) for _ in parts[1:]]
         pids = []
         try:
             for rows, fh in zip(parts[1:], files):
-                pids.append(os.fork())
+                try:
+                    pids.append(os.fork())
+                except OSError:  # no process or memory to spare: the rest run here
+                    break
                 if pids[-1] == 0:  # the child runs its part and never returns
-                    code = 1
                     try:
                         run(rows, fh)
                         fh.flush()
-                        code = 0
-                    except hands:
-                        code = 3
+                        os._exit(0)
                     finally:
-                        os._exit(code)
-            attempt(parts[0])
+                        os._exit(1)
+            for rows, fh in [(parts[0], None), *zip(parts[1 + len(pids):], files[len(pids):])]:
+                run(rows, fh)
         finally:
             codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
         for k, code in enumerate(codes, 1):
-            if code == 3:
-                attempt(parts[k])
-            elif code:
-                raise OSError(f"{what}: part {k} of {n} failed (exit status {code})")
-        if errors:
-            raise min(errors, key=rank) if rank else errors[0]
+            if code:  # 1 where run raised, -signal where the child was killed
+                raise (OSError if code > 0 else ChildProcessError)(
+                    f"{what}: part {k} of {len(parts)} failed (exit status {code})")
         for rows, fh in zip(parts[1:], files):
             fh.seek(0)
             read(rows, fh)
@@ -690,13 +674,8 @@ def solution_to_csv(sol: PdeSolution, path) -> None:
     cells = ",".join(["%.17g"] * sol.grid.nx) + "\n"
     line = "%.17g," + cells
     with open(path, "w") as fh:  # a bad path raises before any fork
-
-        def run(rows, part):
-            if part is None:
-                part = fh
-                fh.write(SCHEMA + "t," + cells % tuple(sol.grid.xs.tolist()))
-            _write_rows(part, line, sol, rows)
-
-        _forked(len(sol.times), sol.values.size >> 18, run,
+        fh.write(SCHEMA + "t," + cells % tuple(sol.grid.xs.tolist()))  # no child flushes it
+        _forked(_parts(len(sol.times), sol.values.size >> 18),
+                lambda rows, part: _write_rows(part or fh, line, sol, rows),
                 lambda rows, part: shutil.copyfileobj(part, fh),
                 f"{path}: formatting the rows", "w+")

@@ -468,6 +468,25 @@ class TestFalseDeclarations:
             RunConfig(raw)
         assert err.value.pointer == pointer
 
+    @pytest.mark.parametrize("body, T, pointer", [
+        # c = 1 holds up to t = 0.5 only, which is all of [0, T]
+        ("-(1+8*max(t-0.5,0))*abs(z)", 0.5, None),
+        # c = 1 fails after t = 1 only, which [0, T] reaches
+        ("-(1+8*max(t-1,0))*abs(z)", 2.0, "/problem/f/modulus"),
+    ], ids=["true_on_the_horizon", "false_past_t_1"])
+    def test_sampled_on_the_horizon(self, body, T, pointer):
+        raw = base_config()
+        raw["problem"]["T"] = T
+        raw["problem"]["f"] = {"body": body, "modulus": {"kind": "linear", "c": 1.0,
+                                                         "growth_L": 1.0}}
+        if pointer is None:
+            assert RunConfig(raw).problem.T == T
+            return
+        with pytest.raises(ConfigError, match="the declaration is false at t=") as err:
+            RunConfig(raw)
+        assert err.value.pointer == pointer
+        assert float(str(err.value).split("t=")[1].split(",")[0]) > 1.0
+
     @pytest.mark.parametrize("gen", [
         {"body": "-0.5*y-abs(z)", "lip_y": 0.5,
          "modulus": {"kind": "linear", "c": 1.0, "growth_L": 1.0}},

@@ -517,49 +517,6 @@ class TestTerminalStates:
             terminal_states([], GP, 0.0, 0.05, 0.01, 4, 1)
 
 
-@pytest.mark.usefixtures("same_fds")
-class TestSplitBatches:
-    """n * 2^21 path-steps of all policies step in up to n contiguous groups
-    of batches, one per usable CPU, all but the first in forked children;
-    a batch's noise is keyed by (seed, start), so the bits are the serial
-    ones."""
-
-    @pytest.mark.parametrize("n_cpus, parts", [(1, 1), (2, 2), (3, 2)])
-    def test_bits_match_serial(self, forks, cpus, n_cpus, parts):
-        # three batches (5,000, 5,000 and 2,000 paths) of 120 steps under
-        # three policies: 4,320,000 path-steps, past 2 * 2^21 but not 3 * 2^21
-        sol, prob = heat_solution("x*x*x")
-        policies = [ConstantPolicy(GP.sigma_low_sq, GP), ConstantPolicy(GP.sigma_high_sq, GP),
-                    FeedbackPolicy(sol, prob)]
-        args = (policies, GP, 0.0, 0.96, 0.008, 12_000, 21)
-        cpus(1)
-        want = terminal_states(*args)
-        cpus(n_cpus)
-        forks.clear()
-        got = terminal_states(*args)
-        assert len(forks) == parts - 1
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-    def test_one_batch_never_splits(self, monkeypatch, forks, cpus):
-        monkeypatch.setattr(pde, "_SPLIT_WORK", 1)
-        cpus(4)
-        got = terminal_states([ConstantPolicy(1.0, GP)], GP, 0.0, 0.05, 0.01, gsim._BATCH, 1)
-        assert forks == [] and got.shape == (1, gsim._BATCH)
-
-    def test_child_error_is_the_serial_one(self, monkeypatch, forks, cpus):
-        class LastBatchBad:
-            """Inadmissible on the last, short batch alone."""
-
-            def variance(self, t, state):
-                return np.full(state.shape, 0.75 if len(state) == gsim._BATCH else 2.0)
-
-        monkeypatch.setattr(pde, "_SPLIT_WORK", 1)
-        cpus(2)
-        with pytest.raises(ValueError, match="inadmissible"):
-            terminal_states([LastBatchBad()], GP, 0.0, 0.02, 0.01, 2 * gsim._BATCH + 1, 1)
-        assert len(forks) == 1
-
-
 class TestStackedLoop:
     """terminal_states steps every policy of a batch as one (P, nb) stack;
     each policy still reads its own row, read only, and one check covers

@@ -1,3 +1,5 @@
+import dataclasses
+import errno
 import os
 import signal
 
@@ -951,6 +953,14 @@ class TestSplitWriter:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_failed_fork_writes_the_part_here(self, tmp_path, forks, cpus, monkeypatch):
+        cpus(3)
+        _fork_fails_after(monkeypatch, forks, 1)
+        sol, path = self.table(395, 1991), tmp_path / "sol.csv"
+        solution_to_csv(sol, path)
+        assert len(forks) == 1
+        assert path.read_bytes() == _old_csv_bytes(sol)
+
     def test_bad_path_raises_before_any_fork(self, tmp_path, forks):
         with pytest.raises(FileNotFoundError):
             solution_to_csv(self.table(395, 1991), tmp_path / "no_dir" / "sol.csv")
@@ -962,6 +972,18 @@ def _blowing_up(*bodies):
     coeffs = CoefficientSet.from_text("0", "0", "1", "x*x")
     return [PdeProblem(coeffs, ScalarGenerator.from_text(body, 0.0, ZERO.modulus_z), ZERO,
                        GP, 1.0, 0.0) for body in bodies]
+
+
+def _fork_fails_after(monkeypatch, forks, n):
+    """os.fork raises EAGAIN once the fixture forks has counted n forks."""
+    fork = os.fork
+
+    def limited():
+        if len(forks) >= n:
+            raise BlockingIOError(errno.EAGAIN, "no process to spare")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", limited)
 
 
 @pytest.mark.usefixtures("same_fds")
@@ -1048,19 +1070,50 @@ class TestSplitSolve:
         assert type(split.value) is type(serial.value)
         assert str(split.value) == str(serial.value)
 
-    def test_killed_child_raises_and_is_reaped(self, monkeypatch, cpus):
-        parent, sweep = os.getpid(), pde_module._sweep
+    @pytest.mark.parametrize("how, error, status", [
+        ("kill", ChildProcessError, -9),
+        # the serial sweep, run again here, succeeds: the child's error stands
+        ("raise", OSError, 1),
+    ])
+    def test_failed_child_raises_and_is_reaped(self, monkeypatch, cpus, how, error, status):
+        parent, step = os.getpid(), pde_module.step_backward
 
-        def killed(*args):
+        def failing(*args):
             if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            sweep(*args)
+                if how == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise MemoryError("no room in the child")
+            return step(*args)
 
-        monkeypatch.setattr(pde_module, "_sweep", killed)
+        monkeypatch.setattr(pde_module, "step_backward", failing)
         monkeypatch.setattr(pde_module, "_SPLIT_WORK", 1)
         cpus(3)
         problems = _stack_problems()
-        with pytest.raises(OSError, match=r"solve_stack: part 1 of 3 failed \(exit status -9\)"):
+        with pytest.raises(OSError, match=rf"solve_stack: part 1 of 3 failed "
+                                          rf"\(exit status {status}\)") as err:
             solve_stack(problems, build_grid(problems[0], -2.0, 2.0, 41))
+        assert type(err.value) is error
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_fork_runs_the_part_here(self, monkeypatch, forks, cpus):
+        # the second fork finds no process to spare: parts 2 and 3 run here
+        monkeypatch.setattr(pde_module, "_SPLIT_WORK", 1)
+        grid = build_grid(_stack_problems()[0], -2.0, 2.0, 41)
+        want = self.serial(_stack_problems(), grid, cpus)
+        cpus(4)
+        forks.clear()
+        _fork_fails_after(monkeypatch, forks, 1)
+        got = solve_stack(_stack_problems(), grid)
+        assert len(forks) == 1
+        assert [s.values.tobytes() for s in got] == [s.values.tobytes() for s in want]
+
+    def test_shared_envelope_never_splits(self, monkeypatch, forks, cpus):
+        # an envelope's lattice depends on every |z| it has met, so rows 0
+        # and 3, sharing one, stay in one part
+        monkeypatch.setattr(pde_module, "_SPLIT_WORK", 1)
+        problems = _stack_problems()
+        problems[3] = dataclasses.replace(problems[3], f=problems[0].f)
+        cpus(2)
+        solve_stack(problems, build_grid(problems[0], -2.0, 2.0, 41))
+        assert forks == []
