@@ -14,6 +14,7 @@ returns the full scan's value, one search per row of points.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,9 @@ class Modulus:
     def __post_init__(self):
         if self.kind not in ("power", "linear", "tabulated"):
             raise ValueError(f"unknown modulus kind {self.kind!r}")
+        if not (0.0 <= self.c < math.inf and math.isfinite(self.alpha)):
+            raise ValueError(f"modulus needs a finite c >= 0 and a finite alpha, "
+                             f"got c={self.c}, alpha={self.alpha}")
         if self.kind == "power" and not (0.0 < self.alpha <= 1.0):
             raise ValueError("power modulus needs 0 < alpha <= 1")
         if self.kind == "tabulated":
@@ -48,6 +52,8 @@ class Modulus:
             vals = np.asarray(self.values, dtype=float)
             if rs.size < 2 or rs.size != vals.size:
                 raise ValueError("tabulated modulus needs matching rs/values")
+            if not (np.all(np.isfinite(rs)) and np.all(np.isfinite(vals))):
+                raise ValueError("tabulated modulus needs finite rs/values")
             if rs[0] != 0.0 or vals[0] != 0.0:
                 raise ValueError("tabulated modulus must start at (0, 0)")
             if np.any(np.diff(rs) <= 0) or np.any(np.diff(vals) < 0):
@@ -116,51 +122,46 @@ class ScalarGenerator:
             return float(self.modulus_z.c)
         return None
 
-    def phi0(self, t, x):
-        """f(t,x,0,0), the baseline value at the origin of the (y, z) plane."""
-        return self.eval_grid(t, x, 0.0, 0.0)
+    def refute(self, rng, T=1.0):
+        """A sampled counterexample to the declarations, or None.
 
-    def refute(self, rng, T=1.0, n_samples=256, span=8.0,
-               names=("modulus_z", "lip_y", "growth_L")):
-        """A sampled counterexample to the declarations named, or None.
-
-        At t in [0, T] and x, y, y2, z, z2 in [-span, span] it tests, in
-        this order, |f(y, z) - f(y, z2)| <= phi(|z - z2|) (modulus_z),
-        |f(y, z) - f(y2, z)| <= lip_y |y - y2| (lip_y) and |f(y, z)| <=
-        growth_L (1 + |y| + |z|) + |f(0, 0)| (growth_L), each with a
-        rounding slack of 1e-9 of the values compared: -0.5*y meets lip_y
-        0.5 with equality.  Returns (declaration, point, left, right) at
-        the first sample that breaks one; None also where f cannot be
-        evaluated at the samples, or is not finite there.
+        At 256 samples of t in [0, T] and x, y, y2, z, z2 in [-8, 8] it
+        tests, in this order, |f(y, z) - f(y, z2)| <= phi(|z - z2|)
+        (modulus_z), |f(y, z) - f(y2, z)| <= lip_y |y - y2| (lip_y) and
+        |f(y, z)| <= growth_L (1 + |y| + |z|) + |f(0, 0)| (growth_L), each
+        with a rounding slack of 1e-9 of the values compared: -0.5*y meets
+        lip_y 0.5 with equality.  Returns (declaration, point, left, right)
+        at the first sample that breaks one.  Only a sample where f is
+        defined at all four points, and finite at those compared, can.
         """
-        t = T * rng.uniform(0.0, 1.0, n_samples)
-        x, y, z, y2, z2 = rng.uniform(-span, span, (5, n_samples))
-        zero = np.zeros(n_samples)
-        try:
-            with np.errstate(all="ignore"):  # f at (y, z), (y, z2), (y2, z), (0, 0)
-                fv, fz, fy, f0 = np.broadcast_to(np.asarray(self.eval_grid(
-                    t, x, np.stack((y, y, y2, zero)), np.stack((z, z2, z, zero))),
-                    dtype=float), (4, n_samples))
-                tests = (
-                    ("modulus_z", np.abs(fv - fz),
-                     modulus_eval(self.modulus_z, np.abs(z - z2)), fz, {"z2": z2}),
-                    ("lip_y", np.abs(fv - fy), self.lip_y * np.abs(y - y2), fy, {"y2": y2}),
-                    ("growth_L", np.abs(fv), self.growth_L * (1.0 + np.abs(y) + np.abs(z))
-                     + np.abs(f0), f0, {}))
-        except EvalError:
-            return None
+        n, span = 256, 8.0
+        t = T * rng.uniform(0.0, 1.0, n)
+        x, y, z, y2, z2 = rng.uniform(-span, span, (5, n))
+        zero = np.zeros(n)
+        ys, zs = np.stack((y, y, y2, zero)), np.stack((z, z2, z, zero))
+        f = np.full((4, n), np.nan)  # f at (y, z), (y, z2), (y2, z), (0, 0)
+        with np.errstate(all="ignore"):
+            try:
+                f[:] = self.eval_grid(t, x, ys, zs)
+            except EvalError:  # each sample alone; NaN where f is undefined
+                for i in range(n):
+                    with suppress(EvalError):
+                        f[:, i] = self.eval_grid(t[i], x[i], ys[:, i], zs[:, i])
+            fv, fz, fy, f0 = f
+            tests = (
+                ("modulus_z", np.abs(fv - fz),
+                 modulus_eval(self.modulus_z, np.abs(z - z2)), fz, {"z2": z2}),
+                ("lip_y", np.abs(fv - fy), self.lip_y * np.abs(y - y2), fy, {"y2": y2}),
+                ("growth_L", np.abs(fv), self.growth_L * (1.0 + np.abs(y) + np.abs(z))
+                 + np.abs(f0), f0, {}))
         for name, left, right, other, more in tests:
             bad = left > right + 1e-9 * (right + np.abs(fv) + np.abs(other))
-            if name in names and bad.any():
+            if bad.any():
                 i = int(np.argmax(bad))
                 at = dict(t=t, x=x, y=y, z=z, **more)
                 point = {k: float(v[i]) for k, v in at.items()}
                 return name, point, float(left[i]), float(right[i])
         return None
-
-    def check_growth(self, rng, n_samples=256, span=8.0):
-        """Sampled consistency check of the declared linear-growth constant."""
-        return self.refute(rng, 1.0, n_samples, span, ("growth_L",)) is None
 
 
 ZERO_GENERATOR = ScalarGenerator(parse("0"), 0.0, Modulus("linear", c=1.0, growth_L=1.0))

@@ -19,7 +19,6 @@ from . import pde
 from .envelope import envelope_gap_bound, envelope_of
 from .expr import free_vars
 from .gfunction import GParams
-from .gsim import PathEnsemble
 
 
 def gap_constant(L: float, gparams: GParams, T: float) -> float:
@@ -215,7 +214,7 @@ class SolutionTriple:
 
 
 def extract_triple(
-    sol: "pde.PdeSolution", ensemble: PathEnsemble, problem: "pde.PdeProblem"
+    sol: "pde.PdeSolution", ensemble, problem: "pde.PdeProblem"
 ) -> SolutionTriple:
     """Read Y and Z off the value function along the paths and rebuild K as
     the defect K_t = Y_t - Y_0 + sum f dt + sum g dQV - sum Z dB

@@ -18,7 +18,6 @@ on every usable CPU, with the serial bytes.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import shutil
 import tempfile
@@ -29,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .envelope import EnvelopeGenerator
-from .expr import Expr, evaluate, free_vars, parse, to_str
+from .expr import Expr, evaluate, free_vars, parse
 from .gfunction import GParams, g_value
 
 _CFL_SAFETY = 0.9
@@ -161,22 +160,14 @@ class PdeProblem:
             )
         return float(self.lip_z_bound)
 
-    def fingerprint(self) -> str:
-        parts = [
-            to_str(self.coeffs.b),
-            to_str(self.coeffs.h),
-            to_str(self.coeffs.sigma),
-            to_str(self.coeffs.Phi),
-            repr(self.gparams),
-            repr(self.T),
-            repr(self.lip_z_bound),
-        ]
-        for gen in (self.f, self.g):
-            inner = gen.gen if isinstance(gen, EnvelopeGenerator) else gen
-            parts.append(to_str(inner.body))
-            if isinstance(gen, EnvelopeGenerator):
-                parts.append(f"{gen.side}@{gen.n}")
-        return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
+    def fingerprint(self) -> tuple:
+        """Hashable structural key: the coefficient trees, gparams, T,
+        lip_z_bound and each generator's body, with side and level for an
+        EnvelopeGenerator."""
+        c = self.coeffs
+        gens = tuple((g.gen.body, g.side, g.n) if isinstance(g, EnvelopeGenerator)
+                     else (g.body,) for g in (self.f, self.g))
+        return (c.b, c.h, c.sigma, c.Phi, self.gparams, self.T, self.lip_z_bound, gens)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,10 @@ low, and others it leaves in doubt, among them snapped ties (flat
 stretches, where its error bound exceeds 1e-9).  false_modulus declares
 f = -8|z| linear with c = 0.5, which every experiment refuses at load
 (exit 2); it once certified u(0, 0) = -3.19 although u >= 0.
+false_domain declares f = sqrt(x+3)-8|z| the same way; f is undefined
+at the samples with x < -3, and the others refute it (exit 2).  It once
+certified level 1 with gap 0, as a sample where f is undefined stopped
+the whole check.
 
 The CLI summaries sample the paths (a max uptick, a mean), so
 OUT_DIR/path_digests.txt also lists the SHA-256 of every array the path
@@ -161,6 +165,10 @@ SMALL_CONFIGS = {
     "false_modulus": {"gparams": _GPARAMS, "problem": {
         "Phi": "abs(x)", "f": {"body": "-8*abs(z)", "modulus": dict(_ABS_F["modulus"])}},
         "grid": {"x_min": -6.0, "x_max": 6.0, "nx": 41, "core_fraction": 0.5}},
+    "false_domain": {"gparams": _GPARAMS, "problem": {
+        "Phi": "abs(x)", "f": {"body": "sqrt(x+3)-8*abs(z)",
+                               "modulus": dict(_ABS_F["modulus"])}},
+        "grid": {"x_min": -2.0, "x_max": 2.0, "nx": 41, "core_fraction": 0.5}},
 }
 
 

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -449,6 +451,26 @@ class TestFalseDeclarations:
         assert ", z2=" in err and "exceeds its bound" in err
         assert not out.exists()
 
+    def test_false_where_defined_exits_2(self, tmp_path, capsys):
+        # f is undefined at every sample with x < -3; solve once certified
+        # level 1 with gap 0 and "passed": true, as nothing was tested
+        raw = base_config(grid={"x_min": -2.0, "x_max": 2.0, "nx": 41})
+        raw["problem"] = {"Phi": "abs(x)",
+                          "f": {"body": "sqrt(x+3)-8*abs(z)", "modulus": _LINEAR_HALF}}
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, raw), "solve", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: /problem/f/modulus: the declaration is false at t=")
+        assert not out.exists()
+
+    def test_negative_c_exits_2(self, tmp_path, capsys):
+        raw = base_config()
+        raw["problem"]["f"]["modulus"]["c"] = -1.0
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, raw), "solve", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: /problem/f/modulus: modulus needs a finite c >= 0")
+
     @pytest.mark.parametrize("key, gen, pointer", [
         ("f", {"body": "-0.5*abs(z)+y", "lip_y": 0.5, "modulus": _LINEAR_HALF},
          "/problem/f/lip_y"),
@@ -493,14 +515,42 @@ class TestFalseDeclarations:
         # sqrt(r) = 0.5 (1 + r) at r = 1
         {"body": "-sqrt(abs(z))", "modulus": {"kind": "power", "c": 1.0, "alpha": 0.5,
                                               "growth_L": 0.5}},
-        # true where f is defined, which is not at every sample: nothing to
-        # refute, as a domain error stops the sampling
+        # true where f is defined, which is not at every sample: the
+        # samples with x >= -3 are tested, and none refutes it
         {"body": "0.1*sqrt(x+3)*abs(z)", "modulus": _LINEAR_HALF},
     ], ids=["lip_y_equality", "growth_equality", "domain"])
     def test_true_or_untestable_declarations_load(self, gen):
         raw = base_config()
         raw["problem"]["f"] = gen
         RunConfig(raw)
+
+
+def _snapshot_configs():
+    """SMALL_CONFIGS of tests/cli_snapshot.py, read without writing
+    bytecode; the sys.path entry and the flag its import sets are undone."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_snapshot.py")
+    spec = importlib.util.spec_from_file_location("_cli_snapshot", path)
+    module = importlib.util.module_from_spec(spec)
+    dont_write, search = sys.dont_write_bytecode, list(sys.path)
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path[:] = search
+    return module.SMALL_CONFIGS
+
+
+def test_snapshot_configs_load_or_are_refused_at_their_pointer():
+    # a load-time check that starts refusing a snapshot config fails here
+    refused = {}
+    for name, raw in _snapshot_configs().items():
+        try:
+            RunConfig(raw)
+        except ConfigError as e:
+            refused[name] = e.pointer
+    assert refused == {"false_modulus": "/problem/f/modulus",
+                       "false_domain": "/problem/f/modulus"}
 
 
 def read_summary(out_dir):

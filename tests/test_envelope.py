@@ -74,6 +74,26 @@ class TestModulus:
         with pytest.raises(ValueError, match="matching rs/values"):
             Modulus("tabulated", rs=rs, values=values)
 
+    @pytest.mark.parametrize("kind, c, alpha", [
+        ("linear", -1.0, 1.0), ("linear", np.nan, 1.0), ("power", np.inf, 0.5),
+        ("power", 1.0, np.nan), ("linear", 1.0, np.inf),
+    ], ids=["negative_c", "nan_c", "inf_c", "nan_alpha", "inf_alpha"])
+    def test_c_and_alpha_must_be_finite_and_c_nonnegative(self, kind, c, alpha):
+        # c = -1 once gave lip_z = -1, which passed every generator through
+        # its envelopes; c = nan gave lip_z = nan, which refute let through
+        with pytest.raises(ValueError, match="finite c >= 0 and a finite alpha"):
+            Modulus(kind, c=c, alpha=alpha)
+
+    @pytest.mark.parametrize("rs, values", [((0.0, np.nan), (0.0, 1.0)),
+                                            ((0.0, 1.0), (0.0, np.inf))],
+                             ids=["nan_r", "inf_value"])
+    def test_tabulated_needs_finite_rs_values(self, rs, values):
+        with pytest.raises(ValueError, match="finite rs/values"):
+            Modulus("tabulated", rs=rs, values=values)
+
+    def test_zero_c_is_a_modulus(self):
+        assert modulus_eval(Modulus("linear", c=0.0), 2.0) == 0.0
+
     @pytest.mark.parametrize("L", [0.0, -1.0, np.nan])
     def test_growth_must_be_positive(self, L):
         with pytest.raises(ValueError, match="growth_L must be positive"):
@@ -629,17 +649,31 @@ class TestScalarGenerator:
     def test_growth_default_from_modulus(self):
         assert POWER.growth_L == 2.5
 
-    def test_check_growth(self):
+    def test_refute_growth(self):
         rng = np.random.default_rng(0)
-        assert POWER.check_growth(rng)
+        assert POWER.refute(rng) is None
         liar = ScalarGenerator.from_text(
             "10*z", 0.0, Modulus("linear", c=10.0, growth_L=0.1), growth_L=0.1
         )
-        assert not liar.check_growth(rng)
-        # its modulus is refuted first, which must not hide its growth
-        assert not ScalarGenerator.from_text("10*z", 0.0, Modulus(
-            "linear", c=1.0, growth_L=0.1)).check_growth(np.random.default_rng(0))
+        assert liar.refute(rng)[0] == "growth_L"
+        # a false modulus is named first
+        assert ScalarGenerator.from_text("10*z", 0.0, Modulus(
+            "linear", c=1.0, growth_L=0.1)).refute(np.random.default_rng(0))[0] == "modulus_z"
 
-    def test_phi0(self):
-        gen = ScalarGenerator.from_text("x+abs(z)", 0.0, Modulus("linear", c=1.0))
-        assert gen.phi0(0.0, 3.0) == 3.0
+    def test_refute_samples_where_f_is_defined(self):
+        # sqrt(x+3) raises at every sample with x < -3: the samples are then
+        # evaluated alone, and the first with x >= -3 refutes the false c
+        liar = ScalarGenerator.from_text(
+            "sqrt(x+3)-8*abs(z)", 0.0, Modulus("linear", c=0.5, growth_L=0.5))
+        name, point, left, right = liar.refute(np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        rng.uniform(0.0, 1.0, 256)
+        x = rng.uniform(-8.0, 8.0, (5, 256))[0]
+        assert x.min() < -3.0
+        assert name == "modulus_z" and left > right
+        assert point["x"] == x[np.argmax(x >= -3.0)]
+
+    def test_refute_nothing_where_f_is_nowhere_defined(self):
+        gen = ScalarGenerator.from_text(
+            "sqrt(-1-x*x)*abs(z)", 0.0, Modulus("linear", c=0.0, growth_L=0.5))
+        assert gen.refute(np.random.default_rng(0)) is None

@@ -83,6 +83,38 @@ def test_lip_z_rule(body, modulus, lip_z, n):
         assert level.lam_z(level.f) == level.f.lip_z == want
 
 
+class TestFingerprint:
+    """PdeProblem.fingerprint is a hashable structural key: equal for equal
+    trees and parameters, whatever objects hold them."""
+
+    def test_rebuilt_envelope_problems_share_a_key(self):
+        prob = problem(f=SQRT_F, lip_z=1.0)
+        a, b = (gbsde.envelope_problem(prob, 4.0, "lower") for _ in range(2))
+        assert isinstance(a.f, EnvelopeGenerator) and a.f is not b.f
+        assert a.fingerprint() == b.fingerprint()
+        assert len({a.fingerprint(), b.fingerprint()}) == 1
+
+    def test_side_and_level_are_in_the_key(self):
+        prob = problem(f=SQRT_F, lip_z=1.0)
+        keys = {gbsde.envelope_problem(prob, n, side).fingerprint()
+                for n in (4.0, 8.0) for side in ("lower", "upper")}
+        assert len(keys) == 4 and prob.fingerprint() not in keys
+
+    def test_pass_through_level_is_the_base_key(self):
+        prob = problem(f=LIP_F)
+        for side in ("lower", "upper"):
+            assert gbsde.envelope_problem(prob, 1.0, side).fingerprint() == prob.fingerprint()
+
+    def test_parsed_texts_and_parameters(self):
+        # two parses of one text are one key; any other part is another
+        assert problem(f=LIP_F).fingerprint() == problem(f=ScalarGenerator.from_text(
+            "-0.5*abs(z)", 0.0, Modulus("linear", c=0.5, growth_L=0.5))).fingerprint()
+        keys = {p.fingerprint() for p in (
+            problem(), problem(phi="x*x+1"), problem(f=LIP_F), problem(g=LIP_F),
+            problem(lip_z=1.0), problem(T=0.5))}
+        assert len(keys) == 6
+
+
 class TestGapConstant:
     def test_zero_horizon(self):
         assert gap_constant(1.0, GP, 0.0) == 2.0
@@ -275,9 +307,11 @@ class TestSolveExact:
             solve_exact(prob, grid, 0.01)
 
     def test_nan_bound_fails_certification(self):
-        # a NaN modulus constant gives a NaN bound, which certifies nothing
-        nan_c = ScalarGenerator.from_text(
-            "-sqrt(abs(z))", 0.0, Modulus("power", c=np.nan, alpha=0.5, growth_L=0.5))
+        # a NaN modulus constant gives a NaN bound, which certifies nothing;
+        # Modulus refuses a NaN c, so it is set past that check
+        mod = Modulus("power", c=1.0, alpha=0.5, growth_L=0.5)
+        object.__setattr__(mod, "c", np.nan)
+        nan_c = ScalarGenerator.from_text("-sqrt(abs(z))", 0.0, mod)
         prob = problem(f=nan_c, lip_z=1.0)
         grid = build_grid(prob, -2.0, 2.0, 41)
         with pytest.raises(RuntimeError, match="certification failed at level n=1.0: "
