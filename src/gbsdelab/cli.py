@@ -124,7 +124,7 @@ def _modulus(d, pointer):
     )
 
 
-def _generator(d, pointer, T=1.0):
+def _generator(d, pointer, T=1.0, reach=8.0):
     if not isinstance(d, dict):
         raise ConfigError(pointer, "generator must be an object")
     body = _expr(_get(d, "body", pointer, required=True), f"{pointer}/body")
@@ -132,7 +132,7 @@ def _generator(d, pointer, T=1.0):
     gen = _build(pointer, ScalarGenerator, body, modulus_z=mod,
                  lip_y=_num(d, "lip_y", pointer, 0.0),
                  growth_L=_num(d, "growth_L", pointer, 0.0))
-    found = gen.refute(np.random.default_rng(0), T)  # fixed: one verdict per config
+    found = gen.refute(np.random.default_rng(0), T, reach)  # fixed: one verdict per config
     if found:
         name, point, left, right = found
         field = {"modulus_z": "modulus", "lip_y": "lip_y"}.get(
@@ -143,7 +143,7 @@ def _generator(d, pointer, T=1.0):
     return gen
 
 
-def _problem(d, gparams, pointer="/problem"):
+def _problem(d, gparams, reach, pointer="/problem"):
     if not isinstance(d, dict):
         raise ConfigError(pointer, "problem must be an object")
     coeffs_kwargs = {}
@@ -157,10 +157,9 @@ def _problem(d, gparams, pointer="/problem"):
         growth_q=_num(d, "growth_q", pointer, 2, integral=True),
     )
     T = _num(d, "T", pointer, 1.0)  # the generators are sampled on [0, T]
-    f, g = (_generator(d[k], f"{pointer}/{k}", T) if k in d else ZERO_GENERATOR
+    f, g = (_generator(d[k], f"{pointer}/{k}", T, reach) if k in d else ZERO_GENERATOR
             for k in ("f", "g"))
-    return _build(pointer, pde.PdeProblem, coeffs, f, g, gparams, T=T,
-                  lip_z_bound=_num(d, "lip_z_bound", pointer, 0.0))
+    return _build(pointer, pde.PdeProblem, coeffs, f, g, gparams, T=T)
 
 
 def _levels(values, pointer):
@@ -181,13 +180,15 @@ class RunConfig:
         self.gparams = _build("/gparams", GParams,
                               _num(gp_raw, "sigma_low_sq", "/gparams", required=True),
                               _num(gp_raw, "sigma_high_sq", "/gparams", required=True))
-        self.problem = _problem(_get(raw, "problem", "", required=True), self.gparams)
-        self.problem2 = None
-        if "problem2" in raw:
-            self.problem2 = _problem(raw["problem2"], self.gparams, "/problem2")
         grid = _section(raw, "grid")
         self.x_min = _num(grid, "x_min", "/grid", -4.0)
         self.x_max = _num(grid, "x_max", "/grid", 4.0)
+        # the generators' declarations are sampled at every x of the domain
+        reach = max(8.0, abs(self.x_min), abs(self.x_max))
+        self.problem = _problem(_get(raw, "problem", "", required=True), self.gparams, reach)
+        self.problem2 = None
+        if "problem2" in raw:
+            self.problem2 = _problem(raw["problem2"], self.gparams, reach, "/problem2")
         self.nx = _num(grid, "nx", "/grid", 801, integral=True)
         self.core_fraction = _num(grid, "core_fraction", "/grid", 0.5)
         if self.nx < 3:
@@ -196,6 +197,12 @@ class RunConfig:
             raise ConfigError("/grid/x_min", "x_min must be below x_max")
         if not (0.0 < self.core_fraction <= 1.0):
             raise ConfigError("/grid/core_fraction", "core_fraction must lie in (0, 1]")
+        # the nodes; each solve refines dt for the problems it steps
+        self.grid = pde.SpaceTimeGrid(self.x_min, self.x_max, self.nx, self.problem.T, 1,
+                                      self.core_fraction)
+        if not self.grid.core_mask().any():
+            raise ConfigError("/grid/core_fraction", "the core holds no node of the grid; "
+                              "raise core_fraction or nx")
         ladder = _section(raw, "ladder")
         base = gbsde.level_base(gbsde.problem_growth_L(self.problem))
         self.levels = _levels(_get(
@@ -223,11 +230,6 @@ class RunConfig:
             if free_vars(ref) - {"t", "x"}:
                 raise ConfigError("/reference", "reference may use t and x only")
             self.reference = ref
-
-    def build_grid(self):
-        return pde.build_grid(
-            self.problem, self.x_min, self.x_max, self.nx, self.core_fraction
-        )
 
 
 def load_config(path) -> RunConfig:
@@ -327,7 +329,7 @@ def _exp_envelope_report(cfg: RunConfig, out_dir):
 
 
 def _exp_ladder(cfg: RunConfig, out_dir):
-    lad = gbsde.approximation_ladder(cfg.problem, cfg.levels, cfg.build_grid())
+    lad = gbsde.approximation_ladder(cfg.problem, cfg.levels, cfg.grid)
     reports = [{"level": n, "gap": gap, "bound": bound, "pass": ok} for n, gap, bound, ok
                in zip(lad.levels, lad.gap_report, lad.bound_report, lad.passed)]
     _write_records(os.path.join(out_dir, "ladder.csv"),
@@ -337,19 +339,17 @@ def _exp_ladder(cfg: RunConfig, out_dir):
 
 
 def _solve_exact_summary(cfg: RunConfig, out_dir):
-    grid = cfg.build_grid()
-    ex = gbsde.solve_exact(cfg.problem, grid, cfg.target_gap)
-    core = grid.core_mask()
-    xs = grid.xs[core]
+    ex = gbsde.solve_exact(cfg.problem, cfg.grid, cfg.target_gap)
+    xs = cfg.grid.xs[cfg.grid.core_mask()]
     u0 = pde.eval_u_batch(ex.solution, 0.0, xs)
     _write_csv(os.path.join(out_dir, "solution_t0.csv"), ["x", "u"],
                list(zip(xs.tolist(), u0.tolist())))
     pde.solution_to_csv(ex.solution, os.path.join(out_dir, "solution_layers.csv"))
-    return grid, ex
+    return ex
 
 
 def _exp_solve(cfg: RunConfig, out_dir):
-    grid, ex = _solve_exact_summary(cfg, out_dir)
+    ex = _solve_exact_summary(cfg, out_dir)
     return {"experiment": "solve", "level": ex.level, "gap": ex.measured_gap,
             "bound": ex.bound, "tolerance": ex.tolerance,
             "target_gap": cfg.target_gap, "passed": ex.measured_gap <= cfg.target_gap}
@@ -359,10 +359,10 @@ def _exp_golden(cfg: RunConfig, out_dir):
     if cfg.reference is None:
         raise ConfigError("/reference", "golden experiment needs a reference "
                           "expression for the exact solution")
-    grid, ex = _solve_exact_summary(cfg, out_dir)
-    core = grid.core_mask()
+    ex = _solve_exact_summary(cfg, out_dir)
+    core = cfg.grid.core_mask()
     times, values = ex.solution.times, ex.solution.values[:, core]
-    ref = evaluate(cfg.reference, {"t": times[:, None], "x": grid.xs[None, core]})
+    ref = evaluate(cfg.reference, {"t": times[:, None], "x": cfg.grid.xs[None, core]})
     err = float(np.max(np.abs(values - pde._as_field(ref, values.shape))))
     # solve_exact has certified the gap against its bound
     return {"experiment": "golden", "level": ex.level, "gap": ex.measured_gap,
@@ -374,8 +374,7 @@ def _exp_golden(cfg: RunConfig, out_dir):
 def _exp_compare(cfg: RunConfig, out_dir):
     if cfg.problem2 is None:
         raise ConfigError("/problem2", "compare experiment needs a second problem")
-    grid = cfg.build_grid()
-    rep = gbsde.compare(cfg.problem, cfg.problem2, grid, cfg.target_gap)
+    rep = gbsde.compare(cfg.problem, cfg.problem2, cfg.grid, cfg.target_gap)
     _write_csv(os.path.join(out_dir, "compare.csv"),
                ["min_core_diff", "level1", "level2", "pass"],
                [(rep.min_core_diff, rep.level1, rep.level2, rep.passed)])
@@ -423,10 +422,8 @@ def _kcheck_policy(cfg: RunConfig, sol, name, scale_tol):
 
 
 def _exp_kcheck(cfg: RunConfig, out_dir):
-    grid = cfg.build_grid()
-    ex = gbsde.solve_exact(cfg.problem, grid, cfg.target_gap)
-    sol = ex.solution
-    scale_tol = 5.0 * (grid.dx + np.sqrt(cfg.mc_dt))
+    sol = gbsde.solve_exact(cfg.problem, cfg.grid, cfg.target_gap).solution
+    scale_tol = 5.0 * (cfg.grid.dx + np.sqrt(cfg.mc_dt))
     reports = [_kcheck_policy(cfg, sol, name, scale_tol) for name in cfg.policies]
     _write_records(os.path.join(out_dir, "kcheck.csv"),
                    ["policy", "max_K_uptick", "tolerance", "pass"], reports)

@@ -122,21 +122,23 @@ class ScalarGenerator:
             return float(self.modulus_z.c)
         return None
 
-    def refute(self, rng, T=1.0):
+    def refute(self, rng, T=1.0, reach=8.0):
         """A sampled counterexample to the declarations, or None.
 
-        At 256 samples of t in [0, T] and x, y, y2, z, z2 in [-8, 8] it
-        tests, in this order, |f(y, z) - f(y, z2)| <= phi(|z - z2|)
-        (modulus_z), |f(y, z) - f(y2, z)| <= lip_y |y - y2| (lip_y) and
-        |f(y, z)| <= growth_L (1 + |y| + |z|) + |f(0, 0)| (growth_L), each
-        with a rounding slack of 1e-9 of the values compared: -0.5*y meets
-        lip_y 0.5 with equality.  Returns (declaration, point, left, right)
-        at the first sample that breaks one.  Only a sample where f is
-        defined at all four points, and finite at those compared, can.
+        At 256 samples of t in [0, T], x in [-reach, reach] and y, y2, z,
+        z2 in [-8, 8] it tests, in this order, |f(y, z) - f(y, z2)| <=
+        phi(|z - z2|) (modulus_z), |f(y, z) - f(y2, z)| <= lip_y |y - y2|
+        (lip_y) and |f(y, z)| <= growth_L (1 + |y| + |z|) + |f(0, 0)|
+        (growth_L), each with a rounding slack of 1e-9 of the values
+        compared: -0.5*y meets lip_y 0.5 with equality.  Returns
+        (declaration, point, left, right) at the first sample that breaks
+        one.  Only a sample where f is defined at all four points, and
+        finite at those compared, can.
         """
         n, span = 256, 8.0
         t = T * rng.uniform(0.0, 1.0, n)
         x, y, z, y2, z2 = rng.uniform(-span, span, (5, n))
+        x = x * (reach / span)  # the same bits when reach is span
         zero = np.zeros(n)
         ys, zs = np.stack((y, y, y2, zero)), np.stack((z, z2, z, zero))
         f = np.full((4, n), np.nan)  # f at (y, z), (y, z2), (y2, z), (0, 0)

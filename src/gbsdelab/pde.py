@@ -140,7 +140,7 @@ class PdeProblem:
     g: object
     gparams: GParams
     T: float
-    lip_z_bound: float
+    lip_z_bound: float = 0.0
 
     def __post_init__(self):
         if not (self.T > 0.0):

@@ -27,7 +27,9 @@ envelope at levels 4 and 8, so ladder, solve, compare and
 envelope-report each see both sides of that rule.  In resolve, both
 f are |z|^(1/2) and take the lattice, and the level walks stop at
 levels 2 and 1, so compare solves problem2 again at level 2: the one
-config whose compare re-solves a side.
+config whose compare re-solves a side.  no_bound is resolve without
+the lip_z_bound field, which the CLI ignores: each of its experiments
+writes the same files as resolve's.
 time_golden is test_11's manufactured solution with time in it
 (u = exp(2(0.5-t)) exp(-x^2/2), f in t, x, y and |z|), with u as its
 reference, so that golden diffs one run against an exact answer.
@@ -41,7 +43,10 @@ f = -8|z| linear with c = 0.5, which every experiment refuses at load
 false_domain declares f = sqrt(x+3)-8|z| the same way; f is undefined
 at the samples with x < -3, and the others refute it (exit 2).  It once
 certified level 1 with gap 0, as a sample where f is undefined stopped
-the whole check.
+the whole check.  false_reach declares f = -(1+8*max(x-10,0))|z|
+linear with c = 1 on the domain [-20, 20]; the declaration is false only
+at x > 10, outside [-8, 8], and the samples of x that cover the domain
+refute it (exit 2).  It once certified level 2 with gap 0.
 
 The CLI summaries sample the paths (a max uptick, a mean), so
 OUT_DIR/path_digests.txt also lists the SHA-256 of every array the path
@@ -132,6 +137,13 @@ def _time_golden():
             "reference": u}
 
 
+def _resolve(**bound):
+    """The resolve config, with the fields of bound in both problems."""
+    return dict(_small({"Phi": "x*x", "f": _ROOT_F, "T": 0.5, **bound},
+                       {"Phi": "x*x", "f": _QUARTER_ROOT_F, "T": 0.5, **bound}),
+                ladder={"levels": [1.0, 2.0, 4.0], "target_gap": 0.05})
+
+
 def _ties(phi):
     return {"gparams": _GPARAMS, "problem": {"Phi": phi, "T": 0.5},
             "problem2": {"Phi": f"{phi}+0.2", "T": 0.5},
@@ -155,10 +167,8 @@ SMALL_CONFIGS = {
     "crossing": dict(_small(_CROSSING, dict(_CROSSING, Phi="x*x+0.2",
                                             f=dict(_CAPPED_F, body="min(4*abs(z),1)+0.1"))),
                      ladder={"levels": [2.0, 4.0, 8.0], "target_gap": 0.02}),
-    "resolve": dict(_small({"Phi": "x*x", "f": _ROOT_F, "lip_z_bound": 1.0, "T": 0.5},
-                           {"Phi": "x*x", "f": _QUARTER_ROOT_F, "lip_z_bound": 1.0,
-                            "T": 0.5}),
-                    ladder={"levels": [1.0, 2.0, 4.0], "target_gap": 0.05}),
+    "resolve": _resolve(lip_z_bound=1.0),
+    "no_bound": _resolve(),
     "time_golden": _time_golden(),
     "ties": _ties("abs(x)-1"),
     "ties_cubic": _ties("x*x*x"),
@@ -169,6 +179,10 @@ SMALL_CONFIGS = {
         "Phi": "abs(x)", "f": {"body": "sqrt(x+3)-8*abs(z)",
                                "modulus": dict(_ABS_F["modulus"])}},
         "grid": {"x_min": -2.0, "x_max": 2.0, "nx": 41, "core_fraction": 0.5}},
+    "false_reach": {"gparams": _GPARAMS, "problem": {
+        "Phi": "abs(x)", "f": {"body": "-(1+8*max(x-10,0))*abs(z)",
+                               "modulus": {"kind": "linear", "c": 1.0}}},
+        "grid": {"x_min": -20.0, "x_max": 20.0, "nx": 161, "core_fraction": 0.5}},
 }
 
 
@@ -251,7 +265,7 @@ def _config_runs(out_dir):
     terminal states."""
     for cname in ("drift", "time_sigma", "ties", "ties_cubic"):
         cfg = cli.load_config(os.path.join(out_dir, "small", f"{cname}.json"))
-        sol = gbsde.solve_exact(cfg.problem, cfg.build_grid(), cfg.target_gap).solution
+        sol = gbsde.solve_exact(cfg.problem, cfg.grid, cfg.target_gap).solution
         args = (None, cfg.gparams, 0.0, cfg.problem.T, cfg.mc_dt, cfg.n_paths, cfg.seed)
         for name in cfg.policies:
 

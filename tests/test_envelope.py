@@ -673,6 +673,23 @@ class TestScalarGenerator:
         assert name == "modulus_z" and left > right
         assert point["x"] == x[np.argmax(x >= -3.0)]
 
+    def test_refute_samples_x_on_the_reach(self):
+        # c = 1 fails at x > 10 only: x drawn in [-8, 8] misses it, and the
+        # same draw scaled to [-20, 20] finds it
+        liar = ScalarGenerator.from_text(
+            "-(1+8*max(x-10,0))*abs(z)", 0.0, Modulus("linear", c=1.0, growth_L=1.0))
+        assert liar.refute(np.random.default_rng(0)) is None
+        name, point, left, right = liar.refute(np.random.default_rng(0), 1.0, 20.0)
+        rng = np.random.default_rng(0)
+        rng.uniform(0.0, 1.0, 256)
+        x = rng.uniform(-8.0, 8.0, (5, 256))[0] * 2.5
+        assert name == "modulus_z" and left > right
+        assert point["x"] == x[np.argmax(x > 10.0)]
+        # reach 8 keeps the default's bits, and so its witness
+        other = ScalarGenerator.from_text("-8*abs(z)", 0.0, Modulus("linear", c=0.5))
+        assert (other.refute(np.random.default_rng(0), 1.0, 8.0)
+                == other.refute(np.random.default_rng(0)) is not None)
+
     def test_refute_nothing_where_f_is_nowhere_defined(self):
         gen = ScalarGenerator.from_text(
             "sqrt(-1-x*x)*abs(z)", 0.0, Modulus("linear", c=0.0, growth_L=0.5))
