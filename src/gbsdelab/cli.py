@@ -181,25 +181,24 @@ class RunConfig:
                               _num(gp_raw, "sigma_low_sq", "/gparams", required=True),
                               _num(gp_raw, "sigma_high_sq", "/gparams", required=True))
         grid = _section(raw, "grid")
-        self.x_min = _num(grid, "x_min", "/grid", -4.0)
-        self.x_max = _num(grid, "x_max", "/grid", 4.0)
+        x_min = _num(grid, "x_min", "/grid", -4.0)
+        x_max = _num(grid, "x_max", "/grid", 4.0)
         # the generators' declarations are sampled at every x of the domain
-        reach = max(8.0, abs(self.x_min), abs(self.x_max))
+        reach = max(8.0, abs(x_min), abs(x_max))
         self.problem = _problem(_get(raw, "problem", "", required=True), self.gparams, reach)
         self.problem2 = None
         if "problem2" in raw:
             self.problem2 = _problem(raw["problem2"], self.gparams, reach, "/problem2")
-        self.nx = _num(grid, "nx", "/grid", 801, integral=True)
-        self.core_fraction = _num(grid, "core_fraction", "/grid", 0.5)
-        if self.nx < 3:
+        nx = _num(grid, "nx", "/grid", 801, integral=True)
+        core_fraction = _num(grid, "core_fraction", "/grid", 0.5)
+        if nx < 3:
             raise ConfigError("/grid/nx", "nx must be at least 3")
-        if not (self.x_min < self.x_max):
+        if not (x_min < x_max):
             raise ConfigError("/grid/x_min", "x_min must be below x_max")
-        if not (0.0 < self.core_fraction <= 1.0):
+        if not (0.0 < core_fraction <= 1.0):
             raise ConfigError("/grid/core_fraction", "core_fraction must lie in (0, 1]")
         # the nodes; each solve refines dt for the problems it steps
-        self.grid = pde.SpaceTimeGrid(self.x_min, self.x_max, self.nx, self.problem.T, 1,
-                                      self.core_fraction)
+        self.grid = pde.SpaceTimeGrid(x_min, x_max, nx, self.problem.T, 1, core_fraction)
         if not self.grid.core_mask().any():
             raise ConfigError("/grid/core_fraction", "the core holds no node of the grid; "
                               "raise core_fraction or nx")
@@ -289,7 +288,7 @@ def _exp_upper_expectation(cfg: RunConfig, out_dir):
     payoff = cfg.problem.coeffs.Phi
     # one solve gives the PDE value and the feedback control
     feedback_ctx = gsim.heat_solution(
-        payoff, cfg.gparams, cfg.problem.T, cfg.x_min, cfg.x_max, cfg.nx
+        payoff, cfg.gparams, cfg.problem.T, cfg.grid.x_min, cfg.grid.x_max, cfg.grid.nx
     )
     pde_val = pde.eval_u(feedback_ctx[0], 0.0, 0.0)
     policies = [_make_policy(name, cfg.gparams, feedback_ctx) for name in cfg.policies]

@@ -345,6 +345,8 @@ class EnvelopeGenerator:
         search per call, over all its points: about 400 generator values
         per point on the benchmark's xyz generator, against one
         interpolation per point for a lattice lookup.
+    point_cost, a floor on the generator values a point costs (the coarse
+    pass of a search, 0 for a lookup), weighs rows in pde.solve_stack.
     """
 
     _Z_RES = 1e-8  # innermost lattice resolution, resolves kinks near z=0
@@ -358,6 +360,7 @@ class EnvelopeGenerator:
         self.side = side
         self.lip_y = gen.lip_y
         self.mode = "lattice" if free_vars(gen.body) <= {"z"} else "direct"
+        self.point_cost = 0 if self.mode == "lattice" else _COARSE + 2
         self._lattice = self._values = None  # built by the first lattice lookup
         self._z_max = self._Z_MAX
 

@@ -12,8 +12,9 @@ diffusion dominates on every node (the condition is in _step_fields),
 the dissipation is zero and the monotone scheme is second order in space
 without drift, first order with it, since the drift is upwinded (the
 manufactured solution of test_11 measures about 2 and 1.04-1.07).
-Large independent work (solve_stack's rows, solution_to_csv's rows) runs
-on every usable CPU, with the serial bytes.
+Large independent work (solve_stack's rows, weighed in node-steps by what
+their envelopes cost; solution_to_csv's rows) runs on every usable CPU,
+with the serial bytes.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .gfunction import GParams, g_value
 _CFL_SAFETY = 0.9
 _MAX_STORED_LAYERS = 2001
 _T_SAMPLES = 33
-_SPLIT_WORK = 1 << 21  # node-steps of work per forked part of solve_stack
+_SPLIT_WORK = 1 << 21  # weighted node-steps per forked part of solve_stack, >= ~0.1 s
 
 
 class SchemeError(RuntimeError):
@@ -441,10 +442,12 @@ def solve_stack(problems, grid: SpaceTimeGrid) -> tuple:
     callers share (gbsde's equal envelope problems) cannot be
     changed through one of them.
 
-    A row reads only its own layer, f, g and max|z|, so n * 2^21 node-steps
-    (P * nx * nt) take up to n blocks of rows (_forked), with the bytes and,
+    A row reads only its own layer, f, g and max|z|, so n * 2^21 weighted
+    node-steps take up to n blocks of rows (_forked), with the bytes and,
     rerun serially on failure, the error of one sweep; not where rows share
-    an EnvelopeGenerator, whose lattice grows with every |z| it meets.
+    an EnvelopeGenerator, whose lattice grows with every |z| it meets.  A
+    row's node-step weighs 1 plus the point_cost of each of its envelopes
+    (258 for a direct search, whose node-step costs 300-750 lattice ones).
     """
     problems = tuple(problems)
     first = problems[0]
@@ -479,8 +482,9 @@ def solve_stack(problems, grid: SpaceTimeGrid) -> tuple:
         for values in out if fh else ():
             fh.write(values)
 
-    envs = [id(g) for p in problems for g in (p.f, p.g) if isinstance(g, EnvelopeGenerator)]
-    most = min(P, P * grid.nx * grid.nt // _SPLIT_WORK) if len(set(envs)) == len(envs) else 1
+    envs = [g for p in problems for g in (p.f, p.g) if isinstance(g, EnvelopeGenerator)]
+    work = (P + sum(e.point_cost for e in envs)) * grid.nx * grid.nt
+    most = min(P, work // _SPLIT_WORK) if len({id(e) for e in envs}) == len(envs) else 1
     parts = _parts(P, most)
     try:
         _forked(parts, run, lambda rows, fh: [fh.readinto(v) for v in kept[rows]], "solve_stack")

@@ -212,7 +212,7 @@ def test_every_workload_config_loads():
         for smoke in (False, True):
             for raw in make(1, smoke=smoke).configs.values():
                 cfg = cli.RunConfig(raw)
-                assert all(type(v) is int for v in (cfg.nx, cfg.n_paths, cfg.seed))
+                assert all(type(v) is int for v in (cfg.grid.nx, cfg.n_paths, cfg.seed))
 
 
 def test_kcheck_stage_passes_on_the_path_api(lib, tmp_path):

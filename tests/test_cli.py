@@ -41,7 +41,7 @@ class TestLoadConfig:
     def test_valid(self, tmp_path):
         cfg = load_config(write_config(tmp_path, base_config()))
         assert cfg.gparams.sigma_high_sq == 1.0
-        assert cfg.nx == 101
+        assert cfg.grid.nx == 101
         assert cfg.levels == [1.0, 2.0]
         assert cfg.seed == 7
 
@@ -211,8 +211,8 @@ class TestConfigTypes:
         raw["grid"]["nx"] = 101.0
         raw["mc"].update(n_paths=200.0, seed=7.0, policies=["low", 0.75])
         cfg = RunConfig(raw)
-        assert (cfg.nx, cfg.n_paths, cfg.seed) == (101, 200, 7)
-        assert all(type(v) is int for v in (cfg.nx, cfg.n_paths, cfg.seed))
+        assert (cfg.grid.nx, cfg.n_paths, cfg.seed) == (101, 200, 7)
+        assert all(type(v) is int for v in (cfg.grid.nx, cfg.n_paths, cfg.seed))
         assert cfg.policies == ["low", 0.75]
 
 
@@ -642,6 +642,26 @@ class TestExperiments:
         assert [lv["pass"] for lv in s["levels"]] == [True, True, True, code == 0]
         assert all(lv["gap"] <= lv["bound"] + 2 * s["tolerance"] for lv in s["levels"])
 
+    def test_direct_ladder_splits_with_the_serial_bytes(self, tmp_path, forks, cpus):
+        # f reads x, so each of the 4 rows takes the direct search and its
+        # node-step weighs 1 + 258: at nx = 41 the ladder's 119 steps make
+        # 5,054,644 weighted node-steps, past 2 * 2^21, so two CPUs take two
+        # parts
+        raw = rough_config()
+        raw["problem"]["T"] = 1.0
+        raw["problem"]["f"]["body"] = "0.2*x-sqrt(abs(z))"
+        path = write_config(tmp_path, raw)
+        outs = []
+        for n in (1, 2):
+            cpus(n)
+            forks.clear()
+            out = tmp_path / f"cpus{n}"
+            assert main(["run", path, "ladder", "--out", str(out)]) == 0
+            outs.append({name: (out / name).read_bytes()
+                         for name in ("ladder.csv", "summary.json")})
+            assert len(forks) == n - 1
+        assert outs[0] == outs[1]
+
     def test_ladder_levels_override(self, tmp_path):
         path = write_config(tmp_path, base_config())
         out = str(tmp_path / "out")
@@ -692,7 +712,7 @@ class TestExperiments:
         cfg = load_config(path)
         payoff = cfg.problem.coeffs.Phi
         ctx = gsim.heat_solution(payoff, cfg.gparams, cfg.problem.T,
-                                 cfg.x_min, cfg.x_max, cfg.nx)
+                                 cfg.grid.x_min, cfg.grid.x_max, cfg.grid.nx)
         gp = cfg.gparams
         policies = [gsim.ConstantPolicy(gp.sigma_low_sq, gp),
                     gsim.ConstantPolicy(gp.sigma_high_sq, gp), gsim.FeedbackPolicy(*ctx)]

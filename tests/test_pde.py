@@ -974,6 +974,15 @@ def _blowing_up(*bodies):
                        GP, 1.0, 0.0) for body in bodies]
 
 
+def _direct_rows(side_gen, T):
+    """Two heat rows at level 8 whose f (side_gen "f") or g ("g") is a
+    direct envelope, the lower one's and the upper one's."""
+    coeffs = CoefficientSet.from_text("0", "0", "1", "x*x")
+    envs = [EnvelopeGenerator(DIRECT, 8.0, side) for side in ("lower", "upper")]
+    return [PdeProblem(coeffs, *((env, ZERO) if side_gen == "f" else (ZERO, env)), GP, T, 0.0)
+            for env in envs]
+
+
 def _fork_fails_after(monkeypatch, forks, n):
     """os.fork raises EAGAIN once the fixture forks has counted n forks."""
     fork = os.fork
@@ -1023,12 +1032,23 @@ class TestSplitSolve:
             assert sol.times.tobytes() == ref.times.tobytes()
             assert not sol.values.flags.writeable
 
-    @pytest.mark.parametrize("T, parts", [(0.5, 2), (0.45, 1)])
-    def test_threshold(self, forks, cpus, T, parts):
+    @pytest.mark.parametrize("direct, T, parts", [
         # two heat rows at nx = 401 and dt = 9e-5: 5,556 steps make
         # 4,455,912 node-steps, past 2 * 2^21; 5,000 steps make 4,010,000
-        problems = [heat_problem(T=T), heat_problem(T=T)]
-        grid = build_grid(problems[0], -2.0, 2.0, 401)
+        (None, 0.5, 2), (None, 0.45, 1),
+        # two rows at nx = 41 with a direct envelope each, f's or g's, weigh
+        # 1 + 258 per node-step: f's 201 steps (dt about 0.0056) make
+        # 4,268,838 weighted node-steps, past 2 * 2^21, and 194 make
+        # 4,120,172; g's 200 steps (dt = 0.009) make 4,247,600
+        ("f", 1.13, 2), ("f", 1.09, 1), ("g", 1.8, 2),
+    ], ids=["0.5-2", "0.45-1", "direct_f-1.13-2", "direct_f-1.09-1", "direct_g-1.8-2"])
+    def test_threshold(self, forks, cpus, direct, T, parts):
+        if direct is None:
+            problems = [heat_problem(T=T), heat_problem(T=T)]
+            grid = build_grid(problems[0], -2.0, 2.0, 401)
+        else:
+            problems = _direct_rows(direct, T)
+            grid = build_grid(problems[0], -2.0, 2.0, 41)
         want = self.serial(problems, grid, cpus)
         cpus(2)
         forks.clear()
@@ -1041,6 +1061,15 @@ class TestSplitSolve:
         cpus(4)
         prob = heat_problem()
         solve(prob, build_grid(prob, -2.0, 2.0, 41))
+        assert forks == []
+
+    def test_one_direct_row_never_splits(self, forks, cpus):
+        # at the real threshold: 402 steps of one direct row at nx = 41
+        # make 4,268,838 weighted node-steps, past 2 * 2^21
+        cpus(4)
+        prob = _direct_rows("f", 2.26)[0]
+        sol = solve(prob, build_grid(prob, -2.0, 2.0, 41))
+        assert sol.grid.nt == 402
         assert forks == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
