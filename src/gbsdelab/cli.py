@@ -487,7 +487,7 @@ def main(argv=None) -> int:
                 raise ConfigError("--levels", f"not a list of numbers: {args.levels!r}") from None
             cfg.levels = _levels(levels, "--levels")
         return run(cfg, args.experiment, args.out)
-    except (ConfigError, ValueError, RuntimeError, OSError) as e:
+    except (ConfigError, ValueError, RuntimeError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,8 @@ geometric predicates).
 
 Randomness is counter-based: each batch of paths draws from a Philox
 stream keyed by (seed, batch start), so runs are byte-identical and
-every policy of one call sees the same noise (common random numbers).
+every policy of one call sees the same noise (common random numbers);
+terminal_states steps a large batch's paths on every usable CPU.
 """
 
 from __future__ import annotations
@@ -276,16 +277,28 @@ def simulate_paths(policy, gparams: GParams, t0, T, dt, n_paths, seed) -> PathEn
 
 def terminal_states(policies, gparams: GParams, t0, T, dt, n_paths, seed) -> np.ndarray:
     """B_T under each policy, shape (len(policies), n_paths): each batch's
-    noise is drawn once and every policy steps it together on one two-row
-    ring.  Row i is simulate_paths(policies[i], ...).X[:, -1], bit for bit."""
+    noise is drawn once, here, and every policy steps it together on two-row
+    rings.  Row i is simulate_paths(policies[i], ...).X[:, -1], bit for bit,
+    also where n * 2^22 policy-path-steps of a batch (P nb n_steps, about
+    20 ns each) take up to n blocks of its paths (pde._split), all but the
+    first stepped in forked children.  So a policy's variance at a state may
+    not depend on the other states it is handed (as the _BATCH chunks
+    assume), and it makes no BLAS call."""
     if not policies:
         raise ValueError("need at least one policy")
     n_steps, batches = _batches(t0, T, dt, n_paths, seed)
-    out = np.empty((len(policies), n_paths))
+    out = np.empty((P := len(policies), n_paths))
     for cols, xi in batches:
-        B, QV = np.empty((2, 2, len(policies), xi.shape[0]))
-        _advance(policies, gparams, t0, dt, xi, B, QV)
-        out[:, cols] = B[n_steps % 2]
+        def run(rows, fh):  # step the paths rows; a child writes B_T to fh
+            B, QV = np.empty((2, 2, P, rows.stop - rows.start))
+            _advance(policies, gparams, t0, dt, xi[rows], B, QV)
+            if fh:
+                fh.write(B[n_steps % 2])
+            else:
+                out[:, cols][:, rows] = B[n_steps % 2]
+
+        pde._split(len(xi), P * xi.size >> 22, run, lambda rows, fh: np.copyto(
+            out[:, cols][:, rows], np.frombuffer(fh.read()).reshape(P, -1)), "terminal_states")
     return out
 
 

@@ -13,8 +13,8 @@ the dissipation is zero and the monotone scheme is second order in space
 without drift, first order with it, since the drift is upwinded (the
 manufactured solution of test_11 measures about 2 and 1.04-1.07).
 Large independent work (solve_stack's rows, weighed in node-steps by what
-their envelopes cost; solution_to_csv's rows) runs on every usable CPU,
-with the serial bytes.
+their envelopes cost; solution_to_csv's rows; gsim.terminal_states' paths)
+runs on every usable CPU, with the serial bytes (_split, _forked).
 """
 
 from __future__ import annotations
@@ -443,7 +443,7 @@ def solve_stack(problems, grid: SpaceTimeGrid) -> tuple:
     changed through one of them.
 
     A row reads only its own layer, f, g and max|z|, so n * 2^21 weighted
-    node-steps take up to n blocks of rows (_forked), with the bytes and,
+    node-steps take up to n blocks of rows (_split), with the bytes and,
     rerun serially on failure, the error of one sweep; not where rows share
     an EnvelopeGenerator, whose lattice grows with every |z| it meets.  A
     row's node-step weighs 1 plus the point_cost of each of its envelopes
@@ -484,14 +484,8 @@ def solve_stack(problems, grid: SpaceTimeGrid) -> tuple:
 
     envs = [g for p in problems for g in (p.f, p.g) if isinstance(g, EnvelopeGenerator)]
     work = (P + sum(e.point_cost for e in envs)) * grid.nx * grid.nt
-    most = min(P, work // _SPLIT_WORK) if len({id(e) for e in envs}) == len(envs) else 1
-    parts = _parts(P, most)
-    try:
-        _forked(parts, run, lambda rows, fh: [fh.readinto(v) for v in kept[rows]], "solve_stack")
-    except Exception as exc:  # a killed child is no row's failure
-        if len(parts) > 1 and not isinstance(exc, ChildProcessError):
-            run(slice(0, P), None)
-        raise
+    most = work // _SPLIT_WORK if len({id(e) for e in envs}) == len(envs) else 1
+    _split(P, most, run, lambda rows, fh: [fh.readinto(v) for v in kept[rows]], "solve_stack")
     times = np.asarray(kept_idx, dtype=float) * grid.dt
     for a in (times, *kept):
         a.flags.writeable = False
@@ -660,6 +654,18 @@ def _forked(parts, run, read, what, mode="w+b") -> None:
         for rows, fh in zip(parts[1:], files):
             fh.seek(0)
             read(rows, fh)
+
+
+def _split(count, most, run, read, what) -> None:
+    """_forked on up to `most` nonempty _parts.  A failed part, not a killed child,
+    runs the whole job again here, serially, and raises its error, else the part's."""
+    parts = _parts(count, min(count, most))
+    try:
+        _forked(parts, run, read, what)
+    except Exception as exc:  # a killed child is no part's failure
+        if len(parts) > 1 and not isinstance(exc, ChildProcessError):
+            run(slice(0, count), None)
+        raise
 
 
 def solution_to_csv(sol: PdeSolution, path) -> None:

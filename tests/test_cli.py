@@ -359,6 +359,20 @@ class TestMainErrors:
         assert main(["run", write_config(tmp_path, base_config()), "solve", "--out", str(out)]) == 2
         assert "error: [Errno 17] File exists" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment", ["upper-expectation", "kcheck"])
+    def test_run_too_large_to_allocate_exits_2(self, tmp_path, capsys, forks, experiment):
+        # 10 paths of 10^15 steps: the allocator refuses their 71 PiB at
+        # once, so no memory is touched, and before any fork
+        raw = {"gparams": {"sigma_low_sq": 0.5, "sigma_high_sq": 1.0},
+               "problem": {"Phi": "x*x"}, "grid": {"nx": 41},
+               "mc": {"n_paths": 10, "dt": 1e-15, "seed": 3, "policies": ["low", "high"]}}
+        path = write_config(tmp_path, raw)
+        assert main(["run", path, experiment, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate 71.1 PiB")
+        assert "Traceback" not in err
+        assert forks == []
+
     def test_unknown_experiment_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())
         rc = main(["run", path, "frobnicate"])
@@ -659,6 +673,24 @@ class TestExperiments:
             assert main(["run", path, "ladder", "--out", str(out)]) == 0
             outs.append({name: (out / name).read_bytes()
                          for name in ("ladder.csv", "summary.json")})
+            assert len(forks) == n - 1
+        assert outs[0] == outs[1]
+
+    def test_upper_expectation_splits_with_the_serial_bytes(self, tmp_path, forks, cpus):
+        # low, high and feedback over 1,000 steps: 2,797 paths make 8,391,000
+        # policy-path-steps, past 2 * 2^22, so two CPUs step two blocks
+        raw = base_config(problem={"Phi": "x*x"}, grid={"x_min": -8.0, "x_max": 8.0, "nx": 201},
+                          mc={"n_paths": 2797, "dt": 1e-3, "seed": 5,
+                              "policies": ["low", "high", "feedback"]})
+        path = write_config(tmp_path, raw)
+        outs = []
+        for n in (1, 2):
+            cpus(n)
+            forks.clear()
+            out = tmp_path / f"cpus{n}"
+            assert main(["run", path, "upper-expectation", "--out", str(out)]) == 0
+            outs.append({name: (out / name).read_bytes()
+                         for name in ("upper_expectation.csv", "summary.json")})
             assert len(forks) == n - 1
         assert outs[0] == outs[1]
 

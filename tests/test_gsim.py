@@ -1,3 +1,5 @@
+import errno
+import os
 import warnings
 
 import numpy as np
@@ -547,3 +549,71 @@ class TestStackedLoop:
         got = terminal_states([OneBad(GP.sigma_low_sq), OneBad(GP.sigma_high_sq)],
                               GP, 0.0, 0.05, 0.01, 6, 1)
         assert got.shape == (2, 6) and np.all(np.isfinite(got))
+
+
+class TestSplitPaths:
+    """n * 2^22 policy-path-steps of a batch take up to n blocks of its
+    paths, one per usable CPU, all but the first in forked children, with
+    the bits of one CPU, and failing as it fails."""
+
+    @staticmethod
+    def policies():
+        sol, prob = heat_solution("x*x*x")
+        return [ConstantPolicy(GP.sigma_low_sq, GP), ConstantPolicy(GP.sigma_high_sq, GP),
+                FeedbackPolicy(sol, prob)]
+
+    @staticmethod
+    def run(cpus, n_cpus, policies, n_paths):
+        cpus(n_cpus)
+        return terminal_states(policies, GP, 0.0, 1.0, 1e-3, n_paths, 5)
+
+    # three policies over 1,000 steps: 2,797 paths make 8,391,000
+    # policy-path-steps, past 2 * 2^22 = 8,388,608, and 2,796 make 8,388,000
+    @pytest.mark.parametrize("n_paths, n_forks", [(2797, 1), (2796, 0)])
+    def test_threshold(self, forks, cpus, n_paths, n_forks):
+        policies = self.policies()
+        want = self.run(cpus, 1, policies, n_paths)
+        forks.clear()
+        got = self.run(cpus, 2, policies, n_paths)
+        assert len(forks) == n_forks
+        assert got.tobytes() == want.tobytes()
+        for row, policy in zip(got, policies):
+            ens = simulate_paths(policy, GP, 0.0, 1.0, 1e-3, n_paths, 5)
+            assert _same_bits(row, np.ascontiguousarray(ens.X[:, -1]))
+
+    def test_only_a_full_batch_splits(self, forks, cpus):
+        # the full batch makes 15M policy-path-steps, the last one, of 3
+        # paths, 9,000
+        policies, n_paths = self.policies(), gsim._BATCH + 3
+        want = self.run(cpus, 1, policies, n_paths)
+        forks.clear()
+        got = self.run(cpus, 2, policies, n_paths)
+        assert len(forks) == 1
+        assert got.tobytes() == want.tobytes()
+
+    def test_failure_in_a_child_is_the_serial_one(self, forks, cpus):
+        # OneBad's last path, in the child's block, is inadmissible at once;
+        # the parent's block succeeds, and the serial rerun raises
+        policies = [ConstantPolicy(0.5, GP), ConstantPolicy(1.0, GP), OneBad(2.0)]
+        with pytest.raises(ValueError, match="inadmissible") as serial:
+            self.run(cpus, 1, policies, 2797)
+        forks.clear()
+        with pytest.raises(ValueError, match="inadmissible") as split:
+            self.run(cpus, 2, policies, 2797)
+        assert len(forks) == 1
+        assert str(split.value) == str(serial.value)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_fork_steps_the_block_here(self, monkeypatch, cpus):
+        calls = []
+
+        def no_fork():
+            calls.append(1)
+            raise OSError(errno.EAGAIN, "no process to spare")
+
+        policies = self.policies()
+        want = self.run(cpus, 1, policies, 2797)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert self.run(cpus, 2, policies, 2797).tobytes() == want.tobytes()
+        assert calls == [1]
