@@ -219,6 +219,8 @@ class RunConfig:
                            _num(mc, "seed", "/mc", 1234, integral=True))
         self.policies = list(_array(_get(mc, "policies", "/mc", ["low", "high"]),
                                     "/mc/policies"))
+        if not self.policies:  # kcheck would certify nothing
+            raise ConfigError("/mc/policies", "need at least one policy")
         for i, name in enumerate(self.policies):
             if name != "feedback":  # the control needs a solve; built later
                 _make_policy(name, self.gparams, None, f"/mc/policies/{i}")

@@ -278,12 +278,11 @@ def simulate_paths(policy, gparams: GParams, t0, T, dt, n_paths, seed) -> PathEn
 def terminal_states(policies, gparams: GParams, t0, T, dt, n_paths, seed) -> np.ndarray:
     """B_T under each policy, shape (len(policies), n_paths): each batch's
     noise is drawn once, here, and every policy steps it together on two-row
-    rings.  Row i is simulate_paths(policies[i], ...).X[:, -1], bit for bit,
-    also where n * 2^22 policy-path-steps of a batch (P nb n_steps, about
-    20 ns each) take up to n blocks of its paths (pde._split), all but the
-    first stepped in forked children.  So a policy's variance at a state may
-    not depend on the other states it is handed (as the _BATCH chunks
-    assume), and it makes no BLAS call."""
+    rings.  Row i is simulate_paths(policies[i], ...).X[:, -1], bit for bit.
+    n * 2^22 policy-path-steps of a batch (P nb n_steps, about 20 ns each)
+    take up to n blocks of its paths (pde._split), so a policy's variance at
+    a state may not depend on the other states it is handed (as the _BATCH
+    chunks assume), and it makes no BLAS call."""
     if not policies:
         raise ValueError("need at least one policy")
     n_steps, batches = _batches(t0, T, dt, n_paths, seed)

@@ -12,9 +12,7 @@ diffusion dominates on every node (the condition is in _step_fields),
 the dissipation is zero and the monotone scheme is second order in space
 without drift, first order with it, since the drift is upwinded (the
 manufactured solution of test_11 measures about 2 and 1.04-1.07).
-Large independent work (solve_stack's rows, weighed in node-steps by what
-their envelopes cost; solution_to_csv's rows; gsim.terminal_states' paths)
-runs on every usable CPU, with the serial bytes (_split, _forked).
+Large independent work runs on every usable CPU through _split.
 """
 
 from __future__ import annotations
@@ -442,12 +440,12 @@ def solve_stack(problems, grid: SpaceTimeGrid) -> tuple:
     callers share (gbsde's equal envelope problems) cannot be
     changed through one of them.
 
-    A row reads only its own layer, f, g and max|z|, so n * 2^21 weighted
-    node-steps take up to n blocks of rows (_split), with the bytes and,
-    rerun serially on failure, the error of one sweep; not where rows share
-    an EnvelopeGenerator, whose lattice grows with every |z| it meets.  A
-    row's node-step weighs 1 plus the point_cost of each of its envelopes
-    (258 for a direct search, whose node-step costs 300-750 lattice ones).
+    A row reads only its own layer, f, g and max|z|, and makes no BLAS
+    call, so n * 2^21 weighted node-steps take up to n blocks of rows
+    (_split); not where rows share an EnvelopeGenerator, whose lattice
+    grows with every |z| it meets.  A row's node-step weighs 1 plus the
+    point_cost of each of its envelopes (258 for a direct search, whose
+    node-step costs 300-750 lattice ones).
     """
     problems = tuple(problems)
     first = problems[0]
@@ -612,71 +610,64 @@ def _write_rows(fh, line, sol: PdeSolution, rows: slice) -> None:
         fh.write(line % (t, *row.tolist()))
 
 
-def _parts(count, most) -> list:
-    """Up to `most` contiguous parts of range(count), one per usable CPU;
-    one part without os.fork or os.sched_getaffinity."""
-    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    n = max(1, min(len(os.sched_getaffinity(0)) if forks else 1, most))
-    return [slice(count * k // n, count * (k + 1) // n) for k in range(n)]
-
-
-def _forked(parts, run, read, what, mode="w+b") -> None:
-    """run(rows, fh) on each of parts, then read(rows, fh) on each later
-    part's file, rewound.  Part 0 runs here (fh None), the others in forked
-    children writing unnamed temporary files opened in mode, or here where
-    a fork fails; every child is reaped in a finally, and a fork copies
-    only this thread, so run makes no BLAS call.  A failed child raises
-    OSError naming its part, ChildProcessError where it was killed."""
-    with ExitStack() as stack:
-        files = [stack.enter_context(tempfile.TemporaryFile(mode)) for _ in parts[1:]]
-        pids = []
-        try:
-            for rows, fh in zip(parts[1:], files):
-                try:
-                    pids.append(os.fork())
-                except OSError:  # no process or memory to spare: the rest run here
-                    break
-                if pids[-1] == 0:  # the child runs its part and never returns
-                    try:
-                        run(rows, fh)
-                        fh.flush()
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
-            for rows, fh in [(parts[0], None), *zip(parts[1 + len(pids):], files[len(pids):])]:
-                run(rows, fh)
-        finally:
-            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-        for k, code in enumerate(codes, 1):
-            if code:  # 1 where run raised, -signal where the child was killed
-                raise (OSError if code > 0 else ChildProcessError)(
-                    f"{what}: part {k} of {len(parts)} failed (exit status {code})")
-        for rows, fh in zip(parts[1:], files):
-            fh.seek(0)
-            read(rows, fh)
-
-
 def _split(count, most, run, read, what) -> None:
-    """_forked on up to `most` nonempty _parts.  A failed part, not a killed child,
-    runs the whole job again here, serially, and raises its error, else the part's."""
-    parts = _parts(count, min(count, most))
+    """run(rows, fh) on each of up to min(most, count) contiguous parts of
+    range(count), one per usable CPU (one without os.fork or
+    os.sched_getaffinity), then read(rows, fh) on each later part's file,
+    rewound, in order.  Part 0 runs here (fh None), the others in forked
+    children writing binary unnamed temporary files, or here where a fork
+    fails; every child is reaped in a finally.  A fork copies only this
+    thread, so run makes no BLAS call; where no part reads what another
+    writes, the output is the serial run's, bit for bit.  A failed part
+    runs the whole job again here, serially, and raises its error, else
+    OSError naming the part; a killed child raises ChildProcessError and
+    starts no rerun."""
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    n = max(1, min(len(os.sched_getaffinity(0)) if forks else 1, most, count))
+    parts = [slice(count * k // n, count * (k + 1) // n) for k in range(n)]
     try:
-        _forked(parts, run, read, what)
+        with ExitStack() as stack:
+            files = [stack.enter_context(tempfile.TemporaryFile()) for _ in parts[1:]]
+            pids = []
+            try:
+                for rows, fh in zip(parts[1:], files):
+                    try:
+                        pids.append(os.fork())
+                    except OSError:  # no process or memory to spare: the rest run here
+                        break
+                    if pids[-1] == 0:  # the child runs its part and never returns
+                        try:
+                            run(rows, fh)
+                            fh.flush()
+                            os._exit(0)
+                        finally:
+                            os._exit(1)
+                for rows, fh in [(parts[0], None), *zip(parts[1 + len(pids):],
+                                                        files[len(pids):])]:
+                    run(rows, fh)
+            finally:
+                codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+            for k, code in enumerate(codes, 1):
+                if code:  # 1 where run raised, -signal where the child was killed
+                    raise (OSError if code > 0 else ChildProcessError)(
+                        f"{what}: part {k} of {n} failed (exit status {code})")
+            for rows, fh in zip(parts[1:], files):
+                fh.seek(0)
+                read(rows, fh)
     except Exception as exc:  # a killed child is no part's failure
-        if len(parts) > 1 and not isinstance(exc, ChildProcessError):
+        if n > 1 and not isinstance(exc, ChildProcessError):
             run(slice(0, count), None)
         raise
 
 
 def solution_to_csv(sol: PdeSolution, path) -> None:
-    """CSV export: schema line, x-node header, one %.17g row template per layer.
-    n * 2^18 values (0.12 s of formatting per 2^18) take up to n parts,
-    formatted by the same template (_forked) and appended in row order."""
-    cells = ",".join(["%.17g"] * sol.grid.nx) + "\n"
-    line = "%.17g," + cells
-    with open(path, "w") as fh:  # a bad path raises before any fork
-        fh.write(SCHEMA + "t," + cells % tuple(sol.grid.xs.tolist()))  # no child flushes it
-        _forked(_parts(len(sol.times), sol.values.size >> 18),
-                lambda rows, part: _write_rows(part or fh, line, sol, rows),
-                lambda rows, part: shutil.copyfileobj(part, fh),
-                f"{path}: formatting the rows", "w+")
+    """CSV export: schema line, x-node header, one %.17g row template per
+    layer, as ASCII bytes.  n * 2^18 values (0.12 s of formatting per 2^18)
+    take up to n parts of the rows (_split)."""
+    cells = b",".join([b"%.17g"] * sol.grid.nx) + b"\n"
+    line = b"%.17g," + cells
+    with open(path, "wb") as fh:  # a bad path raises before any fork
+        fh.write(SCHEMA.encode() + b"t," + cells % tuple(sol.grid.xs.tolist()))
+        _split(len(sol.times), sol.values.size >> 18,
+               lambda rows, part: _write_rows(part or fh, line, sol, rows),
+               lambda rows, part: shutil.copyfileobj(part, fh), f"{path}: formatting the rows")

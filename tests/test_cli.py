@@ -332,6 +332,21 @@ class TestPolicies:
         assert f"error: /mc/policies/1: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment", ["kcheck", "upper-expectation"])
+    def test_empty_list_refused_at_load(self, tmp_path, capsys, forks, experiment):
+        # kcheck of no policy would certify nothing and exit 0; the refusal
+        # comes before any solve
+        raw = base_config()
+        raw["mc"]["policies"] = []
+        with pytest.raises(ConfigError) as err:
+            RunConfig(raw)
+        assert str(err.value) == "/mc/policies: need at least one policy"
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, raw), experiment, "--out", str(out)]) == 2
+        assert "error: /mc/policies: need at least one policy" in capsys.readouterr().err
+        assert not out.exists()
+        assert forks == []
+
 
 class TestMainErrors:
     def test_missing_config_exits_2(self, tmp_path, capsys):

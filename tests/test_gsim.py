@@ -551,6 +551,7 @@ class TestStackedLoop:
         assert got.shape == (2, 6) and np.all(np.isfinite(got))
 
 
+@pytest.mark.usefixtures("same_fds")
 class TestSplitPaths:
     """n * 2^22 policy-path-steps of a batch take up to n blocks of its
     paths, one per usable CPU, all but the first in forked children, with

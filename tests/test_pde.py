@@ -923,7 +923,7 @@ class TestSplitWriter:
 
     @pytest.mark.parametrize("nt, nx, cpus, parts", [
         (395, 1991, 3, 3),  # parts end after rows 131 and 263 of 395
-        (1, 1 << 19, 2, 2),  # one layer: the parent's part is the header alone
+        (1, 1 << 19, 2, 1),  # one layer: one part, as parts never outnumber layers
         (174_763, 3, 2, 2),
         (395, 1991, 1, 1),  # one usable CPU: no fork
     ], ids=["odd_layers", "one_layer", "nx_3", "one_cpu"])
@@ -952,6 +952,39 @@ class TestSplitWriter:
             solution_to_csv(self.table(395, 1991), tmp_path / "sol.csv")
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_failure_here_is_raised_and_leaves_no_child(self, tmp_path, monkeypatch, cpus):
+        # the parent's part fails, and so does the serial rerun
+        parent, write_rows = os.getpid(), pde_module._write_rows
+
+        def failing(fh, *args):
+            if os.getpid() == parent:
+                raise MemoryError("no room in the parent")
+            write_rows(fh, *args)
+
+        monkeypatch.setattr(pde_module, "_write_rows", failing)
+        cpus(3)
+        with pytest.raises(MemoryError, match="no room in the parent"):
+            solution_to_csv(self.table(395, 1991), tmp_path / "sol.csv")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_two_layers_fork_once_and_layer_0_is_formatted_here(self, tmp_path, monkeypatch,
+                                                                forks, cpus):
+        parent, write_rows, here = os.getpid(), pde_module._write_rows, []
+
+        def recording(fh, line, sol, rows):
+            if os.getpid() == parent:
+                here.append(rows)
+            write_rows(fh, line, sol, rows)
+
+        monkeypatch.setattr(pde_module, "_write_rows", recording)
+        cpus(3)
+        sol, path = self.table(2, 1 << 18), tmp_path / "sol.csv"
+        solution_to_csv(sol, path)
+        assert len(forks) == 1
+        assert here == [slice(0, 1)]
+        assert path.read_bytes() == _old_csv_bytes(sol)
 
     def test_failed_fork_writes_the_part_here(self, tmp_path, forks, cpus, monkeypatch):
         cpus(3)
