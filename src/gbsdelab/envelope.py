@@ -3,12 +3,8 @@
 The raw inf-convolution  inf_q { f(t,x,y,q) + n|z-q| }  and its sup
 counterpart turn a generator that is merely uniformly continuous in z
 into an n-Lipschitz one, at a cost bounded by the modulus of continuity
-evaluated at 2L/(n-L).  The minimizer search is localized to a certified
-radius derived from the linear-growth constant, so the grid search is a
-rigorous overestimate of the infimum with explicit error accounting.
-The same modulus bounds how far f can dip between two grid points, so
-the search skips the cells that cannot hold the grid minimum and still
-returns the full scan's value, one search per row of points.
+evaluated at 2L/(n-L) (envelope_gap_bound).  EnvelopeGenerator evaluates
+them by a lattice or by a certified grid search (_grid_search).
 """
 
 from __future__ import annotations
@@ -84,11 +80,8 @@ def modulus_eval(m: Modulus, r):
 
 @dataclass(frozen=True)
 class ScalarGenerator:
-    """Generator f(t,x,y,z): Lipschitz in y, modulus-continuous in z.
-
-    Metadata (lip_y, modulus_z, growth_L) is user-declared; refute samples
-    it for a counterexample.
-    """
+    """Generator f(t,x,y,z): Lipschitz in y, modulus-continuous in z, as its
+    user-declared lip_y, modulus_z and growth_L state (refute samples them)."""
 
     body: Expr
     lip_y: float
@@ -197,6 +190,9 @@ def _grid_search(gen: ScalarGenerator, n, t, x, y, z, step, sign):
     cell whose ends both exceed the best value so far by more than
     phi(h) + n*h cannot hold the grid minimum (Piyavskii 1972, Shubert
     1972); only the other cells are scanned, in chunks of _CHUNK points.
+    This and lower_envelope's bound rest on the declared modulus: where f
+    moves by more than phi between two grid points, a skipped dip leaves a
+    value above the full scan's grid minimum, never below.
     """
     t, x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (t, x, y, z)))
     shape = z.shape
@@ -258,14 +254,8 @@ def _grid_search(gen: ScalarGenerator, n, t, x, y, z, step, sign):
 
 def lower_envelope(gen: ScalarGenerator, n, t, x, y, z, step=None):
     """Grid minimum of q -> f(t,x,y,q) + n|z-q| over the certified interval,
-    at every point of the broadcast t, x, y, z (a float for scalars).
-
-    Overestimates the true infimum by at most phi(step) + n*step.  Both
-    this bound and the exactness of the pruned search rest on the declared
-    modulus phi: where f moves by more than phi between two grid points,
-    the search may skip the dip, and it then returns a value at or above
-    the full scan's grid minimum, never below.
-    """
+    at every point of the broadcast t, x, y, z (a float for scalars): the
+    true infimum plus at most phi(step) + n*step (see _grid_search)."""
     return _grid_search(gen, n, t, x, y, z, step, 1.0)
 
 
@@ -330,10 +320,8 @@ def envelope_of(gen: ScalarGenerator, n: float, side: str):
 
 
 class EnvelopeGenerator:
-    """Lipschitz envelope of a generator at level n, usable by the PDE solver;
-    envelope_of passes a generator already n-Lipschitz in z through instead.
-
-    Two evaluation modes, chosen automatically:
+    """Lipschitz envelope of a generator at level n (envelope_of), in one of
+    two evaluation modes, chosen automatically:
       * lattice - the body depends on z only; values are precomputed on a
         symmetric log-spaced z-lattice as the exact inf-convolution over the
         lattice points and linearly interpolated (error <= n * local
@@ -341,10 +329,10 @@ class EnvelopeGenerator:
         distance transform of the samples, built in O(N) by one forward and
         one backward prefix-minimum sweep (Felzenszwalb & Huttenlocher,
         Distance Transforms of Sampled Functions, ToC 2012).
-      * direct - any body with t, x or y in it; one pruned certified grid
-        search per call, over all its points: about 400 generator values
-        per point on the benchmark's xyz generator, against one
-        interpolation per point for a lattice lookup.
+      * direct - any body with t, x or y in it; one _grid_search per call,
+        over all its points: about 400 generator values per point on the
+        benchmark's xyz generator, against one interpolation per point
+        for a lattice lookup.
     point_cost, a floor on the generator values a point costs (the coarse
     pass of a search, 0 for a lookup), weighs rows in pde.solve_stack.
     """

@@ -4,9 +4,7 @@ limits, pathwise (Y, Z, K) reconstruction, and comparison checks.
 The non-Lipschitz generator is never discretized directly.  Each ladder
 level replaces f and g by their n-Lipschitz lower/upper envelopes and
 solves the associated parabolic problem; the two value functions squeeze
-the true one with a gap controlled by gap_constant * phi(2L/(n-L)).  The
-"exact" solution is operationally the first level whose measured core
-gap clears the requested target.
+the true one with a gap controlled by gap_constant * phi(2L/(n-L)).
 """
 
 from __future__ import annotations
@@ -61,7 +59,7 @@ def envelope_problem(problem: "pde.PdeProblem", n: float, side: str) -> "pde.Pde
     problem itself where both pass through.  lip_z_bound stays problem's;
     lam_z never reads it here.  So two envelope problems of one base
     problem step identically, bit for bit on one grid, exactly when they
-    are ==."""
+    are ==, and callers solve them once and share the solution."""
     f, g = (envelope_of(gen, n, side) for gen in (problem.f, problem.g))
     if f is problem.f and g is problem.g:
         return problem
@@ -70,10 +68,8 @@ def envelope_problem(problem: "pde.PdeProblem", n: float, side: str) -> "pde.Pde
 
 @dataclass(frozen=True)
 class Ladder:
-    """One ladder's solutions and reports, per level.  A level's lower and
-    upper solutions may be one object, and so may those of several levels,
-    where their envelope problems are equal (approximation_ladder);
-    PdeSolution arrays are read-only, so none can change through another."""
+    """One ladder's solutions and reports, per level; equal envelope
+    problems, across sides and levels, share one solution (envelope_problem)."""
 
     levels: tuple
     lower_solutions: tuple
@@ -111,10 +107,8 @@ def _level_bound(problem: "pde.PdeProblem", L: float, n: float) -> float:
 
 def _solve_level(problem, L: float, n: float, grid: "pde.SpaceTimeGrid"):
     """Lower and upper level-n solutions on grid's nodes (one dt: the two
-    envelopes share lip_z and lip_y), their core gap and its modulus bound.
-    Where the two envelope problems are equal (f and g pass through at
-    level n), one pde.solve serves both sides, and the lower and upper
-    solutions are one object."""
+    envelopes share lip_z and lip_y; one solve where they are equal,
+    envelope_problem), their core gap and its modulus bound."""
     lower, upper = (envelope_problem(problem, n, side) for side in ("lower", "upper"))
     lo = pde.solve(lower, grid)
     up = lo if upper == lower else pde.solve(upper, grid)
@@ -122,16 +116,11 @@ def _solve_level(problem, L: float, n: float, grid: "pde.SpaceTimeGrid"):
 
 
 def approximation_ladder(problem, levels, grid) -> Ladder:
-    """Solve lower/upper envelope problems for each level on one grid.
-
-    All levels share the spatial nodes of the given grid.  The 2K envelope
-    problems differ only in f and g, so the distinct ones among them
-    advance together as one pde.solve_stack, whose time step is the top
-    level's (the smallest); each solution equals what pde.solve gives for
-    its problem alone on that grid, bit for bit.  Equal problems share one
-    solution object: both sides of a level whose envelopes pass f and g
-    through, and such levels among themselves.
-    """
+    """Solve lower/upper envelope problems for each level on grid's nodes.
+    The 2K problems differ only in f and g, so the distinct ones
+    (envelope_problem) advance together as one pde.solve_stack, whose time
+    step is the top level's (the smallest); each solution is what
+    pde.solve gives for its problem alone on that grid, bit for bit."""
     levels = tuple(float(n) for n in levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
@@ -161,9 +150,8 @@ def approximation_ladder(problem, levels, grid) -> Ladder:
 
 @dataclass(frozen=True)
 class ExactSolve:
-    """The level solve_exact stopped at.  solution and upper_solution are
-    one object where that level's envelope problems are equal
-    (_solve_level)."""
+    """The level solve_exact stopped at; solution and upper_solution may be
+    one object (_solve_level)."""
 
     solution: "pde.PdeSolution"  # lower-envelope solution at the chosen level
     upper_solution: "pde.PdeSolution"
@@ -175,11 +163,8 @@ class ExactSolve:
 
 def solve_exact(problem, grid, target_gap, max_doublings: int = 8) -> ExactSolve:
     """Walk levels n = level_base(L) * 2^k until the measured core gap clears
-    target_gap; certify each level's gap against the modulus bound.
-
-    The level search is driven by the measured gap (the theoretical bound
-    is monotone but pessimistic); the bound is still asserted per level.
-    """
+    target_gap, not the modulus bound, which is monotone but pessimistic;
+    each level's gap must still be _certified against that bound."""
     if not (target_gap > 0.0):
         raise ValueError("target_gap must be positive (zero is below the floor)")
     L = problem_growth_L(problem)
@@ -204,8 +189,8 @@ def solve_exact(problem, grid, target_gap, max_doublings: int = 8) -> ExactSolve
 
 @dataclass
 class SolutionTriple:
-    """(Y, Z, K) along an ensemble; K[:,0] = 0 by construction.  Each has
-    shape (n_paths, n_steps+1), a transposed view of time-major storage."""
+    """(Y, Z, K) along an ensemble, each of B's shape and storage
+    (gsim.PathEnsemble); K[:,0] = 0 by construction."""
 
     Y: np.ndarray
     Z: np.ndarray
@@ -216,20 +201,16 @@ class SolutionTriple:
 def extract_triple(
     sol: "pde.PdeSolution", ensemble, problem: "pde.PdeProblem"
 ) -> SolutionTriple:
-    """Read Y and Z off the value function along the paths and rebuild K as
-    the defect K_t = Y_t - Y_0 + sum f dt + sum g dQV - sum Z dB
-    (left-point sums), one time point at a time.
+    """Read Y and Z off the value function along the paths, one
+    pde.stencil_batch read per time point, and rebuild K as the defect
+    K_t = Y_t - Y_0 + sum f dt + sum g dQV - sum Z dB (left-point sums).
 
-    Y and Z come from one pde.stencil_batch read per time point; sigma is
-    a float where it is free of t and x (CoefficientSet.floats), and the f
-    and g sums are left out where pde._is_zero finds f or g zero.  The
-    running sum starts at +0.0 and so is never -0.0, and adding a signed
-    zero to it changes nothing: K is the one of every term wherever the
-    increments are finite.  A time of the ensemble outside the solution's
-    [0, T] raises.
+    The f and g sums are left out where pde._is_zero finds f or g zero,
+    which keeps every bit of K wherever the increments are finite
+    (pde._step_fields): the running sum starts at +0.0, so it is never
+    -0.0.  A time of the ensemble outside the solution's [0, T] raises.
     """
-    # time-major, as simulate_paths and euler_forward store the paths
-    X, B, QV = ensemble.X.T, ensemble.B.T, ensemble.QV.T
+    X, B, QV = ensemble.X.T, ensemble.B.T, ensemble.QV.T  # time-major (gsim.PathEnsemble)
     times, dt = ensemble.times, ensemble.dt
     m, n = ensemble.n_steps, X.shape[1]
     Y = np.empty((m + 1, n))
@@ -288,8 +269,7 @@ def compare(problem1, problem2, grid, target_gap: float = 0.05) -> CompareReport
 
     Preconditions: shared b, h, sigma, T and gparams; Phi1 <= Phi2 on the
     nodes; f1 <= f2 and g1 <= g2 on a sampled panel.  The monotone scheme
-    then preserves the ordering up to rounding.
-    """
+    (pde._step_fields) then preserves the ordering up to rounding."""
     c1, c2 = problem1.coeffs, problem2.coeffs
     for name in ("b", "h", "sigma"):
         if getattr(c1, name) != getattr(c2, name):

@@ -5,22 +5,10 @@ interval) induces one ordinary diffusion; the worst-case expectation is
 the supremum over controls.  This module samples controls as
 piecewise-constant-per-step laws, tracks the quadratic variation, fills
 the forward state by Euler steps, and estimates upper expectations both
-by Monte Carlo over a finite policy set (a certified lower bound on the
-sup) and exactly through the degenerate parabolic solve.
-
-The worst-case feedback control (FeedbackPolicy) is the maximizer of G
-at the solved value function.  Where h and g are zero and sigma is a
-constant, that is one bit per state, the sign of sigma^2 u_xx past the
-1e-9 tie snap, and a per-cell table of the blended layer's second
-differences, with a bound on what rounding can do to the stencil read,
-decides it wherever the bound is decisive; only the other states are
-read (a filtered exact predicate, as in Shewchuk's adaptive-precision
-geometric predicates).
-
-Randomness is counter-based: each batch of paths draws from a Philox
-stream keyed by (seed, batch start), so runs are byte-identical and
-every policy of one call sees the same noise (common random numbers);
-terminal_states steps a large batch's paths on every usable CPU.
+by Monte Carlo over a finite policy set and exactly through the
+degenerate parabolic solve.  The worst-case feedback control
+(FeedbackPolicy) is the maximizer of G at the solved value function,
+decided by a per-cell curvature table wherever that is sure.
 """
 
 from __future__ import annotations
@@ -36,20 +24,19 @@ from .expr import Expr, Num, evaluate, free_vars
 from .gfunction import GParams, worst_case_q
 
 _BATCH = 5000  # fixed so outputs do not depend on ensemble size chunking
-_TIE = -1e-9  # G's argument above this is a tie or positive: sigma_high_sq
+_TIE = 1e-9  # G's argument within this of 0 is a tie, snapped to 0: sigma_high_sq
 _TABLE_C = 64.0  # FeedbackPolicy's curvature-table error constant
 _EPS = float(np.finfo(float).eps)
+_ADMIT = 1e-12  # rounding slack of a variance at the ends of the interval
 
 
 class ConstantPolicy:
     """Constant instantaneous variance; must lie inside the interval."""
 
     def __init__(self, variance: float, gparams: GParams):
-        if not (gparams.sigma_low_sq - 1e-12 <= variance <= gparams.sigma_high_sq + 1e-12):
-            raise ValueError(
-                f"variance {variance} outside "
-                f"[{gparams.sigma_low_sq}, {gparams.sigma_high_sq}]"
-            )
+        if not (gparams.sigma_low_sq - _ADMIT <= variance <= gparams.sigma_high_sq + _ADMIT):
+            raise ValueError(f"variance {variance} outside "
+                             f"[{gparams.sigma_low_sq}, {gparams.sigma_high_sq}]")
         self.var = float(variance)
 
     def variance(self, t, state):
@@ -62,33 +49,31 @@ class ConstantPolicy:
 class FeedbackPolicy:
     """Worst-case feedback law read off a solved value function.
 
-    At (t, x) the instantaneous variance is the maximizer of G applied to
-    pde._hamiltonian, the argument the scheme steps G with, assembled
-    from u, its central gradient and its second difference as
-    pde.stencil_batch reads them, off one time blend L of the stored
-    layers.  b is never read, and the h and g terms are left out where
-    they are zero (h a float 0 in coeffs.floats, g by pde._is_zero, as
-    the backward step drops g): each is a signed zero, and the tie snap
-    (an argument within 1e-9 of 0 is 0) sends both zeros to 0.  So the
-    variance is sigma_high_sq exactly where the computed argument exceeds
-    -1e-9, and sigma_low_sq elsewhere, NaN included.  States less than
-    one cell inside the solver domain are clamped one cell in, so the
-    read skips stencil_batch's range check (which raises for them); the
-    emitted variance is always admissible.  A time outside the solution's
-    [0, T] raises.
+    At (t, x) the variance is the maximizer of G at pde._hamiltonian, the
+    argument the scheme steps G with, from u, its central gradient and its
+    second difference as pde.stencil_batch reads them off one time blend L
+    of the stored layers.  b is never read; h and g are left out where
+    they are zero, which keeps every bit (pde._step_fields) since the tie
+    snap (an argument within _TIE of 0 is 0) sends both zeros to 0.  So
+    the variance is sigma_high_sq exactly where the computed argument
+    exceeds -_TIE, else sigma_low_sq, NaN included.  A state less than one
+    cell inside the solver domain is clamped one cell in, so the read
+    skips stencil_batch's range check; the variance is always admissible.
+    A time outside the solution's [0, T] raises.
 
     Where h and g are zero and sigma is a float, the argument is sigma^2
-    times the stencil's second difference, and a per-cell table decides
-    most states without the read; only the states it leaves in doubt take
-    the exact read, so the output is the read's bit for bit.  With the
-    nodal second differences S_k = L[k+1] - 2 L[k] + L[k-1], a clamped x
-    in cell j (xs[j] <= x < xs[j+1]) has, in exact arithmetic on uniform
-    nodes, the argument sigma^2 ((1 - a) S_j + a S_{j+1}) / dx^2 with
-    a = (x - xs[j])/dx in [0, 1): a point between its values at nodes j
-    and j + 1 (at the last interior cell a is within rounding of 0).
-    Rounding moves the computed argument by less than
+    times the stencil's second difference, and a per-cell table (_table)
+    decides most states, as a filtered exact predicate does (Shewchuk's
+    adaptive-precision geometric predicates): only the states it leaves in
+    doubt take the exact read, so the output is the read's bit for bit.
+    With S_k = L[k+1] - 2 L[k] + L[k-1], a clamped x in cell j
+    (xs[j] <= x < xs[j+1]) has, in exact arithmetic on uniform nodes, the
+    argument sigma^2 ((1 - a) S_j + a S_{j+1}) / dx^2, a = (x - xs[j])/dx
+    in [0, 1) (within rounding of 0 at the last interior cell): a point
+    between its values at nodes j and j + 1.  Rounding moves the computed
+    argument by less than
 
-        E = C eps (M + (X + dx)/dx D) sigma^2/dx^2,    C = 64,
+        E = C eps (M + (X + dx)/dx D) sigma^2/dx^2,    C = _TABLE_C = 64,
 
     with M = max|L|, D = max|L[k+1] - L[k]|, X = max(|x_min|, |x_max|)
     and eps the float64 machine epsilon: the points x +- dx and the nodes
@@ -99,12 +84,10 @@ class FeedbackPolicy:
     to values at most 4 M sigma^2/dx^2.  The cell c = floor((x - x_min)/dx)
     of a state is within one of j, so the interior nodes among c - 1 ...
     c + 2 include j and j + 1: c is sure sigma_high_sq when sigma^2 S_k/dx^2
-    exceeds -1e-9 + E at all of them, and sure sigma_low_sq when it is
-    below -1e-9 - E at all of them.  The states in other cells take the
-    exact read, and so do NaN states (fmin sends them to cell nx - 1,
-    which decides nothing).  A layer holding inf or NaN, or large enough
-    for the table to overflow, decides no cell; nor does the table of a
-    problem with live h or g or a sigma in t or x.
+    exceeds -_TIE + E at all of them, and sure sigma_low_sq when it is
+    below -_TIE - E at all of them; other cells, and NaN states, take the
+    exact read.  A layer holding inf or NaN, or large enough for the table
+    to overflow, decides no cell.
     """
 
     def __init__(self, sol: "pde.PdeSolution", problem: "pde.PdeProblem"):
@@ -142,8 +125,8 @@ class FeedbackPolicy:
         # outer nodes veto nothing, but node nx + 1 vetoes cell nx - 1
         node = np.ones((2, grid.nx + 3), dtype=bool)
         node[:, -1] = False
-        np.greater(s, _TIE + err, out=node[0, 2:-3])
-        np.less(s, _TIE - err, out=node[1, 2:-3])
+        np.greater(s, err - _TIE, out=node[0, 2:-3])
+        np.less(s, -_TIE - err, out=node[1, 2:-3])
         node = node[:, 1:] & node[:, :-1]
         cell = node[:, 2:] & node[:, :-2]  # cell c: nodes c - 1 ... c + 2 agree
         return np.where(cell[0], self.high, np.where(cell[1], self.low, np.nan))
@@ -158,7 +141,7 @@ class FeedbackPolicy:
                 if self.g_live else None)
         ham = pde._hamiltonian(np.square(sigma), h2, p, d2, gval)
         # sub-rounding curvature is a tie, resolved like the exact tie at 0
-        ham = np.where(np.abs(ham) < 1e-9, 0.0, ham)
+        ham = np.where(np.abs(ham) < _TIE, 0.0, ham)
         return worst_case_q(problem.gparams, ham)
 
     def variance(self, t, state):
@@ -181,17 +164,13 @@ class FeedbackPolicy:
 
 @dataclass
 class PathEnsemble:
-    """Simulated driving paths and the forward state.
-
-    B and QV have shape (n_paths, n_steps+1) with B[:,0]=0, QV[:,0]=0.
-    X, of B's shape, is the forward state: simulate_paths sets it to B
-    itself (dX = dB from 0, the state the policy read), and euler_forward
-    replaces it with the Euler state of given coefficients.
-    simulate_paths and euler_forward store time-major, (n_steps+1,
-    n_paths), so that each step writes one contiguous row; the arrays here
-    are transposed views of that storage, and B.T gives it back without a
-    copy.
-    """
+    """Simulated driving paths B and QV, of shape (n_paths, n_steps+1)
+    with B[:,0]=0, QV[:,0]=0, and the forward state X of B's shape:
+    simulate_paths sets X to B itself (dX = dB from 0, the state the policy
+    read), and euler_forward replaces it with the Euler state of given
+    coefficients.  Each is a
+    transposed view of time-major storage, (n_steps+1, n_paths), so that
+    each step writes one contiguous row; B.T gives it back without a copy."""
 
     n_paths: int
     n_steps: int
@@ -216,7 +195,9 @@ def check_seed(seed) -> int:
 
 def _batches(t0, T, dt, n_paths, seed):
     """The step count of dt on [t0, T], which dt must divide, and each
-    batch's columns and normals xi (nb, n_steps) from its Philox stream."""
+    batch's columns and normals xi (nb, n_steps) from its Philox stream,
+    keyed by (seed, batch start): runs are byte-identical, and every policy
+    of one call sees the same noise (common random numbers)."""
     seed = check_seed(seed)
     span = T - t0
     n_steps = int(round(span / dt))
@@ -235,8 +216,8 @@ def _batches(t0, T, dt, n_paths, seed):
 
 def _advance(policies, gparams, t0, dt, xi, B, QV):
     """The path loop on (ring, P, nb) states: step k reads row k % len(B) of
-    B and QV, where policy p reads row [p], and writes row (k+1) % len(B).
-    Full time-major arrays keep the path; two-row rings keep the last state."""
+    B and QV, where policy p reads row [p], and writes row (k+1) % len(B):
+    full arrays (PathEnsemble) keep the path, two-row rings the last state."""
     lo, hi = gparams.sigma_low_sq, gparams.sigma_high_sq
     B[0] = QV[0] = 0.0
     vdt = np.empty(B.shape[1:])  # the variances, then var*dt, then dB
@@ -246,7 +227,7 @@ def _advance(policies, gparams, t0, dt, xi, B, QV):
         state.flags.writeable = False  # the policies read, never write
         for row, policy, x in zip(vdt, policies, state):
             row[...] = policy.variance(t0 + k * dt, x)
-        if not (vdt.min() >= lo - 1e-12 and vdt.max() <= hi + 1e-12):  # NaN fails
+        if not (vdt.min() >= lo - _ADMIT and vdt.max() <= hi + _ADMIT):  # NaN fails
             raise ValueError("policy emitted an inadmissible variance")
         vdt *= dt
         np.add(QV[i], vdt, out=QV[j])
@@ -256,13 +237,9 @@ def _advance(policies, gparams, t0, dt, xi, B, QV):
 
 
 def simulate_paths(policy, gparams: GParams, t0, T, dt, n_paths, seed) -> PathEnsemble:
-    """Sample (B, QV) on [t0, T] under one volatility control.
-
-    dt must divide T - t0 within rounding; increments are Gaussian
-    conditional on the control, dB = sqrt(var*dt)*xi, dQV = var*dt.
-    """
+    """Sample (B, QV) on [t0, T] (_batches) under one volatility control
+    (_advance): given it, dB = sqrt(var*dt)*xi is Gaussian, dQV = var*dt."""
     n_steps, batches = _batches(t0, T, dt, n_paths, seed)
-    # time-major storage; the ensemble holds transposed views
     B = np.empty((n_steps + 1, n_paths))
     QV = np.empty((n_steps + 1, n_paths))
     for cols, xi in batches:
@@ -304,11 +281,10 @@ def terminal_states(policies, gparams: GParams, t0, T, dt, n_paths, seed) -> np.
 def euler_forward(coeffs: "pde.CoefficientSet", ensemble: PathEnsemble, x0):
     """Fill the forward state: dX = b dt + h dQV + sigma dB, X[:,0]=x0.
 
-    b, h and sigma are coeffs.floats where they are free of t and x.
     Every term is kept, even a zero one: the state can be -0.0, and a +0.0
     term turns it into +0.0, as the sum of every term does."""
     n, m = ensemble.n_paths, ensemble.n_steps
-    B, QV = ensemble.B.T, ensemble.QV.T  # time-major
+    B, QV = ensemble.B.T, ensemble.QV.T  # time-major (PathEnsemble)
     X = np.empty((m + 1, n))
     X[0] = x0
     t0, dt = ensemble.t0, ensemble.dt

@@ -4,15 +4,8 @@ parabolic terminal-value problem
     u_t + G(sigma^2 u_xx + 2 h u_x + 2 g(t,x,u,sigma u_x))
         + b u_x + f(t,x,u,sigma u_x) = 0,      u(T,x) = Phi(x),
 
-with G the scalar worst-case variance functional.  The scheme steps
-backward in time with central second differences, drift upwinding, and a
-per-node Lax-Friedrichs dissipation that is switched on only where the
-parabolic term fails to dominate the z-sensitivity of f and g.  Where
-diffusion dominates on every node (the condition is in _step_fields),
-the dissipation is zero and the monotone scheme is second order in space
-without drift, first order with it, since the drift is upwinded (the
-manufactured solution of test_11 measures about 2 and 1.04-1.07).
-Large independent work runs on every usable CPU through _split.
+with G the scalar worst-case variance functional: step_backward is one
+step, and _split runs large independent work on every usable CPU.
 """
 
 from __future__ import annotations
@@ -49,13 +42,10 @@ def _as_field(value, shape) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Forward coefficients b, h, sigma (in t,x) and terminal Phi (in x).
-
-    coeff and eval_phi are the one place they are evaluated; fields and
-    eval_phi return float arrays of x's shape, whether or not the
-    expression reads x.  lip_const and growth_q are declared metadata for
-    the Lipschitz and polynomial-growth bounds; check_lipschitz samples them.
-    """
+    """Forward coefficients b, h, sigma (in t,x) and terminal Phi (in x),
+    evaluated only by floats, coeff and eval_phi.  lip_const and growth_q are
+    declared metadata for the Lipschitz and polynomial-growth bounds;
+    check_lipschitz samples them."""
 
     b: Expr
     h: Expr
@@ -96,12 +86,13 @@ class CoefficientSet:
         return _as_field(evaluate(getattr(self, name), {"t": t, "x": x}), np.shape(x))
 
     def fields(self, t, x):
-        """(b, h, sigma) at time t on the points x, as arrays of x's shape."""
+        """(b, h, sigma) at time t on the points x, as float arrays of x's
+        shape, whether or not the expression reads x."""
         return tuple(_as_field(self.coeff(name, t, x), np.shape(x))
                      for name in ("b", "h", "sigma"))
 
     def eval_phi(self, x):
-        """Phi on the points x."""
+        """Phi on the points x, as a float array of x's shape."""
         return _as_field(evaluate(self.Phi, {"x": x}), np.shape(x))
 
     @cached_property
@@ -160,9 +151,7 @@ class PdeProblem:
         return float(self.lip_z_bound)
 
     def fingerprint(self) -> tuple:
-        """Hashable structural key: the coefficient trees, gparams, T,
-        lip_z_bound and each generator's body, with side and level for an
-        EnvelopeGenerator."""
+        """Hashable structural key of the problem."""
         c = self.coeffs
         gens = tuple((g.gen.body, g.side, g.n) if isinstance(g, EnvelopeGenerator)
                      else (g.body,) for g in (self.f, self.g))
@@ -216,27 +205,22 @@ def _is_zero(gen) -> bool:
 
 
 def _step_fields(problems, t, grid: SpaceTimeGrid):
-    """The coefficient fields one step of a stack of problems reads, at t,
-    and the update terms that vanish on the whole stack.
+    """(b, b >= 0, 2*h, sigma, sigma**2, g_live, theta) at t, the fields one
+    step of P problems that share coeffs and gparams reads: b, h and sigma
+    are evaluated once, on the nodes; g_live is False on a row whose g is
+    a constant 0 (_is_zero); theta is the (P, nx) Lax-Friedrichs
+    dissipation, one row per problem, since each row has its own
+    z-Lipschitz constants.  b (with b >= 0), 2*h and theta are None when
+    they are 0 on every node and row, and step_backward then drops them.
 
-    problems is a sequence of P problems that share coeffs and gparams.
-    Returns (b, b >= 0, 2*h, sigma, sigma**2, g_live, theta): b, h and
-    sigma are evaluated once, on the nodes, from the shared coefficients;
-    g_live holds one flag per row, False where the row's g is a constant 0
-    (_is_zero); theta is the (P, nx) Lax-Friedrichs dissipation, one row
-    per problem, since each row has its own z-Lipschitz constants.  b
-    (with b >= 0), 2*h and theta are None when they are 0 on every node
-    and row.  step_backward takes this tuple as fields and drops those
-    terms; max_stable_dt reads its maxima.
-
-    Dropping them keeps every bit of the output: each is 0 times a finite
-    difference quotient, a signed zero, so it can change only the sign of
-    a zero sum.  G maps both zeros of its argument to +0.0, and +0.0 or a
-    nonzero value plus a signed zero is itself.
+    Dropping a term that is 0 keeps every bit of the output: it is 0 times
+    a finite difference quotient, a signed zero, so it can change only the
+    sign of a zero sum.  G maps both zeros of its argument to +0.0, and
+    +0.0 or a nonzero value plus a signed zero is itself.
 
     With D = sigma^2/dx - |h| - sigma*Lam_g, every subgradient of the
-    update is nonnegative in each neighbor value provided
-    theta >= sigma*Lam_f - sigma_low_sq*D (D >= 0) or
+    update is nonnegative in each neighbor value (the scheme is monotone)
+    provided theta >= sigma*Lam_f - sigma_low_sq*D (D >= 0) or
     theta >= sigma*Lam_f + 2*sigma_high_sq*(-D) (D < 0).  theta is zero at
     a node exactly where diffusion dominates: D >= 0 and
     sigma*Lam_f <= sigma_low_sq*D.
@@ -294,13 +278,9 @@ def spans(n, dt, T) -> bool:
 
 def refine_grid(grid: SpaceTimeGrid, *problems) -> SpaceTimeGrid:
     """grid itself when its nt steps span the horizon T of the first problem
-    and its dt keeps the update monotone for every given problem (see
-    max_stable_dt); otherwise the fewest steps over T on its nodes that do.
-
-    Envelope problems at high levels carry extra numerical dissipation, so
-    a grid built for the base problem can violate their monotonicity
-    bound; the spatial nodes are kept and only dt is refined.
-    """
+    and its dt is at most max_stable_dt of the problems; otherwise the
+    fewest steps over T on its nodes that are.  A high envelope level's
+    lip_z raises theta, which can lower that dt below the base problem's."""
     dt = max_stable_dt(problems, grid)
     T = problems[0].T
     if grid.dt <= dt * (1.0 + 1e-12) and spans(grid.nt, grid.dt, T):
@@ -343,30 +323,29 @@ def _non_finite(a, grid: SpaceTimeGrid) -> str:
 def step_backward(u, t, problems, grid: SpaceTimeGrid, fields=None):
     """One explicit Euler step from the layers at t+dt down to t.
 
-    u is a stack of P layers, shape (P, nx), and problems a sequence of P
-    problems that share coeffs and gparams (solve_stack checks this);
-    row r of the stack is stepped under problems[r], and the result has
-    shape (P, nx).  Coefficients and generators are evaluated at the
-    layer being produced; f and g are evaluated row by row, since each
-    row has its own envelope, and each is handed its row's max|z|, taken
-    once for the stack, so that a lattice envelope skips its own
-    reduction.  fields, when given, is _step_fields of the problems and
-    stands in for the coefficients at t; solve_stack passes it when they
-    are free of t.  The drift, h and dissipation terms that fields marks
-    as 0 on the whole stack are not computed, and neither is g on a row
-    where it is a constant 0; the rest keeps its order of operations, so
-    the output is bit for bit that of computing every term, wherever the
-    difference quotients are finite.  Interior nodes use central
-    differences; boundary nodes use zero second difference and one-sided
-    first differences.  Monotonicity (every subgradient of the update
-    nonnegative in each neighbor value) holds at the interior nodes; the
-    two boundary nodes are sacrificial and excluded from every certified
-    region.
+    u and the result are (P, nx) stacks of layers, row r stepped under
+    problems[r].  Coefficients and generators are evaluated at the layer
+    being produced; f and g row by row, since each row has its own
+    envelope, each handed its row's max|z|, taken once for the stack, so
+    that a lattice envelope skips its own reduction.  fields, when given,
+    is _step_fields of the problems, standing in for the coefficients at t
+    (solve_stack passes it when they are free of t).  The terms it marks
+    0, and g where g_live is False, are not computed; the rest keeps its
+    order of operations, so the output is that of every term, bit for bit
+    (_step_fields).
+
+    Interior nodes use central differences, with the drift upwinded, and
+    the update is monotone there (_step_fields); where theta is 0 on every
+    node the scheme is second order in space without drift and first order
+    with it (test_11's manufactured solution measures about 2 and
+    1.04-1.07).  The two boundary nodes use zero second difference and
+    one-sided first differences; they are sacrificial and excluded from
+    every certified region.
 
     Only the output is checked for non-finite values: it is non-finite
     wherever the input is, so the input is searched only on that failure
-    path and a non-finite input node is still named as such.  An envelope
-    evaluated at a non-finite z raises its own ValueError first.
+    path, to name a non-finite input node as such.  An envelope at a
+    non-finite z raises first (envelope._finite).
     """
     xs = grid.xs
     dx = grid.dx
@@ -415,11 +394,8 @@ def step_backward(u, t, problems, grid: SpaceTimeGrid, fields=None):
 
 @dataclass(frozen=True)
 class PdeSolution:
-    """Backward solve output: a decimated set of time layers.
-
-    times is sorted ascending and always contains 0 and T; the layer at T
-    equals Phi on the nodes exactly.  eval_u interpolates bilinearly.
-    """
+    """Backward solve output: the time layers solve_stack keeps, times
+    ascending from 0 to T; the layer at T equals Phi on the nodes exactly."""
 
     grid: SpaceTimeGrid
     times: np.ndarray
@@ -431,21 +407,20 @@ def solve_stack(problems, grid: SpaceTimeGrid) -> tuple:
     PdeSolution per problem, in order.
 
     The problems must share coeffs, gparams and T, so that one Phi, one
-    set of coefficient fields and one G serve every row; they are stepped
-    on refine_grid(grid, *problems), the grid every solution carries.  All
-    P layers advance together as one (P, nx) stack through step_backward.
-    Each solution stores at most ~2000 layers (stride-decimated, endpoints
-    always kept), written in place into its own preallocated array; its
-    values and times are then read-only, as grid.xs is, so a solution that
-    callers share (gbsde's equal envelope problems) cannot be
-    changed through one of them.
+    set of coefficient fields and one G serve every row; they advance as
+    one (P, nx) stack through step_backward on refine_grid(grid,
+    *problems), the grid every solution carries.  Each solution stores at
+    most ~2000 layers (stride-decimated, endpoints always kept) in its own
+    preallocated array; its values and times are then read-only, as
+    grid.xs is, so a solution that callers share (equal problems, as
+    gbsde.envelope_problem makes them) cannot change through one of them.
 
     A row reads only its own layer, f, g and max|z|, and makes no BLAS
     call, so n * 2^21 weighted node-steps take up to n blocks of rows
     (_split); not where rows share an EnvelopeGenerator, whose lattice
     grows with every |z| it meets.  A row's node-step weighs 1 plus the
-    point_cost of each of its envelopes (258 for a direct search, whose
-    node-step costs 300-750 lattice ones).
+    point_cost of each of its envelopes (a direct node-step costs 300-750
+    lattice ones).
     """
     problems = tuple(problems)
     first = problems[0]
@@ -574,10 +549,8 @@ def stencil_batch(sol: PdeSolution, t, x):
 
 def _stencil(grid: SpaceTimeGrid, layer, x):
     """stencil_batch without its range check or its time blend, for a float
-    x already in range and the layer _blend_layer gave.
-
-    u at x, x + dx and x - dx is one _interp_cell read of their (3, ...)
-    stack."""
+    x already in range and the layer _blend_layer gave: one _interp_cell
+    read of the (3, ...) stack of x, x + dx and x - dx."""
     dx = grid.dx
     pts = np.empty((3, *np.shape(x)))
     pts[0] = x
@@ -668,6 +641,12 @@ def solution_to_csv(sol: PdeSolution, path) -> None:
     line = b"%.17g," + cells
     with open(path, "wb") as fh:  # a bad path raises before any fork
         fh.write(SCHEMA.encode() + b"t," + cells % tuple(sol.grid.xs.tolist()))
-        _split(len(sol.times), sol.values.size >> 18,
-               lambda rows, part: _write_rows(part or fh, line, sol, rows),
+        head = fh.tell()
+
+        def run(rows, part):  # part 0, and so the serial rerun, writes from the header's end
+            if part is None:
+                fh.truncate(fh.seek(head))
+            _write_rows(part or fh, line, sol, rows)
+
+        _split(len(sol.times), sol.values.size >> 18, run,
                lambda rows, part: shutil.copyfileobj(part, fh), f"{path}: formatting the rows")

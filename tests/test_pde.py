@@ -953,6 +953,23 @@ class TestSplitWriter:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_failed_child_leaves_the_serial_table(self, tmp_path, monkeypatch, cpus):
+        # the serial rerun writes from the end of the header, over the
+        # parent's 197 rows, not after them
+        parent, write_rows = os.getpid(), pde_module._write_rows
+
+        def failing(fh, *args):
+            if os.getpid() != parent:
+                raise MemoryError("no room in the child")
+            write_rows(fh, *args)
+
+        monkeypatch.setattr(pde_module, "_write_rows", failing)
+        cpus(3)
+        sol, path = self.table(395, 1990), tmp_path / "sol.csv"
+        with pytest.raises(OSError, match="part 1 of 2 failed"):
+            solution_to_csv(sol, path)
+        assert path.read_bytes() == _old_csv_bytes(sol)
+
     def test_failure_here_is_raised_and_leaves_no_child(self, tmp_path, monkeypatch, cpus):
         # the parent's part fails, and so does the serial rerun
         parent, write_rows = os.getpid(), pde_module._write_rows
