@@ -9,6 +9,7 @@ the true one with a gap controlled by gap_constant * phi(2L/(n-L)).
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -106,12 +107,30 @@ def _level_bound(problem: "pde.PdeProblem", L: float, n: float) -> float:
 
 
 def _solve_level(problem, L: float, n: float, grid: "pde.SpaceTimeGrid"):
-    """Lower and upper level-n solutions on grid's nodes (one dt: the two
-    envelopes share lip_z and lip_y; one solve where they are equal,
-    envelope_problem), their core gap and its modulus bound."""
-    lower, upper = (envelope_problem(problem, n, side) for side in ("lower", "upper"))
-    lo = pde.solve(lower, grid)
-    up = lo if upper == lower else pde.solve(upper, grid)
+    """Lower and upper level-n solutions on grid's nodes, one pde.solve of
+    each distinct side (envelope_problem), their core gap and its modulus
+    bound.  Two sides split as pde._most_parts of the pair allows: lower
+    here, upper in a forked child (pde._split), which sends its solution
+    back as pde.solve gave it."""
+    def sides():  # afresh for each run, so a serial rerun starts from new lattices
+        lower, upper = (envelope_problem(problem, n, side) for side in ("lower", "upper"))
+        return (lower,) if upper == lower else (lower, upper)
+
+    first = sides()
+    sols = list(first)  # each entry replaced by its side's solution
+
+    def run(rows, fh):
+        for i, side in zip(range(len(first))[rows], sides()[rows]):
+            sols[i] = pde.solve(side, grid)
+            if fh:  # protocol 5 sends a read-only array back read-only
+                pickle.dump(sols[i], fh, protocol=5)
+
+    def read(rows, fh):  # a later part holds one side
+        sols[rows.start] = pickle.load(fh)
+
+    most = pde._most_parts(first, pde.refine_grid(grid, *first))
+    pde._split(len(first), most, run, read, f"level n={n:g}")
+    lo, up = sols[0], sols[-1]
     return lo, up, _core_gap(lo, up), _level_bound(problem, L, n)
 
 

@@ -26,7 +26,9 @@ from .gfunction import GParams, g_value
 _CFL_SAFETY = 0.9
 _MAX_STORED_LAYERS = 2001
 _T_SAMPLES = 33
-_SPLIT_WORK = 1 << 21  # weighted node-steps per forked part of solve_stack, >= ~0.1 s
+# weighted node-steps per forked part (_most_parts): about 40 ms of stepping,
+# 2.5 to 10 times what a part costs to fork, send back and reap
+_SPLIT_WORK = 1 << 19
 
 
 class SchemeError(RuntimeError):
@@ -402,6 +404,18 @@ class PdeSolution:
     values: np.ndarray  # len(times) x nx
 
 
+def _most_parts(problems, grid: SpaceTimeGrid) -> int:
+    """The most parts _split may step problems in on grid, for solve_stack
+    and gbsde._solve_level: one per _SPLIT_WORK weighted node-steps, where
+    a row's node-step weighs 1 plus the point_cost of each of its envelopes
+    (a direct node-step costs 300-750 lattice ones); one where rows share
+    an EnvelopeGenerator, whose lattice grows with every |z| it meets."""
+    envs = [g for p in problems for g in (p.f, p.g) if isinstance(g, EnvelopeGenerator)]
+    if len({id(e) for e in envs}) < len(envs):
+        return 1
+    return (len(problems) + sum(e.point_cost for e in envs)) * grid.nx * grid.nt // _SPLIT_WORK
+
+
 def solve_stack(problems, grid: SpaceTimeGrid) -> tuple:
     """Backward sweeps from Phi over [0, T] for P problems at once, one
     PdeSolution per problem, in order.
@@ -416,11 +430,8 @@ def solve_stack(problems, grid: SpaceTimeGrid) -> tuple:
     gbsde.envelope_problem makes them) cannot change through one of them.
 
     A row reads only its own layer, f, g and max|z|, and makes no BLAS
-    call, so n * 2^21 weighted node-steps take up to n blocks of rows
-    (_split); not where rows share an EnvelopeGenerator, whose lattice
-    grows with every |z| it meets.  A row's node-step weighs 1 plus the
-    point_cost of each of its envelopes (a direct node-step costs 300-750
-    lattice ones).
+    call, so the rows step in up to _most_parts blocks (_split), as the
+    two sides of a gbsde._solve_level do.
     """
     problems = tuple(problems)
     first = problems[0]
@@ -441,7 +452,6 @@ def solve_stack(problems, grid: SpaceTimeGrid) -> tuple:
     kept = [np.empty((len(kept_idx), grid.nx)) for _ in problems]
     for values in kept:
         values[-1] = phi
-    P = len(problems)
 
     def run(rows, fh):  # step rows from phi down to 0, then write them to fh
         part, out = problems[rows], kept[rows]
@@ -455,10 +465,8 @@ def solve_stack(problems, grid: SpaceTimeGrid) -> tuple:
         for values in out if fh else ():
             fh.write(values)
 
-    envs = [g for p in problems for g in (p.f, p.g) if isinstance(g, EnvelopeGenerator)]
-    work = (P + sum(e.point_cost for e in envs)) * grid.nx * grid.nt
-    most = work // _SPLIT_WORK if len({id(e) for e in envs}) == len(envs) else 1
-    _split(P, most, run, lambda rows, fh: [fh.readinto(v) for v in kept[rows]], "solve_stack")
+    _split(len(problems), _most_parts(problems, grid), run,
+           lambda rows, fh: [fh.readinto(v) for v in kept[rows]], "solve_stack")
     times = np.asarray(kept_idx, dtype=float) * grid.dt
     for a in (times, *kept):
         a.flags.writeable = False
@@ -585,11 +593,13 @@ def _write_rows(fh, line, sol: PdeSolution, rows: slice) -> None:
 
 def _split(count, most, run, read, what) -> None:
     """run(rows, fh) on each of up to min(most, count) contiguous parts of
-    range(count), one per usable CPU (one without os.fork or
-    os.sched_getaffinity), then read(rows, fh) on each later part's file,
-    rewound, in order.  Part 0 runs here (fh None), the others in forked
-    children writing binary unnamed temporary files, or here where a fork
-    fails; every child is reaped in a finally.  A fork copies only this
+    range(count) (solve_stack's rows, gbsde._solve_level's sides,
+    gsim.terminal_states' paths, solution_to_csv's layers), one per usable
+    CPU (one without os.fork or os.sched_getaffinity), then read(rows, fh)
+    on each later part's file, rewound, in order.  Part 0 runs here (fh
+    None), the others in forked children writing binary unnamed temporary
+    files, or here where a fork fails; every child is reaped in a finally.
+    A fork copies only this
     thread, so run makes no BLAS call; where no part reads what another
     writes, the output is the serial run's, bit for bit.  A failed part
     runs the whole job again here, serially, and raises its error, else

@@ -674,7 +674,7 @@ class TestExperiments:
     def test_direct_ladder_splits_with_the_serial_bytes(self, tmp_path, forks, cpus):
         # f reads x, so each of the 4 rows takes the direct search and its
         # node-step weighs 1 + 258: at nx = 41 the ladder's 119 steps make
-        # 5,054,644 weighted node-steps, past 2 * 2^21, so two CPUs take two
+        # 5,054,644 weighted node-steps, past 2 * 2^19, so two CPUs take two
         # parts
         raw = rough_config()
         raw["problem"]["T"] = 1.0

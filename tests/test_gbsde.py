@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -605,8 +607,9 @@ def test_level_walks_span_the_problem_horizon(T, grid_T):
 
 
 def test_stable_dt_runs_once_per_problem(monkeypatch):
-    # two max_stable_dt calls per solve_exact level and one per ladder,
-    # on its stack: the solver alone picks the time step
+    # three max_stable_dt calls per solve_exact level, one to weigh the
+    # pair (pde._most_parts) and one per side, and one per ladder, on its
+    # stack: the solver alone picks every time step it steps
     prob = problem(f=SQRT_F, lip_z=1.0)
     grid = build_grid(prob, -4.0, 4.0, 101)
     calls = []
@@ -620,10 +623,70 @@ def test_stable_dt_runs_once_per_problem(monkeypatch):
     ex = solve_exact(prob, grid, 0.05)
     tried = round(np.log2(ex.level / gbsde.level_base(problem_growth_L(prob)))) + 1
     assert tried > 1
-    assert len(calls) == 2 * tried
+    assert len(calls) == 3 * tried
     calls.clear()
     approximation_ladder(prob, [1.0, 2.0, 4.0], grid)
     assert len(calls) == 1 and len(calls[0]) == 2 * 3
+
+
+@pytest.mark.usefixtures("same_fds")
+class TestSplitLevel:
+    """A level's two sides, split by pde._split: lower here, upper in a
+    forked child, with the bytes of the serial solves, failing as they fail."""
+
+    @staticmethod
+    def _lattice():
+        prob = problem(f=SQRT_F, lip_z=1.0)
+        return prob, build_grid(prob, -4.0, 4.0, 101)
+
+    def test_bytes_match_serial(self, monkeypatch, forks, cpus):
+        # a threshold of 1 splits these small pairs
+        monkeypatch.setattr(pde, "_SPLIT_WORK", 1)
+        prob, grid = self._lattice()
+        cpus(1)
+        want = solve_exact(prob, grid, 0.05)
+        cpus(2)
+        forks.clear()
+        got = solve_exact(prob, grid, 0.05)
+        tried = round(np.log2(got.level / gbsde.level_base(problem_growth_L(prob)))) + 1
+        assert tried > 1
+        assert len(forks) == tried
+        assert (got.level, got.measured_gap) == (want.level, want.measured_gap)
+        for sol, ref in ((got.solution, want.solution), (got.upper_solution, want.upper_solution)):
+            assert _same_bits(sol, ref)
+            assert not any(a.flags.writeable for a in (sol.values, sol.times, sol.grid.xs))
+
+    @pytest.mark.parametrize("where, error, match", [
+        # the serial rerun solves both sides: the child's error stands
+        ("child", OSError, r"level n=1: part 1 of 2 failed \(exit status 1\)"),
+        ("everywhere", MemoryError, "no room for the upper side"),
+    ])
+    def test_failure_reruns_from_fresh_envelopes(self, monkeypatch, cpus, where, error, match):
+        monkeypatch.setattr(pde, "_SPLIT_WORK", 1)
+        prob, grid = self._lattice()
+        parent, real, solved = os.getpid(), pde.solve, []
+
+        def failing(side, grid):
+            if side.f.side == "upper" and (where == "everywhere" or os.getpid() != parent):
+                raise MemoryError("no room for the upper side")
+            solved.append((side, real(side, grid)))
+            return solved[-1][1]
+
+        monkeypatch.setattr(pde, "solve", failing)
+        cpus(2)
+        with pytest.raises(error, match=match) as err:
+            solve_exact(prob, grid, 0.05)
+        assert type(err.value) is error
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        # the lower side here, then the serial rerun's sides, built afresh
+        first, *rerun = solved
+        assert [side.f.side for side, _ in rerun] == (
+            ["lower", "upper"] if where == "child" else ["lower"])
+        assert rerun[0][0].f is not first[0].f
+        for side, sol in rerun:
+            fresh = gbsde.envelope_problem(prob, 1.0, side.f.side)
+            assert _same_bits(sol, real(fresh, grid))
 
 
 def _count_solves(monkeypatch):

@@ -1047,7 +1047,7 @@ def _fork_fails_after(monkeypatch, forks, n):
 
 @pytest.mark.usefixtures("same_fds")
 class TestSplitSolve:
-    """A stack of n * 2^21 node-steps is stepped in up to n blocks of rows,
+    """A stack of n * 2^19 weighted node-steps is stepped in up to n blocks of rows,
     one per usable CPU, all but the first in forked children, with the
     bytes of the serial sweep, and failing as it fails."""
 
@@ -1083,15 +1083,17 @@ class TestSplitSolve:
             assert not sol.values.flags.writeable
 
     @pytest.mark.parametrize("direct, T, parts", [
-        # two heat rows at nx = 401 and dt = 9e-5: 5,556 steps make
-        # 4,455,912 node-steps, past 2 * 2^21; 5,000 steps make 4,010,000
-        (None, 0.5, 2), (None, 0.45, 1),
+        # two heat rows at nx = 401 and dt about 9e-5: 5,556 steps make
+        # 4,455,912 node-steps and 1,334 make 1,069,868, past 2 * 2^19;
+        # 1,223 steps make 980,846
+        (None, 0.5, 2), (None, 0.12, 2), (None, 0.11, 1),
         # two rows at nx = 41 with a direct envelope each, f's or g's, weigh
         # 1 + 258 per node-step: f's 201 steps (dt about 0.0056) make
-        # 4,268,838 weighted node-steps, past 2 * 2^21, and 194 make
-        # 4,120,172; g's 200 steps (dt = 0.009) make 4,247,600
-        ("f", 1.13, 2), ("f", 1.09, 1), ("g", 1.8, 2),
-    ], ids=["0.5-2", "0.45-1", "direct_f-1.13-2", "direct_f-1.09-1", "direct_g-1.8-2"])
+        # 4,268,838 weighted node-steps and 50 make 1,061,900, past 2 * 2^19,
+        # and 49 make 1,040,662; g's 200 steps (dt = 0.009) make 4,247,600
+        ("f", 1.13, 2), ("f", 0.28, 2), ("f", 0.27, 1), ("g", 1.8, 2),
+    ], ids=["0.5-2", "0.12-2", "0.11-1", "direct_f-1.13-2", "direct_f-0.28-2",
+            "direct_f-0.27-1", "direct_g-1.8-2"])
     def test_threshold(self, forks, cpus, direct, T, parts):
         if direct is None:
             problems = [heat_problem(T=T), heat_problem(T=T)]
@@ -1114,12 +1116,12 @@ class TestSplitSolve:
         assert forks == []
 
     def test_one_direct_row_never_splits(self, forks, cpus):
-        # at the real threshold: 402 steps of one direct row at nx = 41
-        # make 4,268,838 weighted node-steps, past 2 * 2^21
+        # at the real threshold: 100 steps of one direct row at nx = 41
+        # make 1,061,900 weighted node-steps, past 2 * 2^19
         cpus(4)
-        prob = _direct_rows("f", 2.26)[0]
+        prob = _direct_rows("f", 0.56)[0]
         sol = solve(prob, build_grid(prob, -2.0, 2.0, 41))
-        assert sol.grid.nt == 402
+        assert sol.grid.nt == 100
         assert forks == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
