@@ -349,7 +349,11 @@ class EnvelopeGenerator:
         self.lip_y = gen.lip_y
         self.mode = "lattice" if free_vars(gen.body) <= {"z"} else "direct"
         self.point_cost = 0 if self.mode == "lattice" else _COARSE + 2
-        self._lattice = self._values = None  # built by the first lattice lookup
+        self.reset()
+
+    def reset(self):
+        """Drop the lattice; the next lookup builds it afresh from _Z_MAX."""
+        self._lattice = self._values = None
         self._z_max = self._Z_MAX
 
     # -- lattice construction ------------------------------------------------

@@ -9,7 +9,6 @@ the true one with a gap controlled by gap_constant * phi(2L/(n-L)).
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -106,48 +105,12 @@ def _level_bound(problem: "pde.PdeProblem", L: float, n: float) -> float:
     return gap_constant(L, problem.gparams, problem.T) * bound
 
 
-def _solve_level(problem, L: float, n: float, grid: "pde.SpaceTimeGrid"):
-    """Lower and upper level-n solutions on grid's nodes, one pde.solve of
-    each distinct side (envelope_problem), their core gap and its modulus
-    bound.  Two sides split as pde._most_parts of the pair allows: lower
-    here, upper in a forked child (pde._split), which sends its solution
-    back as pde.solve gave it."""
-    def sides():  # afresh for each run, so a serial rerun starts from new lattices
-        lower, upper = (envelope_problem(problem, n, side) for side in ("lower", "upper"))
-        return (lower,) if upper == lower else (lower, upper)
-
-    first = sides()
-    sols = list(first)  # each entry replaced by its side's solution
-
-    def run(rows, fh):
-        for i, side in zip(range(len(first))[rows], sides()[rows]):
-            sols[i] = pde.solve(side, grid)
-            if fh:  # protocol 5 sends a read-only array back read-only
-                pickle.dump(sols[i], fh, protocol=5)
-
-    def read(rows, fh):  # a later part holds one side
-        sols[rows.start] = pickle.load(fh)
-
-    most = pde._most_parts(first, pde.refine_grid(grid, *first))
-    pde._split(len(first), most, run, read, f"level n={n:g}")
-    lo, up = sols[0], sols[-1]
-    return lo, up, _core_gap(lo, up), _level_bound(problem, L, n)
-
-
-def approximation_ladder(problem, levels, grid) -> Ladder:
-    """Solve lower/upper envelope problems for each level on grid's nodes.
-    The 2K problems differ only in f and g, so the distinct ones
-    (envelope_problem) advance together as one pde.solve_stack, whose time
-    step is the top level's (the smallest); each solution is what
-    pde.solve gives for its problem alone on that grid, bit for bit."""
-    levels = tuple(float(n) for n in levels)
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be strictly increasing")
-    L = problem_growth_L(problem)
-    if not levels:
-        return Ladder((), (), (), (), (), (), 0.0)
-    if levels[0] <= L:
-        raise ValueError(f"every level must exceed L={L}")
+def _level_pairs(problem, levels, grid):
+    """Lower and upper solutions per level on grid's nodes: the first of
+    each group of equal level problems (envelope_problem) steps in one
+    pde.solve_stack, whose time step is the top level's (the smallest),
+    and the others share its solution; each is what pde.solve gives for
+    its problem alone on that grid, bit for bit."""
     problems = [envelope_problem(problem, n, side)
                 for n in levels for side in ("lower", "upper")]
     # each problem's first equal problem; compared, not hashed, since a
@@ -156,7 +119,21 @@ def approximation_ladder(problem, levels, grid) -> Ladder:
     rows = sorted(set(firsts))
     stacked = dict(zip(rows, pde.solve_stack([problems[i] for i in rows], grid)))
     sols = tuple(stacked[i] for i in firsts)
-    lowers, uppers = sols[0::2], sols[1::2]
+    return sols[0::2], sols[1::2]
+
+
+def approximation_ladder(problem, levels, grid) -> Ladder:
+    """Solve lower/upper envelope problems for each level on grid's nodes,
+    all of them as one stack (_level_pairs)."""
+    levels = tuple(float(n) for n in levels)
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError("levels must be strictly increasing")
+    L = problem_growth_L(problem)
+    if not levels:
+        return Ladder((), (), (), (), (), (), 0.0)
+    if levels[0] <= L:
+        raise ValueError(f"every level must exceed L={L}")
+    lowers, uppers = _level_pairs(problem, levels, grid)
     gaps = tuple(_core_gap(lo, up) for lo, up in zip(lowers, uppers))
     bounds = tuple(_level_bound(problem, L, n) for n in levels)
     tol = solver_tolerance(lowers[-1])
@@ -170,7 +147,7 @@ def approximation_ladder(problem, levels, grid) -> Ladder:
 @dataclass(frozen=True)
 class ExactSolve:
     """The level solve_exact stopped at; solution and upper_solution may be
-    one object (_solve_level)."""
+    one object (_level_pairs)."""
 
     solution: "pde.PdeSolution"  # lower-envelope solution at the chosen level
     upper_solution: "pde.PdeSolution"
@@ -190,7 +167,8 @@ def solve_exact(problem, grid, target_gap, max_doublings: int = 8) -> ExactSolve
     last_gap = None
     for k in range(max_doublings + 1):
         n = level_base(L) * 2.0**k
-        lo, up, gap, bound = _solve_level(problem, L, n, grid)
+        (lo,), (up,) = _level_pairs(problem, (n,), grid)
+        gap, bound = _core_gap(lo, up), _level_bound(problem, L, n)
         tol = solver_tolerance(lo)
         if not _certified(gap, bound, tol):
             raise RuntimeError(

@@ -26,7 +26,7 @@ from .gfunction import GParams, g_value
 _CFL_SAFETY = 0.9
 _MAX_STORED_LAYERS = 2001
 _T_SAMPLES = 33
-# weighted node-steps per forked part (_most_parts): about 40 ms of stepping,
+# weighted node-steps per forked part (solve_stack): about 40 ms of stepping,
 # 2.5 to 10 times what a part costs to fork, send back and reap
 _SPLIT_WORK = 1 << 19
 
@@ -404,18 +404,6 @@ class PdeSolution:
     values: np.ndarray  # len(times) x nx
 
 
-def _most_parts(problems, grid: SpaceTimeGrid) -> int:
-    """The most parts _split may step problems in on grid, for solve_stack
-    and gbsde._solve_level: one per _SPLIT_WORK weighted node-steps, where
-    a row's node-step weighs 1 plus the point_cost of each of its envelopes
-    (a direct node-step costs 300-750 lattice ones); one where rows share
-    an EnvelopeGenerator, whose lattice grows with every |z| it meets."""
-    envs = [g for p in problems for g in (p.f, p.g) if isinstance(g, EnvelopeGenerator)]
-    if len({id(e) for e in envs}) < len(envs):
-        return 1
-    return (len(problems) + sum(e.point_cost for e in envs)) * grid.nx * grid.nt // _SPLIT_WORK
-
-
 def solve_stack(problems, grid: SpaceTimeGrid) -> tuple:
     """Backward sweeps from Phi over [0, T] for P problems at once, one
     PdeSolution per problem, in order.
@@ -430,8 +418,12 @@ def solve_stack(problems, grid: SpaceTimeGrid) -> tuple:
     gbsde.envelope_problem makes them) cannot change through one of them.
 
     A row reads only its own layer, f, g and max|z|, and makes no BLAS
-    call, so the rows step in up to _most_parts blocks (_split), as the
-    two sides of a gbsde._solve_level do.
+    call, so the rows step in blocks (_split), one per _SPLIT_WORK
+    weighted node-steps: a row's node-step weighs 1 plus the point_cost
+    of each of its envelopes (a direct node-step costs 300-750 lattice
+    ones).  Rows that share an EnvelopeGenerator, whose lattice grows
+    with every |z| it meets, step in one block, and each run resets its
+    rows' envelopes, so a serial rerun starts from unbuilt lattices.
     """
     problems = tuple(problems)
     first = problems[0]
@@ -439,6 +431,10 @@ def solve_stack(problems, grid: SpaceTimeGrid) -> tuple:
         if any(getattr(p, name) != getattr(first, name) for p in problems[1:]):
             raise ValueError(f"stacked problems must share {name}")
     grid = refine_grid(grid, *problems)
+    envs = [[g for g in (p.f, p.g) if isinstance(g, EnvelopeGenerator)] for p in problems]
+    flat = sum(envs, [])
+    most = 1 if len({id(e) for e in flat}) < len(flat) else (
+        (len(problems) + sum(e.point_cost for e in flat)) * grid.nx * grid.nt // _SPLIT_WORK)
     xs = grid.xs
     phi = first.coeffs.eval_phi(xs)
     if not np.all(np.isfinite(phi)):
@@ -455,6 +451,8 @@ def solve_stack(problems, grid: SpaceTimeGrid) -> tuple:
 
     def run(rows, fh):  # step rows from phi down to 0, then write them to fh
         part, out = problems[rows], kept[rows]
+        for env in sum(envs[rows], []):
+            env.reset()
         fields = _step_fields(part, 0.0, grid) if first.coeffs.time_free else None
         u = np.repeat(phi[None, :], len(part), axis=0)
         for k in range(grid.nt - 1, -1, -1):
@@ -465,7 +463,7 @@ def solve_stack(problems, grid: SpaceTimeGrid) -> tuple:
         for values in out if fh else ():
             fh.write(values)
 
-    _split(len(problems), _most_parts(problems, grid), run,
+    _split(len(problems), most, run,
            lambda rows, fh: [fh.readinto(v) for v in kept[rows]], "solve_stack")
     times = np.asarray(kept_idx, dtype=float) * grid.dt
     for a in (times, *kept):
@@ -593,18 +591,17 @@ def _write_rows(fh, line, sol: PdeSolution, rows: slice) -> None:
 
 def _split(count, most, run, read, what) -> None:
     """run(rows, fh) on each of up to min(most, count) contiguous parts of
-    range(count) (solve_stack's rows, gbsde._solve_level's sides,
-    gsim.terminal_states' paths, solution_to_csv's layers), one per usable
-    CPU (one without os.fork or os.sched_getaffinity), then read(rows, fh)
-    on each later part's file, rewound, in order.  Part 0 runs here (fh
-    None), the others in forked children writing binary unnamed temporary
-    files, or here where a fork fails; every child is reaped in a finally.
-    A fork copies only this
-    thread, so run makes no BLAS call; where no part reads what another
-    writes, the output is the serial run's, bit for bit.  A failed part
-    runs the whole job again here, serially, and raises its error, else
-    OSError naming the part; a killed child raises ChildProcessError and
-    starts no rerun."""
+    range(count), one per usable CPU (one without os.fork or
+    os.sched_getaffinity), then read(rows, fh) on each later part's file,
+    rewound, in order; it has three callers: solve_stack's rows,
+    gsim.terminal_states' paths and solution_to_csv's layers.  Part 0
+    runs here (fh None), the others in forked children writing binary
+    unnamed temporary files, or here where a fork fails; every child is
+    reaped in a finally.  A fork copies only this thread, so run makes no
+    BLAS call; where no part reads what another writes, the output is the
+    serial run's, bit for bit.  A failed part runs the whole job again
+    here, serially, and raises its error, else OSError naming the part; a
+    killed child raises ChildProcessError and starts no rerun."""
     forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     n = max(1, min(len(os.sched_getaffinity(0)) if forks else 1, most, count))
     parts = [slice(count * k // n, count * (k + 1) // n) for k in range(n)]

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from gbsdelab import cli, gsim
+from gbsdelab import cli, gsim, pde
 from gbsdelab.cli import ConfigError, RunConfig, load_config, main
 from gbsdelab.envelope import ZERO_GENERATOR
 from gbsdelab.expr import evaluate, parse
@@ -689,6 +689,26 @@ class TestExperiments:
             outs.append({name: (out / name).read_bytes()
                          for name in ("ladder.csv", "summary.json")})
             assert len(forks) == n - 1
+        assert outs[0] == outs[1]
+
+    def test_compare_splits_with_the_serial_bytes(self, tmp_path, monkeypatch, forks, cpus):
+        # the resolve snapshot config at a threshold of 1: the level walks
+        # step a distinct lattice pair at levels 1 and 2 of problem1 and at
+        # level 1 of problem2, one fork each, and compare solves problem2
+        # again at level 2, one row, which never splits
+        monkeypatch.setattr(pde, "_SPLIT_WORK", 1)
+        path = write_config(tmp_path, _snapshot_configs()["resolve"])
+        outs = []
+        for n in (1, 2):
+            cpus(n)
+            forks.clear()
+            out = tmp_path / f"cpus{n}"
+            assert main(["run", path, "compare", "--out", str(out)]) == 0
+            outs.append({name: (out / name).read_bytes()
+                         for name in ("compare.csv", "summary.json")})
+            s = read_summary(out)
+            assert (s["level1"], s["level2"]) == (2.0, 1.0)
+            assert len(forks) == 3 * (n - 1)
         assert outs[0] == outs[1]
 
     def test_upper_expectation_splits_with_the_serial_bytes(self, tmp_path, forks, cpus):

@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -184,13 +182,14 @@ class TestApproximationLadder:
         top = lad.lower_solutions[-1].grid
         L = problem_growth_L(prob)
         for i, n in enumerate(levels):
-            lo, up, gap, bound = gbsde._solve_level(prob, L, n, top)
+            # solve_exact's stack of level n alone
+            (lo,), (up,) = gbsde._level_pairs(prob, (n,), top)
             for got, want in ((lad.lower_solutions[i], lo), (lad.upper_solutions[i], up)):
                 assert got.grid == want.grid == top
                 assert np.array_equal(got.values, want.values)
                 assert np.array_equal(got.times, want.times)
-            assert lad.gap_report[i] == gap
-            assert lad.bound_report[i] == bound
+            assert lad.gap_report[i] == gbsde._core_gap(lo, up)
+            assert lad.bound_report[i] == gbsde._level_bound(prob, L, n)
         assert lad.tolerance == gbsde.solver_tolerance(lo)
 
     @pytest.mark.parametrize("f, g, levels, rows", [
@@ -607,9 +606,8 @@ def test_level_walks_span_the_problem_horizon(T, grid_T):
 
 
 def test_stable_dt_runs_once_per_problem(monkeypatch):
-    # three max_stable_dt calls per solve_exact level, one to weigh the
-    # pair (pde._most_parts) and one per side, and one per ladder, on its
-    # stack: the solver alone picks every time step it steps
+    # one max_stable_dt call per solve_exact level and one per ladder, each
+    # on its stack: the solver alone picks every time step it steps
     prob = problem(f=SQRT_F, lip_z=1.0)
     grid = build_grid(prob, -4.0, 4.0, 101)
     calls = []
@@ -623,7 +621,7 @@ def test_stable_dt_runs_once_per_problem(monkeypatch):
     ex = solve_exact(prob, grid, 0.05)
     tried = round(np.log2(ex.level / gbsde.level_base(problem_growth_L(prob)))) + 1
     assert tried > 1
-    assert len(calls) == 3 * tried
+    assert len(calls) == tried and all(len(c) == 2 for c in calls)
     calls.clear()
     approximation_ladder(prob, [1.0, 2.0, 4.0], grid)
     assert len(calls) == 1 and len(calls[0]) == 2 * 3
@@ -631,8 +629,8 @@ def test_stable_dt_runs_once_per_problem(monkeypatch):
 
 @pytest.mark.usefixtures("same_fds")
 class TestSplitLevel:
-    """A level's two sides, split by pde._split: lower here, upper in a
-    forked child, with the bytes of the serial solves, failing as they fail."""
+    """A level's two sides, one pde.solve_stack split in two: lower here,
+    upper in a forked child, with the bytes of the serial solves."""
 
     @staticmethod
     def _lattice():
@@ -656,49 +654,19 @@ class TestSplitLevel:
             assert _same_bits(sol, ref)
             assert not any(a.flags.writeable for a in (sol.values, sol.times, sol.grid.xs))
 
-    @pytest.mark.parametrize("where, error, match", [
-        # the serial rerun solves both sides: the child's error stands
-        ("child", OSError, r"level n=1: part 1 of 2 failed \(exit status 1\)"),
-        ("everywhere", MemoryError, "no room for the upper side"),
-    ])
-    def test_failure_reruns_from_fresh_envelopes(self, monkeypatch, cpus, where, error, match):
-        monkeypatch.setattr(pde, "_SPLIT_WORK", 1)
-        prob, grid = self._lattice()
-        parent, real, solved = os.getpid(), pde.solve, []
-
-        def failing(side, grid):
-            if side.f.side == "upper" and (where == "everywhere" or os.getpid() != parent):
-                raise MemoryError("no room for the upper side")
-            solved.append((side, real(side, grid)))
-            return solved[-1][1]
-
-        monkeypatch.setattr(pde, "solve", failing)
-        cpus(2)
-        with pytest.raises(error, match=match) as err:
-            solve_exact(prob, grid, 0.05)
-        assert type(err.value) is error
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        # the lower side here, then the serial rerun's sides, built afresh
-        first, *rerun = solved
-        assert [side.f.side for side, _ in rerun] == (
-            ["lower", "upper"] if where == "child" else ["lower"])
-        assert rerun[0][0].f is not first[0].f
-        for side, sol in rerun:
-            fresh = gbsde.envelope_problem(prob, 1.0, side.f.side)
-            assert _same_bits(sol, real(fresh, grid))
-
 
 def _count_solves(monkeypatch):
-    """Record (fingerprint, grid) of every pde.solve call from now on."""
+    """Record (fingerprint, grid) of every row of every pde.solve_stack
+    call from now on (pde.solve included), with the grid its caller passed."""
     calls = []
-    real = pde.solve
+    real = pde.solve_stack
 
-    def counting(problem, grid):
-        calls.append((problem.fingerprint(), grid))
-        return real(problem, grid)
+    def counting(problems, grid):
+        problems = tuple(problems)
+        calls.extend((p.fingerprint(), grid) for p in problems)
+        return real(problems, grid)
 
-    monkeypatch.setattr(pde, "solve", counting)
+    monkeypatch.setattr(pde, "solve_stack", counting)
     return calls
 
 

@@ -1177,6 +1177,28 @@ class TestSplitSolve:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_rerun_starts_from_fresh_lattices(self, monkeypatch, cpus):
+        # row 0 grows its envelopes' lattices here while row 1 fails in the
+        # child; the serial rerun's first step, of both rows, finds row 0's
+        # lattices unbuilt, as a fresh serial solve would
+        parent, step, seen = os.getpid(), pde_module.step_backward, []
+
+        def failing(u, t, problems, *rest):
+            if os.getpid() != parent:
+                raise MemoryError("no room in the child")
+            if len(problems) == 2 and not seen:
+                seen.extend(e._lattice for e in (problems[0].f, problems[0].g))
+            return step(u, t, problems, *rest)
+
+        monkeypatch.setattr(pde_module, "step_backward", failing)
+        monkeypatch.setattr(pde_module, "_SPLIT_WORK", 1)
+        cpus(2)
+        problems = _stack_problems()[:2]
+        assert all(isinstance(e, EnvelopeGenerator) for e in (problems[0].f, problems[0].g))
+        with pytest.raises(OSError, match=r"solve_stack: part 1 of 2 failed"):
+            solve_stack(problems, build_grid(problems[0], -2.0, 2.0, 41))
+        assert seen == [None, None]
+
     def test_failed_fork_runs_the_part_here(self, monkeypatch, forks, cpus):
         # the second fork finds no process to spare: parts 2 and 3 run here
         monkeypatch.setattr(pde_module, "_SPLIT_WORK", 1)
