@@ -1,3 +1,6 @@
+import contextlib
+import os
+
 import numpy as np
 import pytest
 
@@ -653,6 +656,59 @@ class TestSplitLevel:
         for sol, ref in ((got.solution, want.solution), (got.upper_solution, want.upper_solution)):
             assert _same_bits(sol, ref)
             assert not any(a.flags.writeable for a in (sol.values, sol.times, sol.grid.xs))
+
+    @pytest.mark.parametrize("where, error, match", [
+        # the serial rerun steps both sides: the child's error stands
+        ("child", OSError, r"solve_stack: part 1 of 2 failed \(exit status 1\)"),
+        ("everywhere", MemoryError, "no room for the upper side"),
+    ], ids=[r"child-OSError-level n=1: part 1 of 2 failed \(exit status 1\)",
+            "everywhere-MemoryError-no room for the upper side"])
+    def test_failure_reruns_from_fresh_envelopes(self, monkeypatch, cpus, where, error, match):
+        monkeypatch.setattr(pde, "_SPLIT_WORK", 1)
+        prob, grid = self._lattice()
+        parent, real = os.getpid(), pde.step_backward
+
+        def recording(steps, fail):
+            # steps gets (sides, lower f's lattice before the step, result)
+            # of each step here
+            def step(u, t, problems, *rest):
+                sides = tuple(p.f.side for p in problems)
+                here = os.getpid() == parent
+                lattice = problems[0].f._lattice
+                if "upper" in sides and fail(here):
+                    if here:
+                        steps.append((sides, lattice, None))
+                    raise MemoryError("no room for the upper side")
+                out = real(u, t, problems, *rest)
+                if here:
+                    steps.append((sides, lattice, out.tobytes()))
+                return out
+            return step
+
+        steps = []
+        monkeypatch.setattr(pde, "step_backward", recording(
+            steps, lambda here: where == "everywhere" or not here))
+        cpus(2)
+        with pytest.raises(error, match=match) as err:
+            solve_exact(prob, grid, 0.05)
+        assert type(err.value) is error
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        # the lower side here, then the serial rerun of both sides
+        here = [s for s in steps if s[0] == ("lower",)]
+        rerun = steps[len(here):]
+        assert here and rerun and {s[0] for s in rerun} == {("lower", "upper")}
+        # the lower side grew its lattice here; the rerun starts it afresh
+        assert here[-1][1] is not None and rerun[0][1] is None
+        # step for step, the bytes of a fresh serial solve of the level
+        fresh = []
+        monkeypatch.setattr(pde, "step_backward", recording(
+            fresh, lambda here: where == "everywhere"))
+        cpus(1)
+        sides = [gbsde.envelope_problem(prob, 1.0, side) for side in ("lower", "upper")]
+        with pytest.raises(MemoryError) if where == "everywhere" else contextlib.nullcontext():
+            pde.solve_stack(sides, grid)
+        assert [s[2] for s in rerun] == [s[2] for s in fresh]
 
 
 def _count_solves(monkeypatch):
